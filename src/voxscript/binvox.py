@@ -73,10 +73,18 @@ def read_binvox(data: bytes):
                 raise BinvoxError(f"bad dims {dims}", offset=line_start)
             if dims[0] * dims[1] * dims[2] > 2 ** 24:
                 raise BinvoxError(f"dims {dims} too large", offset=line_start)
-        elif fields[0] == "translate":
-            translate = tuple(float(v) for v in fields[1:4])
-        elif fields[0] == "scale":
-            scale = float(fields[1])
+        elif fields[0] in ("translate", "scale"):
+            want = 3 if fields[0] == "translate" else 1
+            try:
+                values = tuple(float(v) for v in fields[1:1 + want])
+            except ValueError:
+                values = ()
+            if len(values) != want:
+                raise BinvoxError(f"bad {fields[0]} line {line!r}", offset=line_start)
+            if want == 3:
+                translate = values
+            else:
+                scale = values[0]
     if dims is None:
         raise BinvoxError("missing dim line", offset=offset)
     total = dims[0] * dims[1] * dims[2]

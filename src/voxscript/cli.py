@@ -84,8 +84,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-blocks", type=int, default=None)
     p.add_argument("--beam", type=int, default=None)
     p.add_argument("--min-gain", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface parity; the search is deterministic")
 
     p = sub.add_parser("eval", help="batch-compare predicted and reference grids")
     p.add_argument("--pred", type=Path, required=True, metavar="dir")

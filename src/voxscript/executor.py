@@ -7,7 +7,6 @@ the grid bounds and composes by union, so statement order never matters.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -69,21 +68,20 @@ def _line_points(p0, p1):
     return np.rint(p0[None, :] + ts * (p1 - p0)[None, :]).astype(int)
 
 
-def _render_into(grid: np.ndarray, d: DrawStmt) -> None:
-    px, py, pz = d.position
-    shape = d.shape
+def _render(grid: np.ndarray, shape, position, geometry) -> None:
+    px, py, pz = position
     if shape in (ShapeKind.CYLINDER, ShapeKind.CIRCLE):
-        t, r = d.geometry
+        t, r = geometry
         _fill_disk_column(grid, px, py, pz, t, r)
     elif shape is ShapeKind.SQUARE:
-        t, r = d.geometry
+        t, r = geometry
         _fill_box(grid, px - r, px + r + 1, py, py + t, pz - r, pz + r + 1)
     elif shape is ShapeKind.RECTANGLE:
-        t, r1, r2 = d.geometry
+        t, r1, r2 = geometry
         _fill_box(grid, px, px + r1, py, py + t, pz, pz + r2)
     elif shape is ShapeKind.CUBOID:
-        t, r1, r2 = d.geometry[:3]
-        ang = d.geometry[3] if len(d.geometry) == 4 else 0
+        t, r1, r2 = geometry[:3]
+        ang = geometry[3] if len(geometry) == 4 else 0
         if ang == 0:
             _fill_box(grid, px, px + r1, py, py + t, pz, pz + r2)
         else:
@@ -94,7 +92,7 @@ def _render_into(grid: np.ndarray, d: DrawStmt) -> None:
                           py + k, py + k + 1, pz, pz + r2)
     else:  # line
         dx, dy, dz = grid.shape
-        pts = _line_points(d.position, d.geometry)
+        pts = _line_points(position, geometry)
         keep = ((pts >= 0) & (pts < np.array([dx, dy, dz]))).all(axis=1)
         pts = pts[keep]
         grid[pts[:, 0], pts[:, 1], pts[:, 2]] = True
@@ -103,7 +101,7 @@ def _render_into(grid: np.ndarray, d: DrawStmt) -> None:
 def render_draw(d: DrawStmt, dims=DEFAULT_DIMS) -> np.ndarray:
     """Rasterize one primitive; out-of-bounds voxels are dropped."""
     grid = empty_grid(dims)
-    _render_into(grid, d)
+    _render(grid, d.shape, d.position, d.geometry)
     return grid
 
 
@@ -128,22 +126,40 @@ def _rotate_point(pt, angle_deg, axis, dims):
     return tuple(int(np.rint(v)) for v in (x, y, z))
 
 
-def _shift_draw(d: DrawStmt, offset) -> DrawStmt:
-    pos = tuple(p + o for p, o in zip(d.position, offset))
-    geom = d.geometry
-    if d.shape is ShapeKind.LINE:
-        geom = tuple(g + o for g, o in zip(d.geometry, offset))
-    return replace(d, position=pos, geometry=geom)
+def _unroll(f: ForStmt, dims, limits) -> list:
+    """A loop's copies as (draw, position, geometry) records.
 
-
-def _rotate_draw(d: DrawStmt, angle_deg, axis, dims) -> DrawStmt:
-    if angle_deg == 0:
-        return d
-    pos = _rotate_point(d.position, angle_deg, axis, dims)
-    geom = d.geometry
-    if d.shape is ShapeKind.LINE:
-        geom = _rotate_point(d.geometry, angle_deg, axis, dims)
-    return replace(d, position=pos, geometry=geom)
+    ``draw`` is the body statement a copy came from; position and geometry
+    are where the copy lands, so no statement is built per copy.
+    """
+    if expanded_size(f) > limits.max_expanded:
+        raise BudgetError(
+            f"loop expands to {expanded_size(f)} draws,"
+            f" over the limit of {limits.max_expanded}"
+        )
+    body: list = []
+    for s in f.body:
+        if isinstance(s, DrawStmt):
+            body.append((s, s.position, s.geometry))
+        else:
+            body.extend(_unroll(s, dims, limits))
+    out: list = []
+    for k in range(f.times):
+        if k == 0 or (f.mode is LoopMode.ROTATION and f.angle == 0):
+            out.extend(body)
+        elif f.mode is LoopMode.TRANSLATION:
+            off = tuple(k * u for u in f.step)
+            for d, pos, geom in body:
+                if d.shape is ShapeKind.LINE:
+                    geom = tuple(g + o for g, o in zip(geom, off))
+                out.append((d, tuple(p + o for p, o in zip(pos, off)), geom))
+        else:
+            ang = k * f.angle
+            for d, pos, geom in body:
+                if d.shape is ShapeKind.LINE:
+                    geom = _rotate_point(geom, ang, f.axis, dims)
+                out.append((d, _rotate_point(pos, ang, f.axis, dims), geom))
+    return out
 
 
 def unroll_for(f: ForStmt, dims=DEFAULT_DIMS, limits=DEFAULT_LIMITS) -> list:
@@ -153,37 +169,18 @@ def unroll_for(f: ForStmt, dims=DEFAULT_DIMS, limits=DEFAULT_LIMITS) -> list:
     k*angle about the grid-center axis (so orbits never accumulate snap
     error). Line endpoints move with their start points.
     """
-    if expanded_size(f) > limits.max_expanded:
-        raise BudgetError(
-            f"loop expands to {expanded_size(f)} draws,"
-            f" over the limit of {limits.max_expanded}"
-        )
-    body: list[DrawStmt] = []
-    for s in f.body:
-        if isinstance(s, DrawStmt):
-            body.append(s)
-        else:
-            body.extend(unroll_for(s, dims, limits))
-    out: list[DrawStmt] = []
-    for k in range(f.times):
-        if k == 0:
-            out.extend(body)
-        elif f.mode is LoopMode.TRANSLATION:
-            off = tuple(k * u for u in f.step)
-            out.extend(_shift_draw(d, off) for d in body)
-        else:
-            out.extend(_rotate_draw(d, k * f.angle, f.axis, dims) for d in body)
-    return out
+    return [DrawStmt(d.semantics, d.shape, pos, geom)
+            for d, pos, geom in _unroll(f, dims, limits)]
 
 
 def execute_block(b, dims=DEFAULT_DIMS) -> np.ndarray:
     """Run one top-level statement to a grid (loops union their draws)."""
     grid = empty_grid(dims)
     if isinstance(b, DrawStmt):
-        _render_into(grid, b)
+        _render(grid, b.shape, b.position, b.geometry)
     else:
-        for d in unroll_for(b, dims):
-            _render_into(grid, d)
+        for d, pos, geom in _unroll(b, dims, DEFAULT_LIMITS):
+            _render(grid, d.shape, pos, geom)
     return grid
 
 

@@ -3,8 +3,9 @@
 One block is accepted per round: candidates are seeded from the residual
 (target voxels not yet reconstructed), the best few are polished by
 integer coordinate descent, and the single best survivor is kept if it
-clears a minimum gain. Scores are recomputed from the full grids every
-time; nothing is updated incrementally.
+clears a minimum gain. A candidate is scored from two voxel counts alone:
+the residual voxels it covers and the empty voxels it fills, each counted
+against the candidate's own grid; nothing is updated incrementally.
 """
 from __future__ import annotations
 
@@ -80,18 +81,6 @@ class _Budget:
         return True
 
 
-def _run(res, p, d) -> int:
-    """Consecutive occupied voxels from p (inclusive) along direction d."""
-    n = 0
-    x, y, z = p
-    dx, dy, dz = d
-    sx, sy, sz = res.shape
-    while 0 <= x < sx and 0 <= y < sy and 0 <= z < sz and res[x, y, z]:
-        n += 1
-        x, y, z = x + dx, y + dy, z + dz
-    return n
-
-
 # Walk directions for line seeds: all sign patterns with >= 2 moving axes,
 # one of each opposite pair.
 _LINE_DIRS = tuple(
@@ -101,6 +90,46 @@ _LINE_DIRS = tuple(
     for dz in (-1, 0, 1)
     if (dx, dy, dz) > (0, 0, 0) and (dx != 0) + (dy != 0) + (dz != 0) >= 2
 )
+# Run directions per seed: +y, +x, +z, -x, -z, then each line direction
+# followed by its opposite. A disc center needs the first five only.
+_SEED_DIRS = np.array(((0, 1, 0), (1, 0, 0), (0, 0, 1), (-1, 0, 0), (0, 0, -1))
+                      + tuple(tuple(sign * v for v in d) for d in _LINE_DIRS for sign in (1, -1)))
+
+
+def _runs(res, points, dirs) -> np.ndarray:
+    """Consecutive occupied voxels from each point (inclusive) along each
+    direction, as an (n_points, n_dirs) array.
+
+    All walks advance together over a copy of the grid with a one-voxel
+    empty border, so a walk stops at the border without a bounds check.
+    """
+    pad = np.zeros(tuple(n + 2 for n in res.shape), dtype=bool)
+    pad[1:-1, 1:-1, 1:-1] = res
+    flat = pad.ravel()
+    strides = np.array((pad.shape[1] * pad.shape[2], pad.shape[2], 1))
+    cur = np.repeat(((np.asarray(points) + 1) @ strides)[:, None], len(dirs), axis=1)
+    step = np.asarray(dirs) @ strides
+    n = np.zeros(cur.shape, dtype=np.int64)
+    alive = flat[cur]
+    while alive.any():
+        n += alive
+        cur += alive * step
+        alive &= flat[cur]
+    return n
+
+
+def _lattice_seeds(res, lo, hi, s) -> np.ndarray:
+    """One seed per stride cell of the box lo..hi: the cell's first occupied
+    voxel in (x, y, z) order, cells in the same order."""
+    cells = tuple(int(v) for v in (hi - lo) // s + 1)
+    box = np.zeros(tuple(c * s for c in cells), dtype=bool)
+    sub = res[lo[0]:lo[0] + box.shape[0], lo[1]:lo[1] + box.shape[1], lo[2]:lo[2] + box.shape[2]]
+    box[:sub.shape[0], :sub.shape[1], :sub.shape[2]] = sub
+    per_cell = box.reshape(cells[0], s, cells[1], s, cells[2], s).transpose(0, 2, 4, 1, 3, 5)
+    per_cell = per_cell.reshape(cells + (s ** 3,))
+    hit = per_cell.any(axis=-1)
+    first = np.stack(np.unravel_index(per_cell.argmax(axis=-1)[hit], (s, s, s)), axis=1)
+    return lo + np.argwhere(hit) * s + first
 
 
 def _label_semantics(shape, pos, geom, dims) -> Semantics:
@@ -148,12 +177,12 @@ def _periodic_steps(res) -> list:
         for k in range(2, n):
             front = res[(slice(None),) * axis + (slice(k, None),)]
             back = res[(slice(None),) * axis + (slice(0, n - k),)]
-            fc = int(front.sum())
-            bc = int(back.sum())
+            fc = int(np.count_nonzero(front))
+            bc = int(np.count_nonzero(back))
             m = min(fc, bc)
             if m == 0:
                 break
-            frac = int((front & back).sum()) / m
+            frac = int(np.count_nonzero(front & back)) / m
             if frac >= _PERIOD_MIN_OVERLAP and (best is None or frac > best[0] + 1e-9):
                 best = (frac, k)
         if best is not None:
@@ -212,48 +241,36 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> list:
     # One seed point per stride cell: the cell's first occupied voxel.
     # Snapping (rather than testing the lattice corner itself) keeps thin
     # structures at off-lattice coordinates reachable.
-    s = config.candidate_grid_stride
-    for x0 in range(int(lo[0]), int(hi[0]) + 1, s):
-        for y0 in range(int(lo[1]), int(hi[1]) + 1, s):
-            for z0 in range(int(lo[2]), int(hi[2]) + 1, s):
-                cell = res[x0:x0 + s, y0:y0 + s, z0:z0 + s]
-                if not cell.any():
-                    continue
-                cx, cy, cz = np.argwhere(cell)[0]
-                x, y, z = x0 + int(cx), y0 + int(cy), z0 + int(cz)
-                lab = int(labels[x, y, z])
-                bucket = None
-                if lab not in buckets and len(buckets) < _WRAP_MAX_COMPONENTS:
-                    bucket = buckets.setdefault(lab, [])
-                p = (x, y, z)
-                t = _run(res, p, (0, 1, 0))
-                r1 = _run(res, p, (1, 0, 0))
-                r2 = _run(res, p, (0, 0, 1))
-                add(ShapeKind.CUBOID, p, (min(t, 32), min(r1, 32), min(r2, 32)), bucket)
-                xm = _run(res, p, (-1, 0, 0))
-                zm = _run(res, p, (0, 0, -1))
-                rad = min(r1, r2, xm, zm) - 1
-                if rad >= 1:
-                    add(ShapeKind.CYLINDER, p, (min(t, 32), rad), bucket)
-                # disc seed snapped to the midpoint of the opposing runs, so
-                # rim points still yield a usable cylinder; radius is taken
-                # from fresh runs at the snapped center
-                cx, cz = x + (r1 - xm) // 2, z + (r2 - zm) // 2
-                if (cx, cz) != (x, z) and res[cx, y, cz]:
-                    c = (cx, y, cz)
-                    rc = min(_run(res, c, (1, 0, 0)), _run(res, c, (-1, 0, 0)),
-                             _run(res, c, (0, 0, 1)), _run(res, c, (0, 0, -1))) - 1
-                    if rc >= 1:
-                        tc = _run(res, c, (0, 1, 0))
-                        add(ShapeKind.CYLINDER, c, (min(tc, 32), rc), bucket)
-                for d in _LINE_DIRS:
-                    for sign in (1, -1):
-                        vec = (sign * d[0], sign * d[1], sign * d[2])
-                        n = _run(res, p, vec)
-                        if n >= 4:
-                            end = (x + (n - 1) * vec[0], y + (n - 1) * vec[1],
-                                   z + (n - 1) * vec[2])
-                            add(ShapeKind.LINE, p, end, bucket)
+    seeds = _lattice_seeds(res, lo, hi, config.candidate_grid_stride)
+    runs = _runs(res, seeds, _SEED_DIRS)
+    # disc seed snapped to the midpoint of the opposing runs, so rim points
+    # still yield a usable cylinder; radius is taken from fresh runs at the
+    # snapped center
+    centers = seeds.copy()
+    centers[:, 0] += (runs[:, 1] - runs[:, 3]) // 2
+    centers[:, 2] += (runs[:, 2] - runs[:, 4]) // 2
+    moved = (centers != seeds).any(axis=1) & res[tuple(centers.T)]
+    center_runs = np.zeros((len(seeds), 5), dtype=np.int64)
+    center_runs[moved] = _runs(res, centers[moved], _SEED_DIRS[:5])
+    seed_labels = labels[tuple(seeds.T)]
+    line_vecs = _SEED_DIRS[5:].tolist()
+    for p, lab, (t, r1, r2, xm, zm, *line_runs), c, (tc, *c_runs) in zip(
+            map(tuple, seeds.tolist()), seed_labels.tolist(), runs.tolist(),
+            map(tuple, centers.tolist()), center_runs.tolist()):
+        bucket = None
+        if lab not in buckets and len(buckets) < _WRAP_MAX_COMPONENTS:
+            bucket = buckets.setdefault(lab, [])
+        add(ShapeKind.CUBOID, p, (min(t, 32), min(r1, 32), min(r2, 32)), bucket)
+        rad = min(r1, r2, xm, zm) - 1
+        if rad >= 1:
+            add(ShapeKind.CYLINDER, p, (min(t, 32), rad), bucket)
+        rc = min(c_runs) - 1
+        if rc >= 1:
+            add(ShapeKind.CYLINDER, c, (min(tc, 32), rc), bucket)
+        for vec, n in zip(line_vecs, line_runs):
+            if n >= 4:
+                end = tuple(v + (n - 1) * u for v, u in zip(p, vec))
+                add(ShapeKind.LINE, p, end, bucket)
 
     loops: list = []
     wrapped = set()
@@ -283,8 +300,8 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> list:
 
 
 def _counts(block_grid, truth_res, false_free):
-    a = int((block_grid & truth_res).sum())
-    b = int((block_grid & false_free).sum())
+    a = int(np.count_nonzero(block_grid & truth_res))
+    b = int(np.count_nonzero(block_grid & false_free))
     return a, b
 
 
@@ -437,8 +454,8 @@ def refine_block(b, target, current, config: SearchConfig = SearchConfig()):
     current = np.asarray(current, dtype=bool)
     truth_res = target & ~current
     false_free = ~target & ~current
-    i0 = int((current & target).sum())
-    u0 = int((current | target).sum())
+    i0 = int(np.count_nonzero(current & target))
+    u0 = int(np.count_nonzero(current | target))
     budget = _Budget(config.budget)
     g = execute_block(b, target.shape)
     a, bad = _counts(g, truth_res, false_free)
@@ -474,8 +491,8 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
         if not candidates:
             break
         false_free = ~target & ~current
-        i0 = int((current & target).sum())
-        u0 = int((current | target).sum())
+        i0 = int(np.count_nonzero(current & target))
+        u0 = int(np.count_nonzero(current | target))
         scored = []
         for idx, cand in enumerate(candidates):
             if not budget.spend():

@@ -121,6 +121,14 @@ def test_dim_overflow_guard():
         read_binvox(data)
 
 
+@pytest.mark.parametrize("line", [b"translate a b c", b"translate 1 2", b"scale", b"scale x"])
+def test_bad_translate_or_scale_line(line):
+    head = b"#binvox 1\ndim 2 2 2\n"
+    with pytest.raises(BinvoxError) as exc:
+        read_binvox(head + line + b"\ndata\n" + bytes([0, 8]))
+    assert exc.value.offset == len(head)
+
+
 # ------------------------------------------------------------------- obj
 
 def test_obj_empty():

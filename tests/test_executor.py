@@ -215,6 +215,38 @@ def test_execute_block_union_of_unroll():
                 assert (execute_block(stmt) == expect).all()
 
 
+@pytest.mark.parametrize("loop", [
+    ForStmt.rotation(6, 60, Axis.Y, (DrawStmt(SEM, ShapeKind.LINE, (3, 2, 16), (12, 9, 20)),)),
+    ForStmt.rotation(3, 45, Axis.Z, (DrawStmt(SEM, ShapeKind.LINE, (5, 30, 1), (5, 1, 30)),)),
+    ForStmt.translation(3, (6, 0, 2), (DrawStmt(SEM, ShapeKind.CUBOID, (1, 0, 3),
+                                                (9, 3, 4, 30)),)),
+    ForStmt.rotation(4, 90, Axis.X, (DrawStmt(SEM, ShapeKind.CUBOID, (10, 4, 6),
+                                              (7, 2, 5, -20)),)),
+    ForStmt.translation(2, (0, 9, 0), (ForStmt.translation(2, (0, 0, 11), (
+        ForStmt.rotation(3, 120, Axis.Y, (
+            DrawStmt(SEM, ShapeKind.CYLINDER, (6, 0, 8), (4, 2)),
+            DrawStmt(SEM, ShapeKind.LINE, (6, 4, 8), (9, 7, 8)))),)),)),
+    ForStmt.translation(4, (12, 0, -9), (
+        DrawStmt(SEM, ShapeKind.SQUARE, (20, 5, 20), (3, 4)),
+        DrawStmt(SEM, ShapeKind.LINE, (25, 0, 25), (31, 6, 31)),
+        DrawStmt(SEM, ShapeKind.RECTANGLE, (28, 28, 2), (6, 8, 8)))),
+], ids=["rot-line-y", "rot-line-z", "trans-tilted-cuboid", "rot-tilted-cuboid",
+        "nested-3-deep", "trans-partly-out-of-bounds"])
+def test_execute_block_union_of_render_draw(loop):
+    expect = empty_grid()
+    for d in unroll_for(loop):
+        expect |= render_draw(d)
+    assert expect.any()
+    assert (execute_block(loop) == expect).all()
+
+
+def test_execute_block_budget_error():
+    d = DrawStmt(SEM, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1))
+    f = ForStmt.translation(40, (1, 0, 0), (ForStmt.translation(40, (0, 1, 0), (d,)),))
+    with pytest.raises(BudgetError):
+        execute_block(f)
+
+
 def test_execute_program_block_composition():
     for seed in range(60):
         p = random_program(seed)
