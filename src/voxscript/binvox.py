@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BinvoxError
+from .executor import MAX_GRID_VOXELS
 from .metrics import surface_mask
 
 _MAGIC = b"#binvox 1"
@@ -71,7 +72,7 @@ def read_binvox(data: bytes):
                 raise BinvoxError(f"bad dim line {line!r}", offset=line_start) from None
             if len(dims) != 3 or any(d < 1 for d in dims):
                 raise BinvoxError(f"bad dims {dims}", offset=line_start)
-            if dims[0] * dims[1] * dims[2] > 2 ** 24:
+            if dims[0] * dims[1] * dims[2] > MAX_GRID_VOXELS:
                 raise BinvoxError(f"dims {dims} too large", offset=line_start)
         elif fields[0] in ("translate", "scale"):
             want = 3 if fields[0] == "translate" else 1

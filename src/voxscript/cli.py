@@ -19,7 +19,7 @@ from .dsl import Program, parse_text, print_text
 from .dsl.tokens import (format_token_lines, parse_token_lines, detokenize,
                          token_program_to_json, tokenize)
 from .errors import InputError, ResourceError
-from .executor import DEFAULT_DIMS, execute_program
+from .executor import DEFAULT_DIMS, MAX_GRID_VOXELS, execute_program
 from .inference import SearchConfig, fit_program
 from .metrics import chamfer, emd, iou, surface_points
 from .templates import generate_dataset
@@ -44,6 +44,8 @@ def _dims(text: str) -> tuple:
         raise argparse.ArgumentTypeError("dims must be integers")
     if any(v < 1 for v in d):
         raise argparse.ArgumentTypeError("dims must be >= 1")
+    if d[0] * d[1] * d[2] > MAX_GRID_VOXELS:
+        raise argparse.ArgumentTypeError(f"dims must hold at most {MAX_GRID_VOXELS} voxels")
     return d
 
 

@@ -134,6 +134,9 @@ def _decode_draw(step_id, args, step_index) -> DrawStmt:
         lo = hi = 3
     elif shp is ShapeKind.CUBOID:
         lo, hi = 3, 4
+    if any(a != 0 for a in args[3 + hi:]):
+        raise TokenError(step_index, f"{shp.value} uses {3 + hi} argument slots;"
+                                     " the slots after them must be 0")
     n = hi if (hi > lo and args[3 + hi - 1] != 0) else lo
     return DrawStmt(sem, shp, pos, tuple(args[3:3 + n]))
 

@@ -23,6 +23,8 @@ from .dsl.ast import (
 from .errors import BudgetError
 
 DEFAULT_DIMS = (32, 32, 32)
+# Largest grid built from outside input (binvox dims, --dims): 16 MiB of bools.
+MAX_GRID_VOXELS = 2 ** 24
 
 
 def empty_grid(dims=DEFAULT_DIMS) -> np.ndarray:
@@ -57,14 +59,27 @@ def _fill_disk_column(grid, px, py, pz, t, r):
     grid[x0:x1, y0:y1, z0:z1] |= mask[:, None, :]
 
 
-def _line_points(p0, p1):
-    """Integer points from p0 to p1 inclusive, one per longest-axis step."""
+def _line_points(p0, p1, dims):
+    """Integer points from p0 to p1 inclusive, one per longest-axis step.
+
+    A line much longer than the grid evaluates only the steps that can
+    land inside ``dims``, widened by one step each way, so the work stays
+    bounded by the grid; the caller still drops out-of-grid points. Step k
+    is ``k / steps`` either way, so the points are the same.
+    """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     steps = int(np.max(np.abs(p1 - p0)))
     if steps == 0:
         return np.rint(p0).astype(int)[None, :]
-    ts = np.arange(steps + 1)[:, None] / steps
+    k0, k1 = 0, steps
+    if steps > sum(dims):
+        for a, d, n in zip(p0, p1 - p0, dims):
+            if d:
+                # the steps whose coordinate rounds into [0, n - 1]
+                lo, hi = sorted(((-0.5 - a) * steps / d, (n - 0.5 - a) * steps / d))
+                k0, k1 = max(k0, math.floor(lo) - 1), min(k1, math.ceil(hi) + 1)
+    ts = np.arange(k0, k1 + 1)[:, None] / steps
     return np.rint(p0[None, :] + ts * (p1 - p0)[None, :]).astype(int)
 
 
@@ -86,16 +101,39 @@ def _render(grid: np.ndarray, shape, position, geometry) -> None:
             _fill_box(grid, px, px + r1, py, py + t, pz, pz + r2)
         else:
             slope = math.tan(math.radians(ang))
-            for k in range(t):
+            # only the rows inside the grid: the cost stays bounded by dims
+            for k in range(max(0, -py), min(t, grid.shape[1] - py)):
                 shift = int(np.rint(k * slope))
                 _fill_box(grid, px + shift, px + r1 + shift,
                           py + k, py + k + 1, pz, pz + r2)
     else:  # line
         dx, dy, dz = grid.shape
-        pts = _line_points(position, geometry)
+        pts = _line_points(position, geometry, grid.shape)
         keep = ((pts >= 0) & (pts < np.array([dx, dy, dz]))).all(axis=1)
         pts = pts[keep]
         grid[pts[:, 0], pts[:, 1], pts[:, 2]] = True
+
+
+def draw_extent(shape, position, geometry) -> tuple:
+    """Unclipped bounding box ``(lo, hi)`` (hi exclusive) of one primitive,
+    and an upper bound on the voxels it sets; degenerate geometry gives 0."""
+    px, py, pz = position
+    if shape is ShapeKind.LINE:
+        lo = tuple(min(a, b) for a, b in zip(position, geometry))
+        hi = tuple(max(a, b) + 1 for a, b in zip(position, geometry))
+        return lo, hi, max(abs(a - b) for a, b in zip(position, geometry)) + 1
+    t = geometry[0]
+    if shape in (ShapeKind.CUBOID, ShapeKind.RECTANGLE):
+        r1, r2 = geometry[1:3]
+        x0, x1 = px, px + r1
+        if len(geometry) == 4 and t > 0:
+            # the last row's shift, as _render computes it; shifts are monotone in the row
+            shift = int(np.rint((t - 1) * math.tan(math.radians(geometry[3]))))
+            x0, x1 = x0 + min(shift, 0), x1 + max(shift, 0)
+        return (x0, py, pz), (x1, py + t, pz + r2), max(t, 0) * max(r1, 0) * max(r2, 0)
+    r = geometry[1]
+    w = max(2 * r + 1, 0)
+    return (px - r, py, pz - r), (px + r + 1, py + t, pz + r + 1), max(t, 0) * w * w
 
 
 def render_draw(d: DrawStmt, dims=DEFAULT_DIMS) -> np.ndarray:

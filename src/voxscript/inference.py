@@ -6,9 +6,18 @@ integer coordinate descent, and the single best survivor is kept if it
 clears a minimum gain. A candidate is scored from two voxel counts alone:
 the residual voxels it covers and the empty voxels it fills, each counted
 against the candidate's own grid; nothing is updated incrementally.
+
+Ranking is branch and bound. A summed-volume table of the residual gives
+every candidate an upper bound on the residual voxels it can cover, so
+candidates run in descending bound order and ranking stops once no
+remaining bound can reach the beam. The bound only decides which
+candidates are executed; every score still comes from the executor, and
+while the budget lasts the beam is exactly the one that executing every
+candidate would give.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass, field
 
@@ -17,7 +26,7 @@ from scipy import ndimage
 
 from .dsl.ast import Axis, DrawStmt, ForStmt, LoopMode, Program, Semantics, ShapeKind
 from .errors import ShapeMismatchError
-from .executor import execute_block, execute_program
+from .executor import draw_extent, execute_block, execute_program
 from .metrics import BCE_EPS, LossWeights, iou, weighted_bce
 
 _WRAP_TIMES = (2, 3, 4, 5)
@@ -63,7 +72,7 @@ class FitResult:
     program: Program
     score_trace: tuple  # (accepted block, iou after accepting it)
     final_iou: float
-    executor_calls: int
+    executor_calls: int  # real executions; candidates the bound skipped are not counted
     budget_exhausted: bool = False
 
 
@@ -305,6 +314,43 @@ def _counts(block_grid, truth_res, false_free):
     return a, b
 
 
+def _cover_bounds(blocks, residual) -> np.ndarray:
+    """Per block, an upper bound on the residual voxels it covers.
+
+    A draw covers at most min(its voxel bound, the residual inside its
+    clipped box), a translation loop over draws at most the sum of that
+    over its copies, and any other loop at most the whole residual. Box
+    sums come from one summed-volume table of the residual.
+    """
+    dims = np.array(residual.shape)
+    table = np.zeros(tuple(dims + 1), dtype=np.int64)
+    table[1:, 1:, 1:] = residual
+    for axis in range(3):
+        np.cumsum(table, axis, out=table)
+    bounds = np.full(len(blocks), np.count_nonzero(residual), dtype=np.int64)
+    rows = []  # (block, lo, hi, volume, copies, step)
+    for i, b in enumerate(blocks):
+        if isinstance(b, DrawStmt):
+            rows.append((i, *draw_extent(b.shape, b.position, b.geometry), 1, (0, 0, 0)))
+        elif b.mode is LoopMode.TRANSLATION and all(isinstance(s, DrawStmt) for s in b.body):
+            rows.extend((i, *draw_extent(s.shape, s.position, s.geometry), b.times, b.step)
+                        for s in b.body)
+    if not rows:
+        return bounds
+    owner, lo, hi, volume, times, step = (np.array(c) for c in zip(*rows))
+    # copy k of a row is its box moved by k * step
+    k = np.arange(times.sum()) - np.repeat(np.cumsum(times) - times, times)
+    off = k[:, None] * np.repeat(step, times, axis=0)
+    lo = np.clip(np.repeat(lo, times, axis=0) + off, 0, dims)
+    hi = np.clip(np.repeat(hi, times, axis=0) + off, lo, dims)
+    (x0, y0, z0), (x1, y1, z1) = lo.T, hi.T
+    inside = (table[x1, y1, z1] - table[x0, y1, z1] - table[x1, y0, z1] - table[x1, y1, z0]
+              + table[x0, y0, z1] + table[x0, y1, z0] + table[x1, y0, z0] - table[x0, y0, z0])
+    owner = np.repeat(owner, times)
+    bounds[owner] = np.bincount(owner, np.minimum(np.repeat(volume, times), inside))[owner]
+    return bounds
+
+
 def _score_from_counts(a, b, i0, u0, config: SearchConfig) -> float:
     if config.loss is LossKind.IOU_GAIN:
         before = i0 / u0 if u0 else 1.0
@@ -464,6 +510,31 @@ def refine_block(b, target, current, config: SearchConfig = SearchConfig()):
     return refined
 
 
+def _ranked_beam(candidates, truth_res, false_free, i0, u0, config, budget) -> list:
+    """The best ``beam_width`` candidates as (score, index, block), ordered
+    by (-score, index), executing as few candidates as that allows.
+
+    Candidates are visited by descending cover bound. A score can never
+    exceed the score of its bound (both losses rise with covered voxels
+    and fall with false ones), so the visit stops at the first bound whose
+    score is strictly below the beam's last score. A tie is still
+    executed, since the index breaks it.
+    """
+    dims = truth_res.shape
+    bounds = _cover_bounds(candidates, truth_res).tolist()
+    beam: list = []  # (-score, index, block)
+    for idx in sorted(range(len(candidates)), key=lambda i: (-bounds[i], i)):
+        if (len(beam) == config.beam_width
+                and _score_from_counts(bounds[idx], 0, i0, u0, config) < -beam[-1][0]):
+            break
+        if not budget.spend():
+            break
+        a, b = _counts(execute_block(candidates[idx], dims), truth_res, false_free)
+        bisect.insort(beam, (-_score_from_counts(a, b, i0, u0, config), idx, candidates[idx]))
+        del beam[config.beam_width:]
+    return [(-neg, idx, block) for neg, idx, block in beam]
+
+
 def _relabel(block, dims):
     """Reassign part labels after refinement moved the geometry."""
     if isinstance(block, DrawStmt):
@@ -493,18 +564,11 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
         false_free = ~target & ~current
         i0 = int(np.count_nonzero(current & target))
         u0 = int(np.count_nonzero(current | target))
-        scored = []
-        for idx, cand in enumerate(candidates):
-            if not budget.spend():
-                break
-            g = execute_block(cand, dims)
-            a, b = _counts(g, residual, false_free)
-            scored.append((_score_from_counts(a, b, i0, u0, config), idx, cand))
-        if not scored:
+        beam = _ranked_beam(candidates, residual, false_free, i0, u0, config, budget)
+        if not beam:
             break
-        scored.sort(key=lambda t: (-t[0], t[1]))
         refined = []
-        for s0, idx, cand in scored[: config.beam_width]:
+        for s0, idx, cand in beam:
             rb, rs = _refine(cand, s0, residual, false_free, i0, u0, config, budget)
             refined.append((rs, idx, rb))
         refined.sort(key=lambda t: (-t[0], t[1]))

@@ -46,6 +46,18 @@ def test_exec_custom_dims(tmp_path):
     assert grid.shape == (8, 10, 12)
 
 
+def test_dims_over_voxel_cap_is_usage_error(tmp_path, capsys):
+    f = write_prog(tmp_path)
+    out = tmp_path / "g.binvox"
+    for dims in ("100000,100000,100000", "257,256,256"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--dims", dims, "--json-errors", "exec", str(f), "-o", str(out)])
+        assert exc.value.code == 1
+        assert "voxels" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["--dims", "256,256,256", "exec", str(f), "-o", str(out)]) == 0
+
+
 def test_tokenize_detokenize_roundtrip(tmp_path):
     f = write_prog(tmp_path)
     tok = tmp_path / "p.tok"

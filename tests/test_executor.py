@@ -1,6 +1,7 @@
 """Executor: primitive rasterization against brute-force oracles, loop
 unrolling, and composition identities."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -101,6 +102,57 @@ def test_primitives_match_brute_force_oracle():
                 geom = geom + (int(rng.integers(-45, 46)),)
         d = DrawStmt(SEM, shape, pos, geom)
         assert (render_draw(d) == brute_fill(d)).all(), d
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 32), (20, 12, 40)])
+def test_long_lines_and_tall_tilts_match_brute_force_oracle(dims):
+    """Lines longer than the grid (whose steps are narrowed to the grid)
+    and tilted cuboids taller than it, mostly partly out of bounds."""
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(150):
+        p0 = tuple(int(v) for v in rng.integers(-150, 190, 3))
+        p1 = tuple(int(v) for v in rng.integers(-150, 190, 3))
+        d = DrawStmt(SEM, ShapeKind.LINE, p0, p1)
+        assert (render_draw(d, dims) == brute_fill(d, dims)).all(), d
+    hits = 0
+    for _ in range(150):
+        pos = tuple(int(v) for v in rng.integers((-20, -100, -4), (30, 30, 30)))
+        geom = (int(rng.integers(1, 120)), int(rng.integers(1, 12)), int(rng.integers(1, 12)),
+                int(rng.choice([-1, 1])) * int(rng.integers(1, 46)))
+        d = DrawStmt(SEM, ShapeKind.CUBOID, pos, geom)
+        g = render_draw(d, dims)
+        hits += bool(g.any())
+        assert (g == brute_fill(d, dims)).all(), d
+    assert hits > 20
+
+
+def test_huge_line_renders_in_bounded_time():
+    far = 10 ** 12
+    start = time.perf_counter()
+    g = render_draw(DrawStmt(SEM, ShapeKind.LINE, (0, 0, 0), (far, 0, 0)))
+    # a diagonal crossing the grid from far outside on both ends
+    h = render_draw(DrawStmt(SEM, ShapeKind.LINE, (-far, -far + 16, 5), (far, far + 16, 5)))
+    assert time.perf_counter() - start < 1.0
+    assert g[:, 0, 0].all() and int(g.sum()) == 32
+    expect = empty_grid()
+    expect[np.arange(16), np.arange(16) + 16, 5] = True
+    assert (h == expect).all()
+
+
+def test_tall_tilted_cuboid_renders_in_bounded_time():
+    tall, slope = 10 ** 8, math.tan(math.radians(10))
+    # the rows that land at y = 0..5 sit near x = 4
+    px = 4 - int(np.rint(tall * slope))
+    start = time.perf_counter()
+    g = render_draw(DrawStmt(SEM, ShapeKind.CUBOID, (4, 0, 4), (tall, 3, 5, 10)))
+    below = render_draw(DrawStmt(SEM, ShapeKind.CUBOID, (px, -tall, 4), (tall + 6, 3, 5, 10)))
+    assert time.perf_counter() - start < 1.0
+    assert (g == render_draw(DrawStmt(SEM, ShapeKind.CUBOID, (4, 0, 4), (32, 3, 5, 10)))).all()
+    expect = empty_grid()
+    for y in range(6):
+        x = px + int(np.rint((tall + y) * slope))
+        expect[max(x, 0):x + 3, y, 4:9] = True
+    assert expect.any() and (below == expect).all()
 
 
 def test_clipping_fully_outside_is_empty():

@@ -1,15 +1,19 @@
 """Candidate proposal, block scoring, refinement, and greedy fitting."""
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from voxscript.dsl import (DrawStmt, ForStmt, Program, Semantics, ShapeKind,
+from voxscript.dsl import (Axis, DrawStmt, ForStmt, Program, Semantics, ShapeKind,
                            validate_program)
 from voxscript.errors import ShapeMismatchError
 from voxscript.executor import execute_block, execute_program
 from voxscript.dsl.text import print_text
-from voxscript.inference import (_SEED_DIRS, FitResult, LossKind, SearchConfig, _lattice_seeds,
-                                 _runs, fit_program, propose_candidates, refine_block,
-                                 score_block)
+from voxscript.inference import (_SEED_DIRS, FitResult, LossKind, SearchConfig, _Budget,
+                                 _counts, _cover_bounds, _lattice_seeds, _ranked_beam, _runs,
+                                 _score_from_counts, fit_program, propose_candidates,
+                                 refine_block, score_block)
 from voxscript.metrics import iou
 from voxscript.templates import builtin_templates, sample
 
@@ -137,12 +141,120 @@ PINNED_CANDIDATES = {
 
 
 def test_propose_candidates_pinned():
-    import hashlib
-
     for case, res, stride in _pinned_residuals():
         cands = propose_candidates(res, SearchConfig(candidate_grid_stride=stride))
         digest = hashlib.sha256(print_text(Program(tuple(cands))).encode()).hexdigest()[:16]
         assert (len(cands), digest) == PINNED_CANDIDATES[case], case
+
+
+coord = st.integers(-12, 44)
+size = st.integers(-3, 14)
+
+
+@st.composite
+def draws(draw):
+    shape = draw(st.sampled_from(list(ShapeKind)))
+    pos = draw(st.tuples(coord, coord, coord))
+    if shape is ShapeKind.LINE:
+        geom = draw(st.tuples(coord, coord, coord))
+    elif shape in (ShapeKind.CYLINDER, ShapeKind.CIRCLE, ShapeKind.SQUARE):
+        geom = draw(st.tuples(size, st.integers(-3, 10)))
+    else:
+        geom = draw(st.tuples(size, size, size))
+        if shape is ShapeKind.CUBOID and draw(st.booleans()):
+            geom += (draw(st.integers(-45, 45)),)
+    return DrawStmt(Semantics.LEG, shape, pos, geom)
+
+
+step = st.tuples(*(st.integers(-12, 12),) * 3)
+translations = st.builds(lambda times, u, body: ForStmt.translation(times, u, tuple(body)),
+                         st.integers(1, 5), step, st.lists(draws(), min_size=1, max_size=3))
+rotations = st.builds(lambda n, ang, axis, body: ForStmt.rotation(n, ang, axis, tuple(body)),
+                      st.integers(2, 5), st.integers(-120, 120), st.sampled_from(list(Axis)),
+                      st.lists(draws(), min_size=1, max_size=2))
+nested = st.builds(lambda times, u, inner: ForStmt.translation(times, u, (inner,)),
+                   st.integers(2, 3), step, st.one_of(translations, rotations))
+
+
+@settings(max_examples=300)
+@given(blocks=st.lists(st.one_of(draws(), translations, rotations, nested), min_size=1,
+                       max_size=6),
+       dims=st.sampled_from([(32, 32, 32), (12, 20, 9)]),
+       density=st.sampled_from([0.05, 0.4, 0.9, 1.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_cover_bounds_never_below_exact_cover(blocks, dims, density, seed):
+    residual = np.random.default_rng(seed).random(dims) < density
+    bounds = _cover_bounds(blocks, residual)
+    assert bounds.shape == (len(blocks),)
+    for b, bound in zip(blocks, bounds.tolist()):
+        assert bound >= np.count_nonzero(execute_block(b, dims) & residual), b
+
+
+def test_cover_bounds_exact_for_boxes_and_lines_on_full_residual():
+    full = np.ones((32, 32, 32), dtype=bool)
+    blocks = [
+        cuboid(),
+        DrawStmt(Semantics.TOP, ShapeKind.RECTANGLE, (2, 3, 4), (5, 6, 7)),
+        DrawStmt(Semantics.BASE, ShapeKind.SQUARE, (16, 0, 16), (3, 4)),
+        DrawStmt(Semantics.BASE, ShapeKind.LINE, (3, 30, 2), (20, 4, 9)),
+        ForStmt.translation(3, (9, 0, -7), (cuboid((1, 1, 20), (4, 5, 6)),)),
+    ]
+    exact = [int(np.count_nonzero(execute_block(b))) for b in blocks]
+    assert _cover_bounds(blocks, full).tolist() == exact
+
+
+def _template_rounds():
+    """Residuals and current grids after 0, 1 and 2 accepted fit blocks."""
+    templates = {t.id: t for t in builtin_templates()}
+    for tid in ("table_four_leg", "table_round_rotleg", "chair_armchair", "chair_swivel"):
+        target = execute_program(sample(templates[tid], np.random.default_rng(7))[0])
+        program = fit_program(target, SearchConfig(max_blocks=2)).program
+        current = np.zeros_like(target)
+        for block in (None,) + program.statements:
+            if block is not None:
+                current |= execute_block(block)
+            yield tid, target, current
+
+
+@pytest.mark.parametrize("loss", [LossKind.IOU_GAIN, LossKind.WEIGHTED_BCE])
+def test_ranked_beam_equals_exhaustive_ranking(loss):
+    config = SearchConfig(loss=loss)
+    skipped = 0
+    for tid, target, current in _template_rounds():
+        residual, false_free = target & ~current, ~target & ~current
+        i0 = int(np.count_nonzero(current & target))
+        u0 = int(np.count_nonzero(current | target))
+        candidates = propose_candidates(residual, config)
+        scored = [
+            (_score_from_counts(*_counts(execute_block(c), residual, false_free), i0, u0, config),
+             idx, c) for idx, c in enumerate(candidates)]
+        scored.sort(key=lambda t: (-t[0], t[1]))
+        budget = _Budget(config.budget)
+        beam = _ranked_beam(candidates, residual, false_free, i0, u0, config, budget)
+        assert beam == scored[:config.beam_width], tid
+        skipped += len(candidates) - budget.calls
+    assert skipped > 0
+
+
+# sha256 prefix of (program text, final IoU, score trace), and the final
+# IoU, recorded from the fit that executed every candidate
+PINNED_FITS = {
+    "table_four_leg": ("3ccc15ff483da354", 1.0),
+    "table_round_rotleg": ("7195dfc175fc5d81", 1.0),
+    "table_locker": ("947f9e3ccdd72b8b", 0.7368421052631579),
+    "chair_armchair": ("938cf240ab8887d1", 0.6571428571428571),
+    "chair_swivel": ("286518ff58eb8900", 0.9867075664621677),
+}
+
+
+def test_fit_program_pinned():
+    templates = {t.id: t for t in builtin_templates()}
+    for tid, (digest, final_iou) in PINNED_FITS.items():
+        r = fit_program(execute_program(sample(templates[tid], np.random.default_rng(7))[0]))
+        blob = repr((print_text(r.program), repr(r.final_iou),
+                     [(print_text(Program((b,))), repr(v)) for b, v in r.score_trace]))
+        assert (hashlib.sha256(blob.encode()).hexdigest()[:16], r.final_iou) == (digest, final_iou)
+        assert not r.budget_exhausted
 
 
 def test_candidates_are_valid_blocks():

@@ -73,6 +73,20 @@ def test_cuboid_tilt_uses_seventh_slot():
     assert detokenize(t).statements[0].geometry == (12, 3, 18, -15)
 
 
+@pytest.mark.parametrize("row", [
+    (2, (3, 0, 3, 5, 2, 9, 9)),   # Cyl uses 5 slots
+    (2, (3, 0, 3, 5, 2, 0, 1)),
+    (4, (3, 0, 3, 5, 2, 7, 0)),   # Sqr
+    (3, (3, 0, 3, 5, 2, 2, 4)),   # Cir
+    (5, (3, 0, 3, 5, 2, 2, 4)),   # Rect uses 6 slots
+    (6, (1, 2, 3, 4, 5, 6, 7)),   # Line
+])
+def test_garbage_in_unused_slots_rejected(row):
+    with pytest.raises(TokenError) as exc:
+        detokenize(TokenProgram((TokenStep(1, (0, 0, 0, 1, 1, 1, 0)), TokenStep(*row))))
+    assert exc.value.step == 1
+
+
 def test_end_without_open():
     with pytest.raises(TokenError) as exc:
         detokenize(TokenProgram((TokenStep(75, (0,) * 7),)))
