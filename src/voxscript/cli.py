@@ -25,13 +25,19 @@ from .metrics import chamfer, emd, iou, surface_points
 from .templates import generate_dataset
 
 
+class UsageError(Exception):
+    """A command line argparse rejects; ``main`` reports it and exits 1."""
+
+    def __init__(self, parser, message):
+        self.parser = parser
+        super().__init__(message)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here wants 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(1)
+        raise UsageError(self, message)
 
 
 def _dims(text: str) -> tuple:
@@ -256,7 +262,17 @@ def _report_error(exc: Exception, as_json: bool) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        # argparse accepts any unambiguous prefix of --json-errors
+        if any(a.startswith("--j") and "--json-errors".startswith(a) for a in argv):
+            _report_error(exc, True)
+        else:
+            exc.parser.print_usage(sys.stderr)
+            _report_error(exc, False)
+        raise SystemExit(1) from None
     try:
         return _COMMANDS[args.command](args)
     except ResourceError as exc:

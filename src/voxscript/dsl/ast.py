@@ -163,6 +163,10 @@ class Limits:
 
 DEFAULT_LIMITS = Limits()
 
+# Loop nesting the decoders accept at all, with or without validation, so
+# the recursive printer, validator and executor cannot exhaust the stack.
+MAX_NESTING = 64
+
 
 @dataclass(frozen=True)
 class Violation:

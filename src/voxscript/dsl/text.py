@@ -21,6 +21,7 @@ from .ast import (
     DrawStmt,
     ForStmt,
     GEOMETRY_ARITY,
+    MAX_NESTING,
     Program,
     Semantics,
     ShapeKind,
@@ -73,7 +74,10 @@ def _lex(src: str) -> list[_Token]:
                 seen_dot = seen_dot or src[j] == "."
                 j += 1
             text = src[i:j]
-            value = float(text) if "." in text else int(text)
+            try:
+                value = float(text) if "." in text else int(text)
+            except ValueError:  # "-." alone, or an integer too long to convert
+                raise DslSyntaxError(f"malformed number {text!r}", line, col) from None
             toks.append(_Token("number", text, value, line, col))
             col += j - i
             i = j
@@ -87,6 +91,7 @@ class _Parser:
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -207,9 +212,13 @@ class _Parser:
         return ForStmt.rotation(times, angle, axis, body)
 
     def block_body(self) -> tuple:
-        self.eat("{")
+        t = self.eat("{")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise DslSyntaxError(f"loops nested deeper than {MAX_NESTING}", t.line, t.col)
         body = self.program()
         self.eat("}")
+        self.depth -= 1
         return tuple(body)
 
 

@@ -23,6 +23,7 @@ from .ast import (
     DrawStmt,
     ForStmt,
     LoopMode,
+    MAX_NESTING,
     Program,
     Semantics,
     ShapeKind,
@@ -126,6 +127,12 @@ def _int_arg(v, step_index, what):
     return v
 
 
+def _require_unused_zero(args, used, step_index, what):
+    if any(a != 0 for a in args[used:]):
+        raise TokenError(step_index, f"{what} uses {used} argument slots;"
+                                     " the slots after them must be 0")
+
+
 def _decode_draw(step_id, args, step_index) -> DrawStmt:
     sem, shp = _DRAW_BY_ID[step_id]
     pos = tuple(_int_arg(a, step_index, "position") for a in args[:3])
@@ -134,20 +141,29 @@ def _decode_draw(step_id, args, step_index) -> DrawStmt:
         lo = hi = 3
     elif shp is ShapeKind.CUBOID:
         lo, hi = 3, 4
-    if any(a != 0 for a in args[3 + hi:]):
-        raise TokenError(step_index, f"{shp.value} uses {3 + hi} argument slots;"
-                                     " the slots after them must be 0")
+    _require_unused_zero(args, 3 + hi, step_index, shp.value)
     n = hi if (hi > lo and args[3 + hi - 1] != 0) else lo
     return DrawStmt(sem, shp, pos, tuple(args[3:3 + n]))
 
 
+# Argument slots each row that is not a draw uses; the slots after them must be 0.
+_CONTROL_SLOTS = {VACANT_ID: 0, FOR_TRANSLATION_ID: 4, FOR_ROTATION_ID: 3, END_FOR_ID: 0}
+_NAMES = vocabulary()
+
+
 def detokenize(t: TokenProgram) -> Program:
-    """Exact inverse of :func:`tokenize` on its image; vacant steps vanish."""
+    """Exact inverse of :func:`tokenize` on its image; vacant steps vanish.
+
+    A row whose unused slots are not all 0 is rejected, so a decoded
+    program that validates re-encodes to its input, vacant steps aside.
+    """
     root: list = []
     stack: list[tuple] = []  # (header step index, header TokenStep, body list)
     for idx, step in enumerate(t.steps):
         sid, args = step.id, step.args
         target = stack[-1][2] if stack else root
+        if sid in _CONTROL_SLOTS:
+            _require_unused_zero(args, _CONTROL_SLOTS[sid], idx, _NAMES[sid])
         if sid == VACANT_ID:
             continue
         if sid == END_FOR_ID:
@@ -166,6 +182,8 @@ def detokenize(t: TokenProgram) -> Program:
                     raise TokenError(hidx, f"axis code {code} outside 0..{len(_AXES) - 1}")
                 target.append(ForStmt.rotation(times, header.args[1], _AXES[code], body))
         elif sid in (FOR_TRANSLATION_ID, FOR_ROTATION_ID):
+            if len(stack) == MAX_NESTING:
+                raise TokenError(idx, f"loops nested deeper than {MAX_NESTING}")
             stack.append((idx, step, []))
         elif sid in _DRAW_BY_ID:
             target.append(_decode_draw(sid, args, idx))

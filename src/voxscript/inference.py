@@ -14,6 +14,14 @@ remaining bound can reach the beam. The bound only decides which
 candidates are executed; every score still comes from the executor, and
 while the budget lasts the beam is exactly the one that executing every
 candidate would give.
+
+Statements are built only where the executor needs them. Candidates are
+plain tuples, ``(shape, position, geometry)`` for a draw and ``(mode,
+times, step or angle, body)`` for a loop, and become labelled statements
+only when ranking spends budget to execute them. Refinement scores
+neighbours through one cache per round, keyed by the statement: the
+residual and counts are fixed within a round, so a neighbour that two
+beam entries reach is executed once.
 """
 from __future__ import annotations
 
@@ -72,7 +80,8 @@ class FitResult:
     program: Program
     score_trace: tuple  # (accepted block, iou after accepting it)
     final_iou: float
-    executor_calls: int  # real executions; candidates the bound skipped are not counted
+    # real executions; candidates the bound skipped and round-cache hits are not counted
+    executor_calls: int
     budget_exhausted: bool = False
 
 
@@ -177,6 +186,17 @@ def _make_draw(shape, pos, geom, dims) -> DrawStmt:
     return DrawStmt(_label_semantics(shape, pos, geom, dims), shape, pos, geom)
 
 
+def _make_block(cand, dims):
+    """The labelled statement a candidate tuple stands for."""
+    if len(cand) == 3:
+        return _make_draw(*cand, dims)
+    mode, times, arg, body = cand
+    body = tuple(_make_block(c, dims) for c in body)
+    if mode is LoopMode.TRANSLATION:
+        return ForStmt.translation(times, arg, body)
+    return ForStmt.rotation(times, arg, Axis.Y, body)
+
+
 def _periodic_steps(res) -> list:
     """Per axis, the smallest shift under which the grid best overlaps itself."""
     found = []
@@ -206,12 +226,17 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> list:
     line seeds grown from occupied points of a stride lattice. Loop
     candidates wrap the seeds at the first occupied lattice point, using
     self-overlap-detected translation steps and 360/times rotations.
+
+    Candidates are label-free tuples: ``(shape, position, geometry)`` for a
+    draw, ``(LoopMode.TRANSLATION, times, step, body)`` or
+    ``(LoopMode.ROTATION, times, angle, body)`` for a loop (rotations are
+    about Y), with ``body`` a tuple of draw tuples. ``_make_block`` turns
+    one into its labelled statement.
     """
     res = np.asarray(residual, dtype=bool)
     occ = np.argwhere(res)
     if len(occ) == 0:
         return []
-    dims = res.shape
     lo = occ.min(axis=0)
     hi = occ.max(axis=0)
     labels, n_comp = ndimage.label(res, structure=np.ones((3, 3, 3), dtype=bool))
@@ -228,14 +253,13 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> list:
         if key in seen:
             return
         seen.add(key)
-        d = _make_draw(shape, pos, geom, dims)
-        draws.append(d)
+        draws.append(key)
         if bucket is not None and len(bucket) < _WRAP_BODIES_PER_COMPONENT:
-            bucket.append(d)
+            bucket.append(key)
         if shape is not ShapeKind.LINE:
             for (axis, k), bodies in slabs.items():
                 if pos[axis] - int(lo[axis]) < k and len(bodies) < _WRAP_MAX_SLAB_BODIES:
-                    bodies.append(d)
+                    bodies.append(key)
 
     ext = np.minimum(hi - lo + 1, 32)
     add(ShapeKind.CUBOID, tuple(int(v) for v in lo),
@@ -285,10 +309,10 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> list:
     wrapped = set()
 
     def add_trans(times, u, body):
-        key = (times, u, body)
-        if key not in wrapped:
-            wrapped.add(key)
-            loops.append(ForStmt.translation(times, u, (body,)))
+        loop = (LoopMode.TRANSLATION, times, u, (body,))
+        if loop not in wrapped:
+            wrapped.add(loop)
+            loops.append(loop)
 
     for (axis, k), bodies in slabs.items():
         u = tuple(k if i == axis else 0 for i in range(3))
@@ -302,7 +326,7 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> list:
                 for times in _WRAP_TIMES:
                     add_trans(times, u, body)
             for times in _WRAP_TIMES:
-                loops.append(ForStmt.rotation(times, 360 // times, Axis.Y, (body,)))
+                loops.append((LoopMode.ROTATION, times, 360 // times, (body,)))
 
     cap = max(1, config.budget // (2 * config.max_blocks))
     return (draws + loops)[:cap]
@@ -314,27 +338,35 @@ def _counts(block_grid, truth_res, false_free):
     return a, b
 
 
-def _cover_bounds(blocks, residual) -> np.ndarray:
-    """Per block, an upper bound on the residual voxels it covers.
+def _cover_bounds(candidates, residual) -> np.ndarray:
+    """Per candidate tuple, an upper bound on the residual voxels it covers.
 
     A draw covers at most min(its voxel bound, the residual inside its
     clipped box), a translation loop over draws at most the sum of that
     over its copies, and any other loop at most the whole residual. Box
-    sums come from one summed-volume table of the residual.
+    sums come from one summed-volume table of the residual; each distinct
+    draw's box is computed once.
     """
     dims = np.array(residual.shape)
     table = np.zeros(tuple(dims + 1), dtype=np.int64)
     table[1:, 1:, 1:] = residual
     for axis in range(3):
         np.cumsum(table, axis, out=table)
-    bounds = np.full(len(blocks), np.count_nonzero(residual), dtype=np.int64)
-    rows = []  # (block, lo, hi, volume, copies, step)
-    for i, b in enumerate(blocks):
-        if isinstance(b, DrawStmt):
-            rows.append((i, *draw_extent(b.shape, b.position, b.geometry), 1, (0, 0, 0)))
-        elif b.mode is LoopMode.TRANSLATION and all(isinstance(s, DrawStmt) for s in b.body):
-            rows.extend((i, *draw_extent(s.shape, s.position, s.geometry), b.times, b.step)
-                        for s in b.body)
+    bounds = np.full(len(candidates), np.count_nonzero(residual), dtype=np.int64)
+    extents: dict = {}
+
+    def extent(d):
+        e = extents.get(d)
+        if e is None:
+            e = extents[d] = draw_extent(*d)
+        return e
+
+    rows = []  # (candidate, lo, hi, volume, copies, step)
+    for i, c in enumerate(candidates):
+        if len(c) == 3:
+            rows.append((i, *extent(c), 1, (0, 0, 0)))
+        elif c[0] is LoopMode.TRANSLATION and all(len(d) == 3 for d in c[3]):
+            rows.extend((i, *extent(d), c[1], c[2]) for d in c[3])
     if not rows:
         return bounds
     owner, lo, hi, volume, times, step = (np.array(c) for c in zip(*rows))
@@ -403,31 +435,27 @@ def _get_param(block, path):
 
 
 def _set_param(block, path, value):
-    from dataclasses import replace
-
-    if isinstance(block, ForStmt):
-        head = path[0]
-        if head == "body":
-            body = list(block.body)
-            body[path[1]] = _set_param(body[path[1]], path[2:], value)
-            return replace(block, body=tuple(body))
-        if head == "times":
-            return replace(block, times=value)
-        if head == "step":
-            u = list(block.step)
-            u[path[1]] = value
-            return replace(block, step=tuple(u))
-        return replace(block, angle=value)
     head = path[0]
+    if isinstance(block, ForStmt):
+        times, step, angle, body = block.times, block.step, block.angle, block.body
+        if head == "body":
+            j = path[1]
+            body = body[:j] + (_set_param(body[j], path[2:], value),) + body[j + 1:]
+        elif head == "times":
+            times = value
+        elif head == "step":
+            step = step[:path[1]] + (value,) + step[path[1] + 1:]
+        else:
+            angle = value
+        return ForStmt(block.mode, times, body, step, angle, block.axis)
+    pos, geom = block.position, block.geometry
     if head == "pos":
-        pos = list(block.position)
-        pos[path[1]] = value
-        return replace(block, position=tuple(pos))
-    if head == "geom":
-        geom = list(block.geometry)
-        geom[path[1]] = value
-        return replace(block, geometry=tuple(geom))
-    return replace(block, geometry=block.geometry[:3] + (value,))  # ang
+        pos = pos[:path[1]] + (value,) + pos[path[1] + 1:]
+    elif head == "geom":
+        geom = geom[:path[1]] + (value,) + geom[path[1] + 1:]
+    else:  # ang
+        geom = geom[:3] + (value,)
+    return DrawStmt(block.semantics, block.shape, pos, geom)
 
 
 def _param_paths(block, dims) -> list:
@@ -461,16 +489,22 @@ def _param_paths(block, dims) -> list:
     return out
 
 
-def _refine(block, score, truth_res, false_free, i0, u0, config, budget) -> tuple:
-    """Coordinate descent; returns (block, score). Never scores worse."""
+def _refine(block, score, truth_res, false_free, i0, u0, config, budget, cache) -> tuple:
+    """Coordinate descent; returns (block, score). Never scores worse.
+
+    ``cache`` maps statements to their scores against this residual and
+    these counts; a hit neither executes nor spends budget.
+    """
     dims = truth_res.shape
 
     def rescore(b):
-        if not budget.spend():
-            return None
-        g = execute_block(b, dims)
-        a, bad = _counts(g, truth_res, false_free)
-        return _score_from_counts(a, bad, i0, u0, config)
+        s = cache.get(b)
+        if s is None:
+            if not budget.spend():
+                return None
+            a, bad = _counts(execute_block(b, dims), truth_res, false_free)
+            s = cache[b] = _score_from_counts(a, bad, i0, u0, config)
+        return s
 
     for _ in range(config.refine_rounds):
         improved = False
@@ -506,13 +540,13 @@ def refine_block(b, target, current, config: SearchConfig = SearchConfig()):
     g = execute_block(b, target.shape)
     a, bad = _counts(g, truth_res, false_free)
     s0 = _score_from_counts(a, bad, i0, u0, config)
-    refined, _ = _refine(b, s0, truth_res, false_free, i0, u0, config, budget)
+    refined, _ = _refine(b, s0, truth_res, false_free, i0, u0, config, budget, {})
     return refined
 
 
 def _ranked_beam(candidates, truth_res, false_free, i0, u0, config, budget) -> list:
-    """The best ``beam_width`` candidates as (score, index, block), ordered
-    by (-score, index), executing as few candidates as that allows.
+    """The best ``beam_width`` candidate tuples as (score, index, labelled
+    block), ordered by (-score, index), executing as few as that allows.
 
     Candidates are visited by descending cover bound. A score can never
     exceed the score of its bound (both losses rise with covered voxels
@@ -529,8 +563,9 @@ def _ranked_beam(candidates, truth_res, false_free, i0, u0, config, budget) -> l
             break
         if not budget.spend():
             break
-        a, b = _counts(execute_block(candidates[idx], dims), truth_res, false_free)
-        bisect.insort(beam, (-_score_from_counts(a, b, i0, u0, config), idx, candidates[idx]))
+        block = _make_block(candidates[idx], dims)
+        a, b = _counts(execute_block(block, dims), truth_res, false_free)
+        bisect.insort(beam, (-_score_from_counts(a, b, i0, u0, config), idx, block))
         del beam[config.beam_width:]
     return [(-neg, idx, block) for neg, idx, block in beam]
 
@@ -539,9 +574,8 @@ def _relabel(block, dims):
     """Reassign part labels after refinement moved the geometry."""
     if isinstance(block, DrawStmt):
         return _make_draw(block.shape, block.position, block.geometry, dims)
-    from dataclasses import replace
     body = tuple(_relabel(s, dims) for s in block.body)
-    return replace(block, body=body)
+    return ForStmt(block.mode, block.times, body, block.step, block.angle, block.axis)
 
 
 def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
@@ -568,8 +602,9 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
         if not beam:
             break
         refined = []
+        cache: dict = {}  # statement -> score, shared by this round's refinements
         for s0, idx, cand in beam:
-            rb, rs = _refine(cand, s0, residual, false_free, i0, u0, config, budget)
+            rb, rs = _refine(cand, s0, residual, false_free, i0, u0, config, budget, cache)
             refined.append((rs, idx, rb))
         refined.sort(key=lambda t: (-t[0], t[1]))
         best_score, _, best_block = refined[0]

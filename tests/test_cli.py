@@ -172,6 +172,25 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_usage_errors_with_json_errors_are_json(tmp_path, capsys):
+    f = write_prog(tmp_path)
+    out = tmp_path / "g.binvox"
+    for argv in (["--dims", "100000,100000,100000", "--json-errors", "exec", str(f),
+                  "-o", str(out)],
+                 ["--json-errors", "exec", str(f)],
+                 ["--json", "frobnicate"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "UsageError"
+    with pytest.raises(SystemExit):
+        cli.main(["frobnicate"])
+    assert capsys.readouterr().err.startswith("usage: ")
+    assert not out.exists()
+
+
 def test_resource_error_exits_2(tmp_path, capsys, monkeypatch):
     target = tmp_path / "t.binvox"
     target.write_bytes(write_binvox(execute_program(parse_text(PROG))))

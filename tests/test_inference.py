@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxscript.dsl import (Axis, DrawStmt, ForStmt, Program, Semantics, ShapeKind,
-                           validate_program)
+from voxscript.dsl import (Axis, DrawStmt, ForStmt, LoopMode, Program, Semantics,
+                           ShapeKind, validate_program)
 from voxscript.errors import ShapeMismatchError
 from voxscript.executor import execute_block, execute_program
 from voxscript.dsl.text import print_text
 from voxscript.inference import (_SEED_DIRS, FitResult, LossKind, SearchConfig, _Budget,
-                                 _counts, _cover_bounds, _lattice_seeds, _ranked_beam, _runs,
-                                 _score_from_counts, fit_program, propose_candidates,
-                                 refine_block, score_block)
+                                 _counts, _cover_bounds, _lattice_seeds, _make_block,
+                                 _ranked_beam, _refine, _runs, _score_from_counts, fit_program,
+                                 propose_candidates, refine_block, score_block)
 from voxscript.metrics import iou
 from voxscript.templates import builtin_templates, sample
 
@@ -40,10 +40,23 @@ def test_propose_empty_residual():
     assert propose_candidates(np.zeros((32, 32, 32), dtype=bool)) == []
 
 
+def as_candidate(s):
+    """The candidate tuple of a statement; a rotation tuple drops the axis."""
+    if isinstance(s, DrawStmt):
+        return (s.shape, s.position, s.geometry)
+    arg = s.step if s.mode is LoopMode.TRANSLATION else s.angle
+    return (s.mode, s.times, arg, tuple(as_candidate(b) for b in s.body))
+
+
 def test_propose_contains_exact_cuboid():
     target = render(cuboid())
     cands = propose_candidates(target)
-    assert any((render(c) == target).all() for c in cands)
+    assert any((render(_make_block(c, target.shape)) == target).all() for c in cands)
+
+
+def test_make_block_inverts_candidate_tuples():
+    for c in propose_candidates(render(cuboid()) | render(cuboid((20, 0, 2), (3, 2, 9)))):
+        assert as_candidate(_make_block(c, (32, 32, 32))) == c
 
 
 def test_propose_count_within_cap():
@@ -143,7 +156,8 @@ PINNED_CANDIDATES = {
 def test_propose_candidates_pinned():
     for case, res, stride in _pinned_residuals():
         cands = propose_candidates(res, SearchConfig(candidate_grid_stride=stride))
-        digest = hashlib.sha256(print_text(Program(tuple(cands))).encode()).hexdigest()[:16]
+        blocks = tuple(_make_block(c, res.shape) for c in cands)
+        digest = hashlib.sha256(print_text(Program(blocks)).encode()).hexdigest()[:16]
         assert (len(cands), digest) == PINNED_CANDIDATES[case], case
 
 
@@ -184,7 +198,7 @@ nested = st.builds(lambda times, u, inner: ForStmt.translation(times, u, (inner,
        seed=st.integers(0, 2 ** 16))
 def test_cover_bounds_never_below_exact_cover(blocks, dims, density, seed):
     residual = np.random.default_rng(seed).random(dims) < density
-    bounds = _cover_bounds(blocks, residual)
+    bounds = _cover_bounds([as_candidate(b) for b in blocks], residual)
     assert bounds.shape == (len(blocks),)
     for b, bound in zip(blocks, bounds.tolist()):
         assert bound >= np.count_nonzero(execute_block(b, dims) & residual), b
@@ -200,7 +214,7 @@ def test_cover_bounds_exact_for_boxes_and_lines_on_full_residual():
         ForStmt.translation(3, (9, 0, -7), (cuboid((1, 1, 20), (4, 5, 6)),)),
     ]
     exact = [int(np.count_nonzero(execute_block(b))) for b in blocks]
-    assert _cover_bounds(blocks, full).tolist() == exact
+    assert _cover_bounds([as_candidate(b) for b in blocks], full).tolist() == exact
 
 
 def _template_rounds():
@@ -225,15 +239,45 @@ def test_ranked_beam_equals_exhaustive_ranking(loss):
         i0 = int(np.count_nonzero(current & target))
         u0 = int(np.count_nonzero(current | target))
         candidates = propose_candidates(residual, config)
+        blocks = [_make_block(c, target.shape) for c in candidates]
         scored = [
-            (_score_from_counts(*_counts(execute_block(c), residual, false_free), i0, u0, config),
-             idx, c) for idx, c in enumerate(candidates)]
+            (_score_from_counts(*_counts(execute_block(b), residual, false_free), i0, u0, config),
+             idx, b) for idx, b in enumerate(blocks)]
         scored.sort(key=lambda t: (-t[0], t[1]))
         budget = _Budget(config.budget)
         beam = _ranked_beam(candidates, residual, false_free, i0, u0, config, budget)
         assert beam == scored[:config.beam_width], tid
         skipped += len(candidates) - budget.calls
     assert skipped > 0
+
+
+class NoCache(dict):
+    """A score cache that stores nothing, so every neighbour is executed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_refine_shared_round_cache_matches_uncached():
+    config = SearchConfig()
+    calls = {"shared": 0, "fresh": 0, "none": 0}
+    for tid, target, current in _template_rounds():
+        residual, false_free = target & ~current, ~target & ~current
+        i0 = int(np.count_nonzero(current & target))
+        u0 = int(np.count_nonzero(current | target))
+        beam = _ranked_beam(propose_candidates(residual, config), residual, false_free, i0, u0,
+                            config, _Budget(config.budget))
+        shared = {}
+        for s0, _, block in beam:
+            results = {}
+            for kind in calls:
+                budget = _Budget(config.budget)
+                cache = shared if kind == "shared" else {} if kind == "fresh" else NoCache()
+                results[kind] = _refine(block, s0, residual, false_free, i0, u0, config,
+                                        budget, cache)
+                calls[kind] += budget.calls
+            assert results["shared"] == results["fresh"] == results["none"], tid
+    assert calls["shared"] < calls["fresh"] < calls["none"]
 
 
 # sha256 prefix of (program text, final IoU, score trace), and the final
@@ -261,7 +305,7 @@ def test_candidates_are_valid_blocks():
     rng = np.random.default_rng(32)
     res = rng.random((32, 32, 32)) < 0.05
     for c in propose_candidates(res):
-        assert not validate_program(Program((c,))).violations
+        assert not validate_program(Program((_make_block(c, res.shape),))).violations
 
 
 def test_score_signs():

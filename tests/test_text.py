@@ -82,6 +82,28 @@ def test_syntax_error_bad_character():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("src", [
+    "-.",
+    "Leg Cub(1,2,-.,4,5,6)",
+    "draw(Top, Cub, P=(0,0,0), G=(1,1,-.))",
+    "draw(Top, Cub, P=(0,0,0), G=(1,1," + "9" * 5000 + "))",
+], ids=["dash-dot", "dash-dot-in-garbage", "dash-dot-geometry", "5000-digit-integer"])
+def test_malformed_number_is_syntax_error(src):
+    with pytest.raises(DslSyntaxError) as exc:
+        parse_text(src)
+    assert "malformed number" in str(exc.value)
+
+
+def test_nesting_past_parser_cap_is_syntax_error():
+    def nested(n):
+        return "for(Trans, i=2, u=(0,0,0)) {" * n + "draw(Top, Cub, P=(0,0,0), G=(1,1,1))" + "}" * n
+
+    assert len(parse_text(nested(64), validate=False).statements) == 1
+    for n in (65, 2000):
+        with pytest.raises(DslSyntaxError):
+            parse_text(nested(n), validate=False)
+
+
 def test_syntax_error_unclosed_block():
     with pytest.raises(DslSyntaxError):
         parse_text("for(Trans, i=2, u=(0,0,1)) {\n  draw(Top, Cub, P=(0,0,0), G=(1,1,1))\n")

@@ -87,6 +87,34 @@ def test_garbage_in_unused_slots_rejected(row):
     assert exc.value.step == 1
 
 
+DRAW = TokenStep(1, (0, 0, 0, 1, 1, 1, 0))
+END = TokenStep(75, (0,) * 7)
+
+
+@pytest.mark.parametrize("steps, bad", [
+    ((TokenStep(73, (2, 1, 0, 0, 9, 9, 9)), DRAW, END), 0),   # ForTrans uses 4 slots
+    ((TokenStep(73, (2, 1, 0, 0, 0, 0, 1)), DRAW, END), 0),
+    ((TokenStep(74, (2, 90, 1, 5, 0, 0, 0)), DRAW, END), 0),  # ForRot uses 3 slots
+    ((TokenStep(74, (2, 90, 1, 0, 0, 0, 2)), DRAW, END), 0),
+    ((TokenStep(73, (2, 1, 0, 0, 0, 0, 0)), DRAW, TokenStep(75, (5,) * 7)), 2),
+    ((DRAW, TokenStep(0, (0, 0, 0, 0, 0, 0, 3))), 1),         # vacant rows are all 0
+])
+def test_garbage_in_unused_loop_slots_rejected(steps, bad):
+    with pytest.raises(TokenError) as exc:
+        detokenize(TokenProgram(steps))
+    assert exc.value.step == bad
+
+
+def test_nesting_past_decoder_cap_rejected():
+    def nested(n):
+        return TokenProgram((TokenStep(73, (2, 0, 0, 0, 0, 0, 0)),) * n + (DRAW,) + (END,) * n)
+
+    assert len(detokenize(nested(64)).statements) == 1
+    with pytest.raises(TokenError) as exc:
+        detokenize(nested(3000))
+    assert exc.value.step == 64
+
+
 def test_end_without_open():
     with pytest.raises(TokenError) as exc:
         detokenize(TokenProgram((TokenStep(75, (0,) * 7),)))
