@@ -163,21 +163,26 @@ def _cmd_fit(args) -> int:
     config = SearchConfig(**overrides)
     result = fit_program(grid, config)
 
-    out = args.out
-    out.write_text(print_text(result.program))
-    out.with_suffix(".tok").write_text(format_token_lines(tokenize(result.program)))
-    recon = execute_program(result.program, grid.shape)
-    out.with_suffix(".binvox").write_bytes(write_binvox(recon))
+    # build every output before writing any, so a failure leaves no partial set
     trace = {
         "final_iou": result.final_iou,
         "executor_calls": result.executor_calls,
         "budget_exhausted": result.budget_exhausted,
+        "stop_reason": result.stop_reason,
         "score_trace": [
             {"block": print_text(Program((blk,))), "iou": v}
             for blk, v in result.score_trace
         ],
     }
-    out.with_suffix(".json").write_text(json.dumps(trace, indent=2, sort_keys=True) + "\n")
+    text = print_text(result.program)
+    tokens = format_token_lines(tokenize(result.program))
+    recon = write_binvox(execute_program(result.program, grid.shape))
+    trace_text = json.dumps(trace, indent=2, sort_keys=True) + "\n"
+    out = args.out
+    out.write_text(text)
+    out.with_suffix(".tok").write_text(tokens)
+    out.with_suffix(".binvox").write_bytes(recon)
+    out.with_suffix(".json").write_text(trace_text)
     sys.stdout.write(f"final_iou={result.final_iou:.4f} blocks={len(result.score_trace)}\n")
     return 0
 

@@ -31,26 +31,31 @@ def empty_grid(dims=DEFAULT_DIMS) -> np.ndarray:
     return np.zeros(tuple(int(d) for d in dims), dtype=bool)
 
 
-def _clip(lo, hi, dim):
-    return max(lo, 0), min(hi, dim)
-
-
 def _fill_box(grid, x0, x1, y0, y1, z0, z1):
     dx, dy, dz = grid.shape
-    x0, x1 = _clip(x0, x1, dx)
-    y0, y1 = _clip(y0, y1, dy)
-    z0, z1 = _clip(z0, z1, dz)
+    if x0 < 0:
+        x0 = 0
+    if y0 < 0:
+        y0 = 0
+    if z0 < 0:
+        z0 = 0
+    if x1 > dx:
+        x1 = dx
+    if y1 > dy:
+        y1 = dy
+    if z1 > dz:
+        z1 = dz
     if x0 < x1 and y0 < y1 and z0 < z1:
         grid[x0:x1, y0:y1, z0:z1] = True
 
 
 def _fill_disk_column(grid, px, py, pz, t, r):
     dx, dy, dz = grid.shape
-    y0, y1 = _clip(py, py + t, dy)
+    y0, y1 = max(py, 0), min(py + t, dy)
     if y0 >= y1:
         return
-    x0, x1 = _clip(px - r, px + r + 1, dx)
-    z0, z1 = _clip(pz - r, pz + r + 1, dz)
+    x0, x1 = max(px - r, 0), min(px + r + 1, dx)
+    z0, z1 = max(pz - r, 0), min(pz + r + 1, dz)
     if x0 >= x1 or z0 >= z1:
         return
     xs = np.arange(x0, x1)
@@ -85,27 +90,23 @@ def _line_points(p0, p1, dims):
 
 def _render(grid: np.ndarray, shape, position, geometry) -> None:
     px, py, pz = position
-    if shape in (ShapeKind.CYLINDER, ShapeKind.CIRCLE):
+    if shape is ShapeKind.CUBOID or shape is ShapeKind.RECTANGLE:
+        t, r1, r2 = geometry[:3]
+        if len(geometry) == 3 or geometry[3] == 0:
+            _fill_box(grid, px, px + r1, py, py + t, pz, pz + r2)
+        else:
+            slope = math.tan(math.radians(geometry[3]))
+            # only the rows inside the grid: the cost stays bounded by dims
+            for k in range(max(0, -py), min(t, grid.shape[1] - py)):
+                # round() halves to even on a float, as np.rint does
+                shift = round(k * slope)
+                _fill_box(grid, px + shift, px + r1 + shift, py + k, py + k + 1, pz, pz + r2)
+    elif shape is ShapeKind.CYLINDER or shape is ShapeKind.CIRCLE:
         t, r = geometry
         _fill_disk_column(grid, px, py, pz, t, r)
     elif shape is ShapeKind.SQUARE:
         t, r = geometry
         _fill_box(grid, px - r, px + r + 1, py, py + t, pz - r, pz + r + 1)
-    elif shape is ShapeKind.RECTANGLE:
-        t, r1, r2 = geometry
-        _fill_box(grid, px, px + r1, py, py + t, pz, pz + r2)
-    elif shape is ShapeKind.CUBOID:
-        t, r1, r2 = geometry[:3]
-        ang = geometry[3] if len(geometry) == 4 else 0
-        if ang == 0:
-            _fill_box(grid, px, px + r1, py, py + t, pz, pz + r2)
-        else:
-            slope = math.tan(math.radians(ang))
-            # only the rows inside the grid: the cost stays bounded by dims
-            for k in range(max(0, -py), min(t, grid.shape[1] - py)):
-                shift = int(np.rint(k * slope))
-                _fill_box(grid, px + shift, px + r1 + shift,
-                          py + k, py + k + 1, pz, pz + r2)
     else:  # line
         dx, dy, dz = grid.shape
         pts = _line_points(position, geometry, grid.shape)
@@ -114,26 +115,39 @@ def _render(grid: np.ndarray, shape, position, geometry) -> None:
         grid[pts[:, 0], pts[:, 1], pts[:, 2]] = True
 
 
-def draw_extent(shape, position, geometry) -> tuple:
-    """Unclipped bounding box ``(lo, hi)`` (hi exclusive) of one primitive,
-    and an upper bound on the voxels it sets; degenerate geometry gives 0."""
-    px, py, pz = position
-    if shape is ShapeKind.LINE:
-        lo = tuple(min(a, b) for a, b in zip(position, geometry))
-        hi = tuple(max(a, b) + 1 for a, b in zip(position, geometry))
-        return lo, hi, max(abs(a - b) for a, b in zip(position, geometry)) + 1
-    t = geometry[0]
-    if shape in (ShapeKind.CUBOID, ShapeKind.RECTANGLE):
-        r1, r2 = geometry[1:3]
-        x0, x1 = px, px + r1
-        if len(geometry) == 4 and t > 0:
-            # the last row's shift, as _render computes it; shifts are monotone in the row
-            shift = int(np.rint((t - 1) * math.tan(math.radians(geometry[3]))))
-            x0, x1 = x0 + min(shift, 0), x1 + max(shift, 0)
-        return (x0, py, pz), (x1, py + t, pz + r2), max(t, 0) * max(r1, 0) * max(r2, 0)
-    r = geometry[1]
-    w = max(2 * r + 1, 0)
-    return (px - r, py, pz - r), (px + r + 1, py + t, pz + r + 1), max(t, 0) * w * w
+# Shapes drawn as a column of half-width r about their position, geometry (t, r).
+_COLUMN_SHAPES = (ShapeKind.CYLINDER, ShapeKind.CIRCLE, ShapeKind.SQUARE)
+
+
+def draw_extents(draws) -> tuple:
+    """Unclipped bounding boxes of ``(shape, position, geometry)`` draws.
+
+    Returns ``lo`` and ``hi`` (hi exclusive) as (n, 3) arrays and, per
+    draw, an upper bound on the voxels it sets; degenerate geometry gives 0.
+    A tilted Cuboid's box is widened by its last row's shift, computed as
+    ``_render`` computes it; shifts are monotone in the row.
+    """
+    a = np.array([(s is ShapeKind.LINE, s in _COLUMN_SHAPES, *p, *g, 0, 0)[:9]
+                  for s, p, g in draws]).reshape(len(draws), 9)
+    line, column = a[:, 0] == 1, a[:, 1] == 1
+    pos, end = a[:, 2:5], a[:, 5:8]
+    t, r1, r2, ang = a[:, 5:].T
+    shift = np.zeros(len(a), dtype=np.int64)
+    tilted = ~line & ~column & (ang != 0) & (t > 0)
+    if tilted.any():
+        slope = np.array([math.tan(math.radians(v)) for v in ang[tilted].tolist()])
+        shift[tilted] = np.rint((t[tilted] - 1) * slope)
+    # x and z spans from the position: [0, r1) and [0, r2) for a box, [-r, r] for a column
+    off = np.where(column, -r1, 0)
+    wx = np.where(column, 2 * r1 + 1, r1)
+    wz = np.where(column, 2 * r1 + 1, r2)
+    lo = pos + np.stack((off + np.minimum(shift, 0), np.zeros_like(t), off), axis=1)
+    hi = pos + np.stack((off + wx + np.maximum(shift, 0), t, off + wz), axis=1)
+    volume = np.maximum(t, 0) * np.maximum(wx, 0) * np.maximum(wz, 0)
+    lo = np.where(line[:, None], np.minimum(pos, end), lo)
+    hi = np.where(line[:, None], np.maximum(pos, end) + 1, hi)
+    volume = np.where(line, np.abs(pos - end).max(axis=1) + 1, volume)
+    return lo, hi, volume
 
 
 def render_draw(d: DrawStmt, dims=DEFAULT_DIMS) -> np.ndarray:
@@ -161,7 +175,8 @@ def _rotate_point(pt, angle_deg, axis, dims):
         y, z = _rotate_pair(y, z, cy, cz, c, s)
     else:
         x, y = _rotate_pair(x, y, cx, cy, c, s)
-    return tuple(int(np.rint(v)) for v in (x, y, z))
+    # round() halves to even on a float, as np.rint does
+    return round(x), round(y), round(z)
 
 
 def _unroll(f: ForStmt, dims, limits) -> list:
@@ -186,11 +201,13 @@ def _unroll(f: ForStmt, dims, limits) -> list:
         if k == 0 or (f.mode is LoopMode.ROTATION and f.angle == 0):
             out.extend(body)
         elif f.mode is LoopMode.TRANSLATION:
-            off = tuple(k * u for u in f.step)
-            for d, pos, geom in body:
+            ux, uy, uz = f.step
+            ox, oy, oz = k * ux, k * uy, k * uz
+            for d, (x, y, z), geom in body:
                 if d.shape is ShapeKind.LINE:
-                    geom = tuple(g + o for g, o in zip(geom, off))
-                out.append((d, tuple(p + o for p, o in zip(pos, off)), geom))
+                    gx, gy, gz = geom
+                    geom = (gx + ox, gy + oy, gz + oz)
+                out.append((d, (x + ox, y + oy, z + oz), geom))
         else:
             ang = k * f.angle
             for d, pos, geom in body:

@@ -34,7 +34,7 @@ from scipy import ndimage
 
 from .dsl.ast import Axis, DrawStmt, ForStmt, LoopMode, Program, Semantics, ShapeKind
 from .errors import ShapeMismatchError
-from .executor import draw_extent, execute_block, execute_program
+from .executor import draw_extents, execute_block, execute_program
 from .metrics import BCE_EPS, LossWeights, iou, weighted_bce
 
 _WRAP_TIMES = (2, 3, 4, 5)
@@ -82,7 +82,9 @@ class FitResult:
     final_iou: float
     # real executions; candidates the bound skipped and round-cache hits are not counted
     executor_calls: int
-    budget_exhausted: bool = False
+    budget_exhausted: bool
+    # why the search stopped: "max_blocks", "min_gain", "budget" or "residual_empty"
+    stop_reason: str
 
 
 class _Budget:
@@ -300,10 +302,11 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> list:
         rc = min(c_runs) - 1
         if rc >= 1:
             add(ShapeKind.CYLINDER, c, (min(tc, 32), rc), bucket)
-        for vec, n in zip(line_vecs, line_runs):
+        px, py, pz = p
+        for (ux, uy, uz), n in zip(line_vecs, line_runs):
             if n >= 4:
-                end = tuple(v + (n - 1) * u for v, u in zip(p, vec))
-                add(ShapeKind.LINE, p, end, bucket)
+                n -= 1
+                add(ShapeKind.LINE, p, (px + n * ux, py + n * uy, pz + n * uz), bucket)
 
     loops: list = []
     wrapped = set()
@@ -344,8 +347,8 @@ def _cover_bounds(candidates, residual) -> np.ndarray:
     A draw covers at most min(its voxel bound, the residual inside its
     clipped box), a translation loop over draws at most the sum of that
     over its copies, and any other loop at most the whole residual. Box
-    sums come from one summed-volume table of the residual; each distinct
-    draw's box is computed once.
+    sums come from one summed-volume table of the residual, and every
+    draw's box from one ``draw_extents`` pass.
     """
     dims = np.array(residual.shape)
     table = np.zeros(tuple(dims + 1), dtype=np.int64)
@@ -353,23 +356,17 @@ def _cover_bounds(candidates, residual) -> np.ndarray:
     for axis in range(3):
         np.cumsum(table, axis, out=table)
     bounds = np.full(len(candidates), np.count_nonzero(residual), dtype=np.int64)
-    extents: dict = {}
-
-    def extent(d):
-        e = extents.get(d)
-        if e is None:
-            e = extents[d] = draw_extent(*d)
-        return e
-
-    rows = []  # (candidate, lo, hi, volume, copies, step)
+    rows = []  # (candidate, draw, copies, step)
     for i, c in enumerate(candidates):
         if len(c) == 3:
-            rows.append((i, *extent(c), 1, (0, 0, 0)))
+            rows.append((i, c, 1, (0, 0, 0)))
         elif c[0] is LoopMode.TRANSLATION and all(len(d) == 3 for d in c[3]):
-            rows.extend((i, *extent(d), c[1], c[2]) for d in c[3])
+            rows.extend((i, d, c[1], c[2]) for d in c[3])
     if not rows:
         return bounds
-    owner, lo, hi, volume, times, step = (np.array(c) for c in zip(*rows))
+    owner, draws, times, step = zip(*rows)
+    lo, hi, volume = draw_extents(draws)
+    owner, times, step = np.array(owner), np.array(times), np.array(step)
     # copy k of a row is its box moved by k * step
     k = np.arange(times.sum()) - np.repeat(np.cumsum(times) - times, times)
     off = k[:, None] * np.repeat(step, times, axis=0)
@@ -587,19 +584,20 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
     accepted: list = []
     trace: list = []
     if not target.any():
-        return FitResult(Program(()), (), 1.0, 0, False)
-    while len(accepted) < config.max_blocks and not budget.exhausted:
+        return FitResult(Program(()), (), 1.0, 0, False, "residual_empty")
+    stop = "max_blocks"
+    while len(accepted) < config.max_blocks:
         residual = target & ~current
-        if not residual.any():
+        if budget.exhausted or not residual.any():
+            stop = "budget" if budget.exhausted else "residual_empty"
             break
         candidates = propose_candidates(residual, config)
-        if not candidates:
-            break
         false_free = ~target & ~current
         i0 = int(np.count_nonzero(current & target))
         u0 = int(np.count_nonzero(current | target))
         beam = _ranked_beam(candidates, residual, false_free, i0, u0, config, budget)
-        if not beam:
+        if not beam:  # the budget ran out before one candidate was executed
+            stop = "budget"
             break
         refined = []
         cache: dict = {}  # statement -> score, shared by this round's refinements
@@ -609,6 +607,7 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
         refined.sort(key=lambda t: (-t[0], t[1]))
         best_score, _, best_block = refined[0]
         if best_score < config.min_gain:
+            stop = "min_gain"
             break
         best_block = _relabel(best_block, dims)
         current |= execute_block(best_block, dims)
@@ -620,4 +619,5 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
         final_iou=iou(current, target),
         executor_calls=budget.calls,
         budget_exhausted=budget.exhausted,
+        stop_reason=stop,
     )

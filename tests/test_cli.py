@@ -104,7 +104,21 @@ def test_fit_writes_program_tokens_grid_trace(tmp_path, capsys):
     trace = json.loads((tmp_path / "fit.json").read_text())
     assert trace["final_iou"] == 1.0
     assert not trace["budget_exhausted"]
+    assert trace["stop_reason"] == "residual_empty"
     assert all("block" in s and "iou" in s for s in trace["score_trace"])
+
+
+def test_fit_failure_writes_no_output(tmp_path, capsys):
+    # a fit on a 48^3 grid places blocks past coordinate 31, which tokenize rejects
+    grid = np.zeros((48, 48, 48), dtype=bool)
+    grid[36:44, 36:44, 36:44] = True
+    target = tmp_path / "t.binvox"
+    target.write_bytes(write_binvox(grid))
+    assert cli.main(["--json-errors", "--dims", "48,48,48", "fit", str(target),
+                     "-o", str(tmp_path / "o2.sp")]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InvalidProgramError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.binvox"]
 
 
 def test_eval_rows_and_aggregate(tmp_path):

@@ -5,12 +5,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, Program, Semantics,
                            ShapeKind)
 from voxscript.errors import BudgetError
-from voxscript.executor import (DEFAULT_DIMS, empty_grid, execute_block,
-                                execute_program, render_draw, unroll_for)
+from voxscript.executor import (DEFAULT_DIMS, _rotate_point, draw_extents, empty_grid,
+                                execute_block, execute_program, render_draw, unroll_for)
 
 from randprog import random_program
 
@@ -126,6 +127,14 @@ def test_long_lines_and_tall_tilts_match_brute_force_oracle(dims):
     assert hits > 20
 
 
+@pytest.mark.parametrize("pos", [(12, 0, 3), (20, -6, 28)])
+def test_every_integer_tilt_matches_brute_force_oracle(pos):
+    """Row shifts are rounded with round(); the oracle uses np.rint."""
+    for ang in range(-45, 46):
+        d = DrawStmt(SEM, ShapeKind.CUBOID, pos, (36, 3, 5, ang))
+        assert (render_draw(d) == brute_fill(d)).all(), ang
+
+
 def test_huge_line_renders_in_bounded_time():
     far = 10 ** 12
     start = time.perf_counter()
@@ -206,6 +215,26 @@ def rotate_oracle(p, k_theta_deg, axis, dims=DEFAULT_DIMS):
         return (x, ny, nz)
     nx, ny = rot(x, y, cx, cy)
     return (nx, ny, z)
+
+
+# Every rotation the fit search executes: copy k of a loop of ``times``
+# copies, turned by 360 // times degrees or by refinement's 5-degree steps
+# from there (``times`` in 2..16, the angle in [-355, 355]).
+SEARCH_ANGLES = sorted({k * a for base in (180, 120, 90, 72)
+                        for a in range(base % 5 - 355, 356, 5) for k in range(16)})
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 32), (31, 33, 29)])
+def test_rotate_point_matches_rint_reference(dims):
+    """Snapping uses round(); the reference uses np.rint. Even dims put the
+    centre on a half-integer, odd dims on an integer."""
+    xs = sorted({0, 1, (dims[0] - 1) // 2, dims[0] // 2, dims[0] - 1})
+    zs = sorted({0, 2, (dims[2] - 1) // 2, dims[2] // 2, dims[2] - 1})
+    for ang in SEARCH_ANGLES:
+        for x in xs:
+            for z in zs:
+                p = (x, 5, z)
+                assert _rotate_point(p, ang, Axis.Y, dims) == rotate_oracle(p, ang, Axis.Y, dims)
 
 
 def test_unroll_rotation_orbit():
@@ -331,3 +360,52 @@ def test_custom_dims():
     g = execute_program(Program((d,)), (8, 10, 12))
     assert g.shape == (8, 10, 12)
     assert int(g.sum()) == 8
+
+
+def extent_reference(shape, position, geometry):
+    """Box and voxel bound of one draw, computed per draw with np.rint."""
+    px, py, pz = position
+    if shape is ShapeKind.LINE:
+        lo = tuple(min(a, b) for a, b in zip(position, geometry))
+        hi = tuple(max(a, b) + 1 for a, b in zip(position, geometry))
+        return lo, hi, max(abs(a - b) for a, b in zip(position, geometry)) + 1
+    t = geometry[0]
+    if shape in (ShapeKind.CUBOID, ShapeKind.RECTANGLE):
+        r1, r2 = geometry[1:3]
+        x0, x1 = px, px + r1
+        if len(geometry) == 4 and t > 0:
+            shift = int(np.rint((t - 1) * math.tan(math.radians(geometry[3]))))
+            x0, x1 = x0 + min(shift, 0), x1 + max(shift, 0)
+        return (x0, py, pz), (x1, py + t, pz + r2), max(t, 0) * max(r1, 0) * max(r2, 0)
+    r = geometry[1]
+    w = max(2 * r + 1, 0)
+    return (px - r, py, pz - r), (px + r + 1, py + t, pz + r + 1), max(t, 0) * w * w
+
+
+coord = st.integers(-60, 90)
+size = st.integers(-4, 60)
+
+
+@st.composite
+def draw_tuples(draw):
+    shape = draw(st.sampled_from(list(ShapeKind)))
+    pos = draw(st.tuples(coord, coord, coord))
+    if shape is ShapeKind.LINE:
+        geom = draw(st.tuples(coord, coord, coord))
+    elif shape in (ShapeKind.CYLINDER, ShapeKind.CIRCLE, ShapeKind.SQUARE):
+        geom = draw(st.tuples(size, st.integers(-4, 20)))
+    else:
+        geom = draw(st.tuples(size, size, size))
+        if shape is ShapeKind.CUBOID and draw(st.booleans()):
+            geom += (draw(st.integers(-45, 45)),)
+    return shape, pos, geom
+
+
+@settings(max_examples=300)
+@given(st.lists(draw_tuples(), min_size=1, max_size=8))
+def test_draw_extents_match_scalar_reference(draws):
+    lo, hi, volume = draw_extents(draws)
+    expect = [extent_reference(*d) for d in draws]
+    assert lo.tolist() == [list(e[0]) for e in expect]
+    assert hi.tolist() == [list(e[1]) for e in expect]
+    assert volume.tolist() == [e[2] for e in expect]

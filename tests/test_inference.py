@@ -380,6 +380,29 @@ def test_fit_empty_target():
     assert r.final_iou == 1.0
     assert r.score_trace == ()
     assert r.executor_calls == 0
+    assert r.stop_reason == "residual_empty"
+
+
+TWO_BOXES = render(cuboid()) | render(cuboid(pos=(20, 20, 20), geom=(4, 4, 4)))
+
+
+@pytest.mark.parametrize("reason, target, config", [
+    ("residual_empty", render(cuboid()), SearchConfig()),
+    ("max_blocks", TWO_BOXES, SearchConfig(max_blocks=1)),
+    ("min_gain", TWO_BOXES, SearchConfig(min_gain=2.0)),  # an IoU gain never exceeds 1
+    ("budget", TWO_BOXES, SearchConfig(budget=40)),
+])
+def test_fit_stop_reason(reason, target, config):
+    r = fit_program(target, config)
+    assert r.stop_reason == reason
+    assert r.budget_exhausted == (reason == "budget")
+    blocks = len(r.program.statements)
+    if reason == "residual_empty":
+        assert r.final_iou == 1.0
+    elif reason == "max_blocks":
+        assert blocks == config.max_blocks and r.final_iou < 1.0
+    elif reason == "min_gain":
+        assert blocks == 0
 
 
 def test_fit_single_cuboid_exact():
@@ -424,9 +447,8 @@ def test_fit_emits_valid_program():
 
 
 def test_fit_respects_budget():
-    target = render(cuboid()) | render(cuboid(pos=(20, 20, 20), geom=(4, 4, 4)))
     config = SearchConfig(budget=40)
-    r = fit_program(target, config)
+    r = fit_program(TWO_BOXES, config)
     assert r.executor_calls <= 40
     assert r.budget_exhausted
 
