@@ -8,7 +8,7 @@ from .analysis import (Connectivity, StabilityReport, analyze_dataset, center_of
                        format_analysis_table, ground_contacts, is_stable, point_in_hull,
                        stability_report)
 from .binvox import export_obj, read_binvox, write_binvox
-from .dsl import (Axis, Block, DrawStmt, ForStmt, GEOMETRY_ARITY, Limits, LoopMode,
+from .dsl import (Axis, DrawStmt, ForStmt, GEOMETRY_ARITY, Limits, LoopMode,
                   Program, Semantics, ShapeKind, Statement, TokenProgram, TokenStep,
                   ValidationReport, Violation, DEFAULT_LIMITS, N_ARG_SLOTS, VOCAB_SIZE,
                   detokenize, draw_token_id, format_token_lines, parse_text,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import analyze_dataset, format_analysis_json, format_analysis_table, stability_report
 from .binvox import export_obj, read_binvox, write_binvox
-from .dsl import Program, parse_text, print_text
+from .dsl import Limits, Program, parse_text, print_text
 from .dsl.tokens import (format_token_lines, parse_token_lines, detokenize,
                          token_program_to_json, tokenize)
 from .errors import InputError, ResourceError
@@ -55,6 +55,20 @@ def _dims(text: str) -> tuple:
     return d
 
 
+def _bounded(convert, low, strict=False):
+    """An argparse type: ``convert`` the text, then require it >= ``low``
+    (> ``low`` if ``strict``), so nan and out-of-range values are usage errors."""
+    def parse(text: str):
+        try:
+            v = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}")
+        if not (v > low if strict else v >= low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text}")
+        return v
+    return parse
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="voxscript", description=__doc__.splitlines()[0])
     top.add_argument("--json-errors", action="store_true",
@@ -81,17 +95,17 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--out", type=Path, metavar="out.sp")
 
     p = sub.add_parser("sample", help="generate a synthetic (program, shape) dataset")
-    p.add_argument("--tables", type=int, default=0, metavar="N")
-    p.add_argument("--chairs", type=int, default=0, metavar="M")
+    p.add_argument("--tables", type=_bounded(int, 0), default=0, metavar="N")
+    p.add_argument("--chairs", type=_bounded(int, 0), default=0, metavar="M")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("-o", "--out", type=Path, required=True, metavar="dir")
 
     p = sub.add_parser("fit", help="fit a program to a binvox target")
     p.add_argument("target", type=Path)
     p.add_argument("-o", "--out", type=Path, required=True, metavar="out.sp")
-    p.add_argument("--max-blocks", type=int, default=None)
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--min-gain", type=float, default=None)
+    p.add_argument("--max-blocks", type=_bounded(int, 1), default=None)
+    p.add_argument("--beam", type=_bounded(int, 1), default=None)
+    p.add_argument("--min-gain", type=_bounded(float, 0, strict=True), default=None)
 
     p = sub.add_parser("eval", help="batch-compare predicted and reference grids")
     p.add_argument("--pred", type=Path, required=True, metavar="dir")
@@ -175,7 +189,7 @@ def _cmd_fit(args) -> int:
         ],
     }
     text = print_text(result.program)
-    tokens = format_token_lines(tokenize(result.program))
+    tokens = format_token_lines(tokenize(result.program, Limits.for_dims(grid.shape)))
     recon = write_binvox(execute_program(result.program, grid.shape))
     trace_text = json.dumps(trace, indent=2, sort_keys=True) + "\n"
     out = args.out

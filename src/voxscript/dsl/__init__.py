@@ -1,7 +1,6 @@
 """Program representation: statements, validation, text form, token form."""
 from .ast import (
     Axis,
-    Block,
     DEFAULT_LIMITS,
     DrawStmt,
     ForStmt,
@@ -38,7 +37,7 @@ from .tokens import (
 )
 
 __all__ = [
-    "Axis", "Block", "DEFAULT_LIMITS", "DrawStmt", "ForStmt", "GEOMETRY_ARITY",
+    "Axis", "DEFAULT_LIMITS", "DrawStmt", "ForStmt", "GEOMETRY_ARITY",
     "Limits", "LoopMode", "Program", "Semantics", "ShapeKind", "Statement",
     "ValidationReport", "Violation", "blocks", "validate_program",
     "parse_text", "print_text",

@@ -136,10 +136,6 @@ class ForStmt:
 
 Statement = Union[DrawStmt, ForStmt]
 
-# A block is the unit of execution: one DrawStmt, or one ForStmt with its
-# whole body. At the top level of a program the two notions coincide.
-Block = Statement
-
 
 @dataclass(frozen=True)
 class Program:
@@ -159,6 +155,12 @@ class Limits:
     max_coord: int = 31
     max_extent: int = 32
     max_tilt: float = 45.0
+
+    @classmethod
+    def for_dims(cls, dims) -> "Limits":
+        """Default limits with coordinates and extents spanning a grid of
+        ``dims``; equal to ``DEFAULT_LIMITS`` at 32^3."""
+        return cls(max_coord=max(dims) - 1, max_extent=max(dims))
 
 
 DEFAULT_LIMITS = Limits()

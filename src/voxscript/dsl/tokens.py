@@ -20,8 +20,11 @@ from typing import NamedTuple
 from ..errors import InvalidProgramError, TokenError
 from .ast import (
     Axis,
+    DEFAULT_LIMITS,
     DrawStmt,
     ForStmt,
+    GEOMETRY_ARITY,
+    Limits,
     LoopMode,
     MAX_NESTING,
     Program,
@@ -51,7 +54,8 @@ _DRAW_ID = {
     for i, sem in enumerate(_SEMANTICS)
     for j, shp in enumerate(_SHAPES)
 }
-_DRAW_BY_ID = {v: k for k, v in _DRAW_ID.items()}
+# draw token id -> (semantics, shape kind)
+DRAW_BY_ID = {v: k for k, v in _DRAW_ID.items()}
 
 
 def draw_token_id(semantics: Semantics, shape: ShapeKind) -> int:
@@ -94,30 +98,28 @@ def _row(*values) -> tuple:
     return vals + (0,) * (N_ARG_SLOTS - len(vals))
 
 
-def tokenize(p: Program) -> TokenProgram:
-    """Encode a valid program as a pre-order step sequence."""
-    report = validate_program(p)
+def tokenize(p: Program, limits: Limits = DEFAULT_LIMITS) -> TokenProgram:
+    """Encode a program that validates under ``limits`` as a pre-order step
+    sequence."""
+    report = validate_program(p, limits)
     if not report.ok:
         raise InvalidProgramError(report)
-    steps: list[TokenStep] = []
+    return TokenProgram(tuple(encode_steps(p.statements)))
 
-    def walk(stmt):
+
+def encode_steps(statements):
+    """Yield the pre-order steps of ``statements`` without validating them."""
+    for stmt in statements:
         if isinstance(stmt, DrawStmt):
-            steps.append(TokenStep(draw_token_id(stmt.semantics, stmt.shape),
-                                   _row(*stmt.position, *stmt.geometry)))
-            return
+            yield TokenStep(draw_token_id(stmt.semantics, stmt.shape),
+                            _row(*stmt.position, *stmt.geometry))
+            continue
         if stmt.mode is LoopMode.TRANSLATION:
-            steps.append(TokenStep(FOR_TRANSLATION_ID, _row(stmt.times, *stmt.step)))
+            yield TokenStep(FOR_TRANSLATION_ID, _row(stmt.times, *stmt.step))
         else:
-            steps.append(TokenStep(FOR_ROTATION_ID,
-                                   _row(stmt.times, stmt.angle, _AXES.index(stmt.axis))))
-        for s in stmt.body:
-            walk(s)
-        steps.append(TokenStep(END_FOR_ID, _row()))
-
-    for s in p.statements:
-        walk(s)
-    return TokenProgram(tuple(steps))
+            yield TokenStep(FOR_ROTATION_ID, _row(stmt.times, stmt.angle, _AXES.index(stmt.axis)))
+        yield from encode_steps(stmt.body)
+        yield TokenStep(END_FOR_ID, _row())
 
 
 def _int_arg(v, step_index, what):
@@ -133,19 +135,6 @@ def _require_unused_zero(args, used, step_index, what):
                                      " the slots after them must be 0")
 
 
-def _decode_draw(step_id, args, step_index) -> DrawStmt:
-    sem, shp = _DRAW_BY_ID[step_id]
-    pos = tuple(_int_arg(a, step_index, "position") for a in args[:3])
-    lo, hi = 2, 2
-    if shp in (ShapeKind.RECTANGLE, ShapeKind.LINE):
-        lo = hi = 3
-    elif shp is ShapeKind.CUBOID:
-        lo, hi = 3, 4
-    _require_unused_zero(args, 3 + hi, step_index, shp.value)
-    n = hi if (hi > lo and args[3 + hi - 1] != 0) else lo
-    return DrawStmt(sem, shp, pos, tuple(args[3:3 + n]))
-
-
 # Argument slots each row that is not a draw uses; the slots after them must be 0.
 _CONTROL_SLOTS = {VACANT_ID: 0, FOR_TRANSLATION_ID: 4, FOR_ROTATION_ID: 3, END_FOR_ID: 0}
 _NAMES = vocabulary()
@@ -157,41 +146,63 @@ def detokenize(t: TokenProgram) -> Program:
     A row whose unused slots are not all 0 is rejected, so a decoded
     program that validates re-encodes to its input, vacant steps aside.
     """
-    root: list = []
-    stack: list[tuple] = []  # (header step index, header TokenStep, body list)
-    for idx, step in enumerate(t.steps):
-        sid, args = step.id, step.args
-        target = stack[-1][2] if stack else root
+    open_loops: list[tuple] = []  # (header step index, header id, header args)
+    for idx, (sid, args) in enumerate(t.steps):
         if sid in _CONTROL_SLOTS:
             _require_unused_zero(args, _CONTROL_SLOTS[sid], idx, _NAMES[sid])
-        if sid == VACANT_ID:
-            continue
         if sid == END_FOR_ID:
-            if not stack:
+            if not open_loops:
                 raise TokenError(idx, "end-of-loop marker without an open loop")
-            hidx, header, body = stack.pop()
-            target = stack[-1][2] if stack else root
-            if header.id == FOR_TRANSLATION_ID:
-                times = _int_arg(header.args[0], hidx, "times")
-                u = tuple(_int_arg(a, hidx, "step u") for a in header.args[1:4])
-                target.append(ForStmt.translation(times, u, body))
+            hidx, hid, hargs = open_loops.pop()
+            _int_arg(hargs[0], hidx, "times")
+            if hid == FOR_TRANSLATION_ID:
+                for a in hargs[1:4]:
+                    _int_arg(a, hidx, "step u")
             else:
-                times = _int_arg(header.args[0], hidx, "times")
-                code = _int_arg(header.args[2], hidx, "axis code")
+                code = _int_arg(hargs[2], hidx, "axis code")
                 if not 0 <= code < len(_AXES):
                     raise TokenError(hidx, f"axis code {code} outside 0..{len(_AXES) - 1}")
-                target.append(ForStmt.rotation(times, header.args[1], _AXES[code], body))
         elif sid in (FOR_TRANSLATION_ID, FOR_ROTATION_ID):
-            if len(stack) == MAX_NESTING:
+            if len(open_loops) == MAX_NESTING:
                 raise TokenError(idx, f"loops nested deeper than {MAX_NESTING}")
-            stack.append((idx, step, []))
-        elif sid in _DRAW_BY_ID:
-            target.append(_decode_draw(sid, args, idx))
-        else:
+            open_loops.append((idx, sid, args))
+        elif sid in DRAW_BY_ID:
+            shape = DRAW_BY_ID[sid][1]
+            for a in args[:3]:
+                _int_arg(a, idx, "position")
+            _require_unused_zero(args, 3 + GEOMETRY_ARITY[shape][1], idx, shape.value)
+        elif sid != VACANT_ID:
             raise TokenError(idx, f"unknown token id {sid}")
-    if stack:
-        raise TokenError(stack[-1][0], "loop header never closed")
-    return Program(tuple(root))
+    if open_loops:
+        raise TokenError(open_loops[-1][0], "loop header never closed")
+    return Program(build_statements(t.steps))
+
+
+def build_statements(steps) -> tuple:
+    """The statements of ``(id, args)`` steps that :func:`detokenize` would
+    accept, built without checking them; vacant steps vanish."""
+    root: list = []
+    stack: list[tuple] = []  # (header id, header args, body list)
+    for sid, args in steps:
+        if sid in DRAW_BY_ID:
+            sem, shape = DRAW_BY_ID[sid]
+            lo, hi = GEOMETRY_ARITY[shape]
+            # the optional last geometry entry (a Cub tilt) is absent when 0
+            n = hi if args[2 + hi] != 0 else lo
+            stmt = DrawStmt(sem, shape, args[:3], args[3:3 + n])
+        elif sid == FOR_TRANSLATION_ID or sid == FOR_ROTATION_ID:
+            stack.append((sid, args, []))
+            continue
+        elif sid == END_FOR_ID:
+            hid, hargs, body = stack.pop()
+            if hid == FOR_TRANSLATION_ID:
+                stmt = ForStmt.translation(hargs[0], hargs[1:4], body)
+            else:
+                stmt = ForStmt.rotation(hargs[0], hargs[1], _AXES[hargs[2]], body)
+        else:
+            continue
+        (stack[-1][2] if stack else root).append(stmt)
+    return tuple(root)
 
 
 def format_token_lines(t: TokenProgram) -> str:

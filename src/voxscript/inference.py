@@ -18,10 +18,12 @@ candidate would give.
 Statements are built only where the executor needs them. Candidates are
 plain tuples, ``(shape, position, geometry)`` for a draw and ``(mode,
 times, step or angle, body)`` for a loop, and become labelled statements
-only when ranking spends budget to execute them. Refinement scores
-neighbours through one cache per round, keyed by the statement: the
-residual and counts are fixed within a round, so a neighbour that two
-beam entries reach is executed once.
+only when ranking spends budget to execute them. Refinement is
+coordinate descent over a block's token rows (the ``dsl.tokens`` layout):
+a neighbour is the rows with one slot moved, each slot bounded by the
+grid dims and ``Limits.for_dims``. Neighbours are scored through one cache
+per round, keyed by the rows: the residual and counts are fixed within a
+round, so a neighbour that two beam entries reach is executed once.
 """
 from __future__ import annotations
 
@@ -32,10 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .dsl.ast import Axis, DrawStmt, ForStmt, LoopMode, Program, Semantics, ShapeKind
+from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
+                      Semantics, ShapeKind)
+from .dsl.tokens import (DRAW_BY_ID, FOR_ROTATION_ID, FOR_TRANSLATION_ID, build_statements,
+                         encode_steps)
 from .errors import ShapeMismatchError
-from .executor import draw_extents, execute_block, execute_program
-from .metrics import BCE_EPS, LossWeights, iou, weighted_bce
+from .executor import draw_extents, execute_block
+from .metrics import BCE_EPS, LossWeights, iou
 
 _WRAP_TIMES = (2, 3, 4, 5)
 # A pattern repeated twice overlaps itself by exactly half its mass when
@@ -263,7 +268,7 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> list:
                 if pos[axis] - int(lo[axis]) < k and len(bodies) < _WRAP_MAX_SLAB_BODIES:
                     bodies.append(key)
 
-    ext = np.minimum(hi - lo + 1, 32)
+    ext = hi - lo + 1
     add(ShapeKind.CUBOID, tuple(int(v) for v in lo),
         (int(ext[1]), int(ext[0]), int(ext[2])))
     # end-to-end lines: exact for any single rendered segment. Two scan
@@ -295,13 +300,13 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> list:
         bucket = None
         if lab not in buckets and len(buckets) < _WRAP_MAX_COMPONENTS:
             bucket = buckets.setdefault(lab, [])
-        add(ShapeKind.CUBOID, p, (min(t, 32), min(r1, 32), min(r2, 32)), bucket)
+        add(ShapeKind.CUBOID, p, (t, r1, r2), bucket)
         rad = min(r1, r2, xm, zm) - 1
         if rad >= 1:
-            add(ShapeKind.CYLINDER, p, (min(t, 32), rad), bucket)
+            add(ShapeKind.CYLINDER, p, (t, rad), bucket)
         rc = min(c_runs) - 1
         if rc >= 1:
-            add(ShapeKind.CYLINDER, c, (min(tc, 32), rc), bucket)
+            add(ShapeKind.CYLINDER, c, (tc, rc), bucket)
         px, py, pz = p
         for (ux, uy, uz), n in zip(line_vecs, line_runs):
             if n >= 4:
@@ -389,6 +394,18 @@ def _score_from_counts(a, b, i0, u0, config: SearchConfig) -> float:
     return (w.w1 * a - w.w0 * b) * float(np.log((1.0 - BCE_EPS) / BCE_EPS))
 
 
+def _round_state(target, current) -> tuple:
+    """(residual, false_free, i0, u0) for adding blocks to ``current``:
+    the target voxels still missing, the empty voxels a block would
+    wrongly fill, and the intersection and union counts so far."""
+    target = np.asarray(target, dtype=bool)
+    current = np.asarray(current, dtype=bool)
+    if target.shape != current.shape:
+        raise ShapeMismatchError(f"grid dims differ: {target.shape} vs {current.shape}")
+    return (target & ~current, ~target & ~current,
+            int(np.count_nonzero(current & target)), int(np.count_nonzero(current | target)))
+
+
 def score_block(b, target, current, config: SearchConfig = SearchConfig()) -> float:
     """Improvement from adding block b to the reconstruction.
 
@@ -396,149 +413,91 @@ def score_block(b, target, current, config: SearchConfig = SearchConfig()) -> fl
     the weighted cross-entropy treating occupancy as a hard {eps, 1-eps}
     prediction. Positive is better under both.
     """
-    target = np.asarray(target, dtype=bool)
-    current = np.asarray(current, dtype=bool)
-    if target.shape != current.shape:
-        raise ShapeMismatchError(f"grid dims differ: {target.shape} vs {current.shape}")
-    union = current | execute_block(b, target.shape)
-    if config.loss is LossKind.IOU_GAIN:
-        return iou(union, target) - iou(current, target)
-    w = config.weights
-
-    def as_pred(g):
-        return np.where(g, 1.0 - BCE_EPS, BCE_EPS)
-
-    return weighted_bce(as_pred(current), target, w) - weighted_bce(as_pred(union), target, w)
+    residual, false_free, i0, u0 = _round_state(target, current)
+    a, bad = _counts(execute_block(b, residual.shape), residual, false_free)
+    return _score_from_counts(a, bad, i0, u0, config)
 
 
 # ------------------------------------------------------------- refinement
 
-def _get_param(block, path):
-    if isinstance(block, ForStmt):
-        head = path[0]
-        if head == "body":
-            return _get_param(block.body[path[1]], path[2:])
-        if head == "times":
-            return block.times
-        if head == "step":
-            return block.step[path[1]]
-        return block.angle
-    head = path[0]
-    if head == "pos":
-        return block.position[path[1]]
-    if head == "geom":
-        return block.geometry[path[1]]
-    return block.geometry[3] if len(block.geometry) == 4 else 0  # ang
-
-
-def _set_param(block, path, value):
-    head = path[0]
-    if isinstance(block, ForStmt):
-        times, step, angle, body = block.times, block.step, block.angle, block.body
-        if head == "body":
-            j = path[1]
-            body = body[:j] + (_set_param(body[j], path[2:], value),) + body[j + 1:]
-        elif head == "times":
-            times = value
-        elif head == "step":
-            step = step[:path[1]] + (value,) + step[path[1] + 1:]
-        else:
-            angle = value
-        return ForStmt(block.mode, times, body, step, angle, block.axis)
-    pos, geom = block.position, block.geometry
-    if head == "pos":
-        pos = pos[:path[1]] + (value,) + pos[path[1] + 1:]
-    elif head == "geom":
-        geom = geom[:path[1]] + (value,) + geom[path[1] + 1:]
-    else:  # ang
-        geom = geom[:3] + (value,)
-    return DrawStmt(block.semantics, block.shape, pos, geom)
-
-
-def _param_paths(block, dims) -> list:
-    """(path, step, low, high) for every adjustable integer parameter."""
+def _slots(rows, dims, limits) -> list:
+    """(row, slot, step, low, high) for every adjustable number in a block's
+    token rows: per loop header its times, then its step or angle; per draw
+    its position, then its geometry, then a Cub's coarse and fine tilt."""
     out = []
-    if isinstance(block, ForStmt):
-        out.append((("times",), 1, 2, 16))
-        if block.mode is LoopMode.TRANSLATION:
-            for i in range(3):
-                out.append((("step", i), 1, -(dims[i] - 1), dims[i] - 1))
-        else:
-            out.append((("angle",), 5, -355, 355))
-        for j, sub in enumerate(block.body):
-            if isinstance(sub, DrawStmt):
-                out.extend((("body", j) + p, d, lo, hi)
-                           for p, d, lo, hi in _param_paths(sub, dims))
-        return out
-    for i in range(3):
-        out.append((("pos", i), 1, 0, dims[i] - 1))
-    if block.shape is ShapeKind.LINE:
-        for i in range(3):
-            out.append((("geom", i), 1, 0, dims[i] - 1))
-    else:
-        for i in range(len(block.geometry[:3])):
-            out.append((("geom", i), 1, 1, 32))
-        if block.shape is ShapeKind.CUBOID:
-            # coarse steps jump plateaus where one degree moves no voxel,
-            # fine steps land on the exact tilt
-            out.append((("ang",), 5, -45, 45))
-            out.append((("ang",), 1, -45, 45))
+    for r, (sid, _) in enumerate(rows):
+        if sid == FOR_TRANSLATION_ID:
+            out.append((r, 0, 1, 2, 16))
+            out.extend((r, 1 + i, 1, 1 - n, n - 1) for i, n in enumerate(dims))
+        elif sid == FOR_ROTATION_ID:
+            out += [(r, 0, 1, 2, 16), (r, 1, 5, -355, 355)]
+        elif sid in DRAW_BY_ID:
+            shape = DRAW_BY_ID[sid][1]
+            out.extend((r, i, 1, 0, n - 1) for i, n in enumerate(dims))
+            if shape is ShapeKind.LINE:
+                out.extend((r, 3 + i, 1, 0, n - 1) for i, n in enumerate(dims))
+                continue
+            lo, hi = GEOMETRY_ARITY[shape]
+            out.extend((r, 3 + i, 1, 1, limits.max_extent) for i in range(lo))
+            if hi > lo:
+                # coarse steps jump plateaus where one degree moves no voxel,
+                # fine steps land on the exact tilt
+                tilt = limits.max_tilt
+                out += [(r, 2 + hi, 5, -tilt, tilt), (r, 2 + hi, 1, -tilt, tilt)]
     return out
 
 
-def _refine(block, score, truth_res, false_free, i0, u0, config, budget, cache) -> tuple:
-    """Coordinate descent; returns (block, score). Never scores worse.
+def _refine(rows, score, truth_res, false_free, i0, u0, config, budget, cache) -> tuple:
+    """Coordinate descent over a block's token rows; returns (rows, score).
+    Never scores worse.
 
-    ``cache`` maps statements to their scores against this residual and
-    these counts; a hit neither executes nor spends budget.
+    ``cache`` maps rows to their scores against this residual and these
+    counts; a hit neither executes nor spends budget.
     """
     dims = truth_res.shape
 
-    def rescore(b):
-        s = cache.get(b)
+    def rescore(nb):
+        s = cache.get(nb)
         if s is None:
             if not budget.spend():
                 return None
-            a, bad = _counts(execute_block(b, dims), truth_res, false_free)
-            s = cache[b] = _score_from_counts(a, bad, i0, u0, config)
+            block = build_statements(nb)[0]
+            a, bad = _counts(execute_block(block, dims), truth_res, false_free)
+            s = cache[nb] = _score_from_counts(a, bad, i0, u0, config)
         return s
 
+    slots = _slots(rows, dims, Limits.for_dims(dims))
     for _ in range(config.refine_rounds):
         improved = False
-        for path, delta, lo, hi in _param_paths(block, dims):
+        for r, slot, delta, lo, hi in slots:
             for direction in (delta, -delta):
                 while True:
-                    v = _get_param(block, path) + direction
+                    sid, args = rows[r]
+                    v = args[slot] + direction
                     if not lo <= v <= hi:
                         break
-                    nb = _set_param(block, path, v)
+                    nb = rows[:r] + ((sid, args[:slot] + (v,) + args[slot + 1:]),) + rows[r + 1:]
                     s = rescore(nb)
                     if s is None:
-                        return block, score
+                        return rows, score
                     if s > score + _SCORE_EPS:
-                        block, score = nb, s
+                        rows, score = nb, s
                         improved = True
                     else:
                         break
         if not improved:
             break
-    return block, score
+    return rows, score
 
 
 def refine_block(b, target, current, config: SearchConfig = SearchConfig()):
     """Polish one block against the target; result never scores worse."""
-    target = np.asarray(target, dtype=bool)
-    current = np.asarray(current, dtype=bool)
-    truth_res = target & ~current
-    false_free = ~target & ~current
-    i0 = int(np.count_nonzero(current & target))
-    u0 = int(np.count_nonzero(current | target))
-    budget = _Budget(config.budget)
-    g = execute_block(b, target.shape)
-    a, bad = _counts(g, truth_res, false_free)
+    residual, false_free, i0, u0 = _round_state(target, current)
+    a, bad = _counts(execute_block(b, residual.shape), residual, false_free)
     s0 = _score_from_counts(a, bad, i0, u0, config)
-    refined, _ = _refine(b, s0, truth_res, false_free, i0, u0, config, budget, {})
-    return refined
+    rows, _ = _refine(tuple(encode_steps((b,))), s0, residual, false_free, i0, u0, config,
+                      _Budget(config.budget), {})
+    return build_statements(rows)[0]
 
 
 def _ranked_beam(candidates, truth_res, false_free, i0, u0, config, budget) -> list:
@@ -576,9 +535,15 @@ def _relabel(block, dims):
 
 
 def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
-    """Greedy block-by-block reconstruction of the target grid."""
+    """Greedy block-by-block reconstruction of the target grid.
+
+    The program validates under ``Limits.for_dims(target.shape)``: it has
+    at most that many top-level statements, and refinement keeps every
+    coordinate and extent inside the grid.
+    """
     target = np.asarray(target, dtype=bool)
     dims = target.shape
+    max_blocks = min(config.max_blocks, Limits.for_dims(dims).max_top_level)
     budget = _Budget(config.budget)
     current = np.zeros(dims, dtype=bool)
     accepted: list = []
@@ -586,30 +551,28 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
     if not target.any():
         return FitResult(Program(()), (), 1.0, 0, False, "residual_empty")
     stop = "max_blocks"
-    while len(accepted) < config.max_blocks:
-        residual = target & ~current
+    while len(accepted) < max_blocks:
+        residual, false_free, i0, u0 = _round_state(target, current)
         if budget.exhausted or not residual.any():
             stop = "budget" if budget.exhausted else "residual_empty"
             break
         candidates = propose_candidates(residual, config)
-        false_free = ~target & ~current
-        i0 = int(np.count_nonzero(current & target))
-        u0 = int(np.count_nonzero(current | target))
         beam = _ranked_beam(candidates, residual, false_free, i0, u0, config, budget)
         if not beam:  # the budget ran out before one candidate was executed
             stop = "budget"
             break
         refined = []
-        cache: dict = {}  # statement -> score, shared by this round's refinements
+        cache: dict = {}  # token rows -> score, shared by this round's refinements
         for s0, idx, cand in beam:
-            rb, rs = _refine(cand, s0, residual, false_free, i0, u0, config, budget, cache)
-            refined.append((rs, idx, rb))
+            rows, rs = _refine(tuple(encode_steps((cand,))), s0, residual, false_free, i0, u0,
+                               config, budget, cache)
+            refined.append((rs, idx, rows))
         refined.sort(key=lambda t: (-t[0], t[1]))
-        best_score, _, best_block = refined[0]
+        best_score, _, best_rows = refined[0]
         if best_score < config.min_gain:
             stop = "min_gain"
             break
-        best_block = _relabel(best_block, dims)
+        best_block = _relabel(build_statements(best_rows)[0], dims)
         current |= execute_block(best_block, dims)
         accepted.append(best_block)
         trace.append((best_block, iou(current, target)))

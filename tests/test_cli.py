@@ -6,8 +6,9 @@ import pytest
 
 import voxscript.cli as cli
 from voxscript.binvox import read_binvox, write_binvox
-from voxscript.dsl import parse_text
-from voxscript.errors import BudgetError
+from voxscript.dsl import (Limits, detokenize, parse_text, parse_token_lines,
+                           validate_program)
+from voxscript.errors import BinvoxError, BudgetError
 from voxscript.executor import execute_program
 
 PROG = "draw(Top, Cub, P=(8,20,8), G=(2,16,16))\n"
@@ -108,16 +109,57 @@ def test_fit_writes_program_tokens_grid_trace(tmp_path, capsys):
     assert all("block" in s and "iou" in s for s in trace["score_trace"])
 
 
-def test_fit_failure_writes_no_output(tmp_path, capsys):
-    # a fit on a 48^3 grid places blocks past coordinate 31, which tokenize rejects
+def test_fit_off_default_grid_writes_decodable_outputs(tmp_path, capsys):
     grid = np.zeros((48, 48, 48), dtype=bool)
     grid[36:44, 36:44, 36:44] = True
     target = tmp_path / "t.binvox"
     target.write_bytes(write_binvox(grid))
-    assert cli.main(["--json-errors", "--dims", "48,48,48", "fit", str(target),
-                     "-o", str(tmp_path / "o2.sp")]) == 1
+    out = tmp_path / "o.sp"
+    assert cli.main(["fit", str(target), "-o", str(out)]) == 0
+    assert "final_iou=1.0000" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "o.binvox", "o.json", "o.sp", "o.tok", "t.binvox"]
+    program = parse_text(out.read_text(), validate=False)
+    assert validate_program(program, Limits.for_dims(grid.shape)).ok
+    assert detokenize(parse_token_lines((tmp_path / "o.tok").read_text())) == program
+    recon, _, _ = read_binvox((tmp_path / "o.binvox").read_bytes())
+    assert (recon == grid).all()
+
+
+def test_fit_failure_writes_no_output(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "t.binvox"
+    target.write_bytes(write_binvox(execute_program(parse_text(PROG))))
+
+    def failing(*a, **k):
+        raise BinvoxError("cannot encode the reconstruction")
+
+    # the .binvox output is built after the .sp text and the .tok rows
+    monkeypatch.setattr(cli, "write_binvox", failing)
+    assert cli.main(["--json-errors", "fit", str(target), "-o", str(tmp_path / "o2.sp")]) == 1
     payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "InvalidProgramError"
+    assert payload["error"] == "BinvoxError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.binvox"]
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "t.binvox", "-o", "o.sp", "--max-blocks", "0"],
+    ["fit", "t.binvox", "-o", "o.sp", "--beam", "0"],
+    ["fit", "t.binvox", "-o", "o.sp", "--beam", "-3"],
+    ["fit", "t.binvox", "-o", "o.sp", "--min-gain", "0"],
+    ["fit", "t.binvox", "-o", "o.sp", "--min-gain", "-0.5"],
+    ["fit", "t.binvox", "-o", "o.sp", "--min-gain", "nan"],
+    ["sample", "-o", "d", "--tables", "-2"],
+    ["sample", "-o", "d", "--chairs", "-1"],
+])
+def test_out_of_range_numeric_flags_are_usage_errors(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.binvox").write_bytes(write_binvox(execute_program(parse_text(PROG))))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--json-errors"] + args)
+    assert exc.value.code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "UsageError"
+    assert args[-2] in payload["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.binvox"]
 
 

@@ -127,6 +127,11 @@ def test_limits_defaults():
                                     max_extent=32, max_tilt=45.0)
 
 
+def test_limits_for_dims():
+    assert Limits.for_dims((32, 32, 32)) == DEFAULT_LIMITS
+    assert Limits.for_dims((16, 64, 16)) == Limits(max_coord=63, max_extent=64)
+
+
 def test_custom_limits():
     p = Program(tuple(leg() for _ in range(5)))
     assert validate_program(p, Limits(max_top_level=4)).violations

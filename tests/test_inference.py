@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxscript.dsl import (Axis, DrawStmt, ForStmt, LoopMode, Program, Semantics,
+from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, LoopMode, Program, Semantics,
                            ShapeKind, validate_program)
 from voxscript.errors import ShapeMismatchError
 from voxscript.executor import execute_block, execute_program
 from voxscript.dsl.text import print_text
+from voxscript.dsl.tokens import encode_steps
 from voxscript.inference import (_SEED_DIRS, FitResult, LossKind, SearchConfig, _Budget,
                                  _counts, _cover_bounds, _lattice_seeds, _make_block,
                                  _ranked_beam, _refine, _runs, _score_from_counts, fit_program,
                                  propose_candidates, refine_block, score_block)
 from voxscript.metrics import iou
 from voxscript.templates import builtin_templates, sample
+
+from randprog import random_program
 
 
 def cuboid(pos=(8, 4, 8), geom=(5, 6, 7)):
@@ -269,11 +272,12 @@ def test_refine_shared_round_cache_matches_uncached():
                             config, _Budget(config.budget))
         shared = {}
         for s0, _, block in beam:
+            rows = tuple(encode_steps((block,)))
             results = {}
             for kind in calls:
                 budget = _Budget(config.budget)
                 cache = shared if kind == "shared" else {} if kind == "fresh" else NoCache()
-                results[kind] = _refine(block, s0, residual, false_free, i0, u0, config,
+                results[kind] = _refine(rows, s0, residual, false_free, i0, u0, config,
                                         budget, cache)
                 calls[kind] += budget.calls
             assert results["shared"] == results["fresh"] == results["none"], tid
@@ -374,6 +378,25 @@ def test_refine_loop_parameters():
     assert (render(refined) == target).all()
 
 
+def skeleton(s):
+    """What refinement must keep: statement kinds, labels, loop modes and axes."""
+    if isinstance(s, DrawStmt):
+        return (s.semantics, s.shape)
+    return (s.mode, s.axis, tuple(skeleton(b) for b in s.body))
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_refine_random_statements_never_worse_and_keep_structure(seed):
+    program = random_program(seed)
+    target = execute_program(program)
+    empty = np.zeros_like(target)
+    for s in program.statements:
+        refined = refine_block(s, target, empty)
+        assert skeleton(refined) == skeleton(s)
+        assert score_block(refined, target, empty) >= score_block(s, target, empty)
+
+
 def test_fit_empty_target():
     r = fit_program(np.zeros((32, 32, 32), dtype=bool))
     assert r.program == Program(())
@@ -444,6 +467,31 @@ def test_fit_emits_valid_program():
                             tuple(int(v) for v in rng.integers(2, 10, 3))))
         r = fit_program(g)
         assert not validate_program(r.program).violations
+
+
+@pytest.mark.parametrize("dims, lo, hi", [
+    ((48, 48, 48), (36, 36, 36), (44, 44, 44)),  # a cube past coordinate 31
+    ((48, 48, 48), (4, 0, 4), (44, 3, 44)),  # a 40x3x40 slab
+    ((16, 64, 16), (7, 0, 7), (9, 60, 9)),  # a 60-tall post
+])
+def test_fit_off_default_grid_is_one_valid_box(dims, lo, hi):
+    target = np.zeros(dims, dtype=bool)
+    target[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
+    r = fit_program(target)
+    assert r.final_iou == 1.0
+    (block,) = r.program.statements
+    assert isinstance(block, DrawStmt)
+    assert validate_program(r.program, Limits.for_dims(dims)).ok
+
+
+def test_fit_stops_at_top_level_limit():
+    # 45 scattered voxels want about one block each; a program holds at most 32
+    target = np.zeros((32, 32, 32), dtype=bool)
+    target[tuple(np.random.default_rng(0).integers(0, 32, (3, 45)))] = True
+    r = fit_program(target, SearchConfig(max_blocks=45, min_gain=1e-6))
+    assert len(r.program.statements) == Limits().max_top_level
+    assert r.stop_reason == "max_blocks"
+    assert validate_program(r.program).ok
 
 
 def test_fit_respects_budget():

@@ -2,12 +2,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from voxscript.dsl import (Axis, DrawStmt, ForStmt, N_ARG_SLOTS, Program, Semantics,
+from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, N_ARG_SLOTS, Program, Semantics,
                            ShapeKind, TokenProgram, TokenStep, VOCAB_SIZE, detokenize,
                            draw_token_id, format_token_lines, parse_token_lines,
                            token_program_from_json, token_program_to_json, tokenize,
                            vocabulary)
+from voxscript.dsl.tokens import build_statements, encode_steps
 from voxscript.errors import TokenError
 
 from randprog import random_program
@@ -176,3 +178,15 @@ def test_tokenize_rejects_invalid_program():
     bad = Program((DrawStmt(Semantics.LEG, ShapeKind.CYLINDER, (99, 0, 0), (18, 2)),))
     with pytest.raises(InvalidProgramError):
         tokenize(bad)
+
+
+def test_tokenize_under_grid_limits():
+    p = Program((DrawStmt(Semantics.LEG, ShapeKind.CYLINDER, (99, 0, 0), (18, 2)),))
+    assert detokenize(tokenize(p, Limits.for_dims((100, 8, 8)))) == p
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_build_statements_inverts_encode_steps(seed):
+    for s in random_program(seed).statements:
+        assert build_statements(encode_steps((s,))) == (s,)
