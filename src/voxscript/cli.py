@@ -74,7 +74,8 @@ def _build_parser() -> _Parser:
     top.add_argument("--json-errors", action="store_true",
                      help="report failures as JSON on stderr")
     top.add_argument("--dims", type=_dims, default=DEFAULT_DIMS, metavar="X,Y,Z",
-                     help="voxel grid dimensions (default 32,32,32)")
+                     help="voxel grid dimensions, which also bound program values"
+                          " (default 32,32,32)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="validate a program and echo canonical text")
@@ -118,8 +119,9 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _read_program(path: Path) -> Program:
-    return parse_text(path.read_text())
+def _read_program(args) -> Program:
+    """The program in ``args.file``, validated for a grid of ``args.dims``."""
+    return parse_text(args.file.read_text(), limits=Limits.for_dims(args.dims))
 
 
 def _emit(text: str, out) -> None:
@@ -130,12 +132,12 @@ def _emit(text: str, out) -> None:
 
 
 def _cmd_parse(args) -> int:
-    sys.stdout.write(print_text(_read_program(args.file)))
+    sys.stdout.write(print_text(_read_program(args)))
     return 0
 
 
 def _cmd_exec(args) -> int:
-    grid = execute_program(_read_program(args.file), args.dims)
+    grid = execute_program(_read_program(args), args.dims)
     args.out.write_bytes(write_binvox(grid))
     if args.obj is not None:
         args.obj.write_text(export_obj(grid))
@@ -143,7 +145,7 @@ def _cmd_exec(args) -> int:
 
 
 def _cmd_tokenize(args) -> int:
-    t = tokenize(_read_program(args.file))
+    t = tokenize(_read_program(args), Limits.for_dims(args.dims))
     if args.json:
         _emit(json.dumps(token_program_to_json(t), indent=2, sort_keys=True) + "\n", args.out)
     else:

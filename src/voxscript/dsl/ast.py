@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from typing import Union
 
 
+# The enums below hash by identity: their members are singletons, and the
+# search hashes tuples holding them often enough that the Python-level
+# ``Enum.__hash__`` (a hash of the member's name) shows in fit time.
 class Semantics(enum.Enum):
     """Part label attached to a drawn primitive.
 
@@ -33,6 +36,8 @@ class Semantics(enum.Enum):
     BACKSUP = "BackSup"
     BEAM = "Beam"
 
+    __hash__ = object.__hash__
+
 
 class ShapeKind(enum.Enum):
     CUBOID = "Cub"
@@ -42,16 +47,22 @@ class ShapeKind(enum.Enum):
     RECTANGLE = "Rect"
     LINE = "Line"
 
+    __hash__ = object.__hash__
+
 
 class LoopMode(enum.Enum):
     TRANSLATION = "Trans"
     ROTATION = "Rot"
+
+    __hash__ = object.__hash__
 
 
 class Axis(enum.Enum):
     X = "X"
     Y = "Y"
     Z = "Z"
+
+    __hash__ = object.__hash__
 
 
 # (min arity, max arity) of the geometry tuple per shape kind.

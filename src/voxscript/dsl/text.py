@@ -18,9 +18,11 @@ from typing import NamedTuple
 from ..errors import DslSemanticError, DslSyntaxError
 from .ast import (
     Axis,
+    DEFAULT_LIMITS,
     DrawStmt,
     ForStmt,
     GEOMETRY_ARITY,
+    Limits,
     MAX_NESTING,
     Program,
     Semantics,
@@ -222,12 +224,13 @@ class _Parser:
         return tuple(body)
 
 
-def parse_text(src: str, *, validate: bool = True) -> Program:
-    """Parse source text; optionally reject programs that break value rules."""
+def parse_text(src: str, *, validate: bool = True, limits: Limits = DEFAULT_LIMITS) -> Program:
+    """Parse source text; optionally reject programs that break the value
+    rules of ``limits``."""
     p = _Parser(_lex(src))
     program = Program(tuple(p.program(top=True)))
     if validate:
-        report = validate_program(program)
+        report = validate_program(program, limits)
         if not report.ok:
             v = report.violations[0]
             raise DslSemanticError(v.path, v.message)

@@ -6,6 +6,7 @@ the grid bounds and composes by union, so statement order never matters.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,6 +26,9 @@ from .errors import BudgetError
 DEFAULT_DIMS = (32, 32, 32)
 # Largest grid built from outside input (binvox dims, --dims): 16 MiB of bools.
 MAX_GRID_VOXELS = 2 ** 24
+# Discs up to this radius are cut from a cached stencil; a larger one, which
+# only an unvalidated program draws, is computed over its clipped window.
+_STENCIL_MAX_RADIUS = 64
 
 
 def empty_grid(dims=DEFAULT_DIMS) -> np.ndarray:
@@ -49,6 +53,15 @@ def _fill_box(grid, x0, x1, y0, y1, z0, z1):
         grid[x0:x1, y0:y1, z0:z1] = True
 
 
+@functools.lru_cache(maxsize=None)
+def _disc_stencil(r) -> np.ndarray:
+    """The read-only (2r+1, 1, 2r+1) mask of the disc of radius r."""
+    d = np.arange(-r, r + 1)
+    mask = (d[:, None] ** 2 + d[None, :] ** 2 <= r * r)[:, None, :]
+    mask.flags.writeable = False
+    return mask
+
+
 def _fill_disk_column(grid, px, py, pz, t, r):
     dx, dy, dz = grid.shape
     y0, y1 = max(py, 0), min(py + t, dy)
@@ -58,10 +71,13 @@ def _fill_disk_column(grid, px, py, pz, t, r):
     z0, z1 = max(pz - r, 0), min(pz + r + 1, dz)
     if x0 >= x1 or z0 >= z1:
         return
-    xs = np.arange(x0, x1)
-    zs = np.arange(z0, z1)
-    mask = (xs[:, None] - px) ** 2 + (zs[None, :] - pz) ** 2 <= r * r
-    grid[x0:x1, y0:y1, z0:z1] |= mask[:, None, :]
+    if r <= _STENCIL_MAX_RADIUS:
+        mask = _disc_stencil(r)[x0 - px + r:x1 - px + r, :, z0 - pz + r:z1 - pz + r]
+    else:
+        xs = np.arange(x0, x1)
+        zs = np.arange(z0, z1)
+        mask = ((xs[:, None] - px) ** 2 + (zs[None, :] - pz) ** 2 <= r * r)[:, None, :]
+    grid[x0:x1, y0:y1, z0:z1] |= mask
 
 
 def _line_points(p0, p1, dims):

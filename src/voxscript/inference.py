@@ -4,32 +4,40 @@ One block is accepted per round: candidates are seeded from the residual
 (target voxels not yet reconstructed), the best few are polished by
 integer coordinate descent, and the single best survivor is kept if it
 clears a minimum gain. A candidate is scored from two voxel counts alone:
-the residual voxels it covers and the empty voxels it fills, each counted
-against the candidate's own grid; nothing is updated incrementally.
+the residual voxels it covers and the empty voxels it fills; nothing is
+updated incrementally.
 
-Ranking is branch and bound. A summed-volume table of the residual gives
-every candidate an upper bound on the residual voxels it can cover, so
-candidates run in descending bound order and ranking stops once no
+Ranking is branch and bound. Each round builds one summed-volume table
+of the residual and the empty voxels, so a box sum reads both counts. It
+gives every candidate an upper bound on the residual voxels it can cover;
+candidates run in descending bound order, and ranking stops once no
 remaining bound can reach the beam. The bound only decides which
-candidates are executed; every score still comes from the executor, and
-while the budget lasts the beam is exactly the one that executing every
-candidate would give.
+candidates are scored, and while the budget lasts the beam is exactly the
+one that scoring every candidate would give.
+
+A candidate whose voxels are boxes is counted from the table, not
+executed: an untilted ``Cub`` or ``Rect``, a ``Sqr``, or a translation
+loop over one of them. Copies i < j < k of a convex body meet only inside
+copy j, so such a loop covers each copy's count minus each consecutive
+pair's overlap, exactly, for any step. Every other candidate is executed
+and its grid counted.
 
 Statements are built only where the executor needs them. Candidates are
 plain tuples, ``(shape, position, geometry)`` for a draw and ``(mode,
 times, step or angle, body)`` for a loop, and become labelled statements
-only when ranking spends budget to execute them. Refinement is
+only when they are executed or survive ranking. Refinement is
 coordinate descent over a block's token rows (the ``dsl.tokens`` layout):
 a neighbour is the rows with one slot moved, each slot bounded by the
 grid dims and ``Limits.for_dims``. Neighbours are scored through one cache
 per round, keyed by the rows: the residual and counts are fixed within a
-round, so a neighbour that two beam entries reach is executed once.
+round, so a neighbour that two beam entries reach is scored once.
 """
 from __future__ import annotations
 
 import bisect
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -85,7 +93,8 @@ class FitResult:
     program: Program
     score_trace: tuple  # (accepted block, iou after accepting it)
     final_iou: float
-    # real executions; candidates the bound skipped and round-cache hits are not counted
+    # candidates scored, executed or counted from the round's table; bound-skipped
+    # candidates and cache hits are not counted
     executor_calls: int
     budget_exhausted: bool
     # why the search stopped: "max_blocks", "min_gain", "budget" or "residual_empty"
@@ -346,21 +355,146 @@ def _counts(block_grid, truth_res, false_free):
     return a, b
 
 
-def _cover_bounds(candidates, residual) -> np.ndarray:
+# A summed-volume table entry packs two counts: residual voxels in the low
+# 32 bits and empty voxels above them. Box sums add and subtract whole
+# entries, so one sum carries both counts while grids hold under 2^31 voxels.
+_LOW_BITS = (1 << 32) - 1
+
+
+class _Round(NamedTuple):
+    """What a round scores against: the target voxels still missing, the
+    empty voxels a block would wrongly fill, the intersection and union
+    counts so far, and the summed-volume table of the first two (``table``,
+    with ``sums`` a memoryview of it for scalar lookups)."""
+    residual: np.ndarray
+    false_free: np.ndarray
+    i0: int
+    u0: int
+    table: np.ndarray
+    sums: memoryview
+
+
+def _round_grids(target, current) -> tuple:
+    """(residual, false_free, i0, u0) for adding blocks to ``current``."""
+    target = np.asarray(target, dtype=bool)
+    current = np.asarray(current, dtype=bool)
+    if target.shape != current.shape:
+        raise ShapeMismatchError(f"grid dims differ: {target.shape} vs {current.shape}")
+    return (target & ~current, ~target & ~current,
+            int(np.count_nonzero(current & target)), int(np.count_nonzero(current | target)))
+
+
+def _round_state(target, current) -> _Round:
+    """The round state, summed-volume table included, for adding blocks to
+    ``current``."""
+    residual, false_free, i0, u0 = _round_grids(target, current)
+    table = np.zeros(tuple(n + 1 for n in residual.shape), dtype=np.int64)
+    table[1:, 1:, 1:] = false_free
+    table <<= 32
+    table[1:, 1:, 1:] += residual
+    for axis in range(3):
+        np.cumsum(table, axis, out=table)
+    return _Round(residual, false_free, i0, u0, table, memoryview(table))
+
+
+def _box_sum(sums, dims, x0, y0, z0, x1, y1, z1) -> int:
+    """The packed counts of the box [x0, x1) x [y0, y1) x [z0, z1), clipped
+    to the grid of ``dims``."""
+    dx, dy, dz = dims
+    if x0 < 0:
+        x0 = 0
+    if y0 < 0:
+        y0 = 0
+    if z0 < 0:
+        z0 = 0
+    if x1 > dx:
+        x1 = dx
+    if y1 > dy:
+        y1 = dy
+    if z1 > dz:
+        z1 = dz
+    if x0 >= x1 or y0 >= y1 or z0 >= z1:
+        return 0
+    return (sums[x1, y1, z1] - sums[x0, y1, z1] - sums[x1, y0, z1] - sums[x1, y1, z0]
+            + sums[x0, y0, z1] + sums[x0, y1, z0] + sums[x1, y0, z0] - sums[x0, y0, z0])
+
+
+def _box(shape, pos, geom):
+    """(x0, y0, z0, x1, y1, z1) of the voxels a draw sets when they form a
+    box (an untilted Cub or Rect, or a Sqr), else None."""
+    x, y, z = pos
+    if shape is ShapeKind.CUBOID or shape is ShapeKind.RECTANGLE:
+        if len(geom) > 3 and geom[3] != 0:
+            return None
+        t, r1, r2 = geom[:3]
+        return x, y, z, x + r1, y + t, z + r2
+    if shape is ShapeKind.SQUARE:
+        t, r = geom[:2]
+        return x - r, y, z - r, x + r + 1, y + t, z + r + 1
+    return None
+
+
+def _candidate_chain(cand):
+    """(box, times, step) of a candidate tuple the table can count, else None."""
+    if len(cand) == 3:
+        box = _box(*cand)
+        return None if box is None else (box, 1, (0, 0, 0))
+    mode, times, step, body = cand
+    if mode is LoopMode.TRANSLATION and len(body) == 1 and len(body[0]) == 3:
+        box = _box(*body[0])
+        return None if box is None else (box, times, step)
+    return None
+
+
+def _rows_chain(rows):
+    """(box, times, step) of a block's token rows the table can count, else None."""
+    if len(rows) == 1:
+        (sid, args), = rows
+        times, step = 1, (0, 0, 0)
+    elif len(rows) == 3 and rows[0][0] == FOR_TRANSLATION_ID:
+        times, *step = rows[0][1][:4]
+        sid, args = rows[1]
+    else:
+        return None
+    draw = DRAW_BY_ID.get(sid)
+    box = None if draw is None else _box(draw[1], args[:3], args[3:])
+    return None if box is None else (box, times, step)
+
+
+def _chain_counts(rnd: _Round, box, times, step) -> tuple:
+    """(a, b) of ``times`` copies of ``box``, copy k moved by k * step.
+
+    A voxel lies in a run of consecutive copies, since copies i < j < k of
+    a box meet only inside copy j. Summing every copy and subtracting every
+    consecutive pair's overlap therefore counts each covered voxel once.
+    """
+    sums, dims = rnd.sums, rnd.residual.shape
+    x0, y0, z0, x1, y1, z1 = box
+    ux, uy, uz = step
+    # copies k and k + 1 overlap in copy k cut short by the step on each axis
+    ox0, oy0, oz0 = x0 + max(ux, 0), y0 + max(uy, 0), z0 + max(uz, 0)
+    ox1, oy1, oz1 = x1 + min(ux, 0), y1 + min(uy, 0), z1 + min(uz, 0)
+    total = 0
+    for k in range(times):
+        dx, dy, dz = k * ux, k * uy, k * uz
+        total += _box_sum(sums, dims, x0 + dx, y0 + dy, z0 + dz, x1 + dx, y1 + dy, z1 + dz)
+        if k + 1 < times:
+            total -= _box_sum(sums, dims, ox0 + dx, oy0 + dy, oz0 + dz,
+                              ox1 + dx, oy1 + dy, oz1 + dz)
+    return total & _LOW_BITS, total >> 32
+
+
+def _cover_bounds(candidates, table) -> np.ndarray:
     """Per candidate tuple, an upper bound on the residual voxels it covers.
 
     A draw covers at most min(its voxel bound, the residual inside its
     clipped box), a translation loop over draws at most the sum of that
     over its copies, and any other loop at most the whole residual. Box
-    sums come from one summed-volume table of the residual, and every
-    draw's box from one ``draw_extents`` pass.
+    sums come from the round's summed-volume table, and every draw's box
+    from one ``draw_extents`` pass.
     """
-    dims = np.array(residual.shape)
-    table = np.zeros(tuple(dims + 1), dtype=np.int64)
-    table[1:, 1:, 1:] = residual
-    for axis in range(3):
-        np.cumsum(table, axis, out=table)
-    bounds = np.full(len(candidates), np.count_nonzero(residual), dtype=np.int64)
+    dims = np.array(table.shape) - 1
+    bounds = np.full(len(candidates), table[-1, -1, -1] & _LOW_BITS, dtype=np.int64)
     rows = []  # (candidate, draw, copies, step)
     for i, c in enumerate(candidates):
         if len(c) == 3:
@@ -381,7 +515,8 @@ def _cover_bounds(candidates, residual) -> np.ndarray:
     inside = (table[x1, y1, z1] - table[x0, y1, z1] - table[x1, y0, z1] - table[x1, y1, z0]
               + table[x0, y0, z1] + table[x0, y1, z0] + table[x1, y0, z0] - table[x0, y0, z0])
     owner = np.repeat(owner, times)
-    bounds[owner] = np.bincount(owner, np.minimum(np.repeat(volume, times), inside))[owner]
+    bounds[owner] = np.bincount(owner, np.minimum(np.repeat(volume, times),
+                                                  inside & _LOW_BITS))[owner]
     return bounds
 
 
@@ -394,18 +529,6 @@ def _score_from_counts(a, b, i0, u0, config: SearchConfig) -> float:
     return (w.w1 * a - w.w0 * b) * float(np.log((1.0 - BCE_EPS) / BCE_EPS))
 
 
-def _round_state(target, current) -> tuple:
-    """(residual, false_free, i0, u0) for adding blocks to ``current``:
-    the target voxels still missing, the empty voxels a block would
-    wrongly fill, and the intersection and union counts so far."""
-    target = np.asarray(target, dtype=bool)
-    current = np.asarray(current, dtype=bool)
-    if target.shape != current.shape:
-        raise ShapeMismatchError(f"grid dims differ: {target.shape} vs {current.shape}")
-    return (target & ~current, ~target & ~current,
-            int(np.count_nonzero(current & target)), int(np.count_nonzero(current | target)))
-
-
 def score_block(b, target, current, config: SearchConfig = SearchConfig()) -> float:
     """Improvement from adding block b to the reconstruction.
 
@@ -413,7 +536,7 @@ def score_block(b, target, current, config: SearchConfig = SearchConfig()) -> fl
     the weighted cross-entropy treating occupancy as a hard {eps, 1-eps}
     prediction. Positive is better under both.
     """
-    residual, false_free, i0, u0 = _round_state(target, current)
+    residual, false_free, i0, u0 = _round_grids(target, current)
     a, bad = _counts(execute_block(b, residual.shape), residual, false_free)
     return _score_from_counts(a, bad, i0, u0, config)
 
@@ -447,23 +570,27 @@ def _slots(rows, dims, limits) -> list:
     return out
 
 
-def _refine(rows, score, truth_res, false_free, i0, u0, config, budget, cache) -> tuple:
+def _refine(rows, score, rnd: _Round, config, budget, cache) -> tuple:
     """Coordinate descent over a block's token rows; returns (rows, score).
     Never scores worse.
 
-    ``cache`` maps rows to their scores against this residual and these
-    counts; a hit neither executes nor spends budget.
+    ``cache`` maps rows to their scores in this round; a hit neither
+    scores nor spends budget.
     """
-    dims = truth_res.shape
+    dims = rnd.residual.shape
 
     def rescore(nb):
         s = cache.get(nb)
         if s is None:
             if not budget.spend():
                 return None
-            block = build_statements(nb)[0]
-            a, bad = _counts(execute_block(block, dims), truth_res, false_free)
-            s = cache[nb] = _score_from_counts(a, bad, i0, u0, config)
+            chain = _rows_chain(nb)
+            if chain is None:
+                block = build_statements(nb)[0]
+                a, bad = _counts(execute_block(block, dims), rnd.residual, rnd.false_free)
+            else:
+                a, bad = _chain_counts(rnd, *chain)
+            s = cache[nb] = _score_from_counts(a, bad, rnd.i0, rnd.u0, config)
         return s
 
     slots = _slots(rows, dims, Limits.for_dims(dims))
@@ -492,38 +619,43 @@ def _refine(rows, score, truth_res, false_free, i0, u0, config, budget, cache) -
 
 def refine_block(b, target, current, config: SearchConfig = SearchConfig()):
     """Polish one block against the target; result never scores worse."""
-    residual, false_free, i0, u0 = _round_state(target, current)
-    a, bad = _counts(execute_block(b, residual.shape), residual, false_free)
-    s0 = _score_from_counts(a, bad, i0, u0, config)
-    rows, _ = _refine(tuple(encode_steps((b,))), s0, residual, false_free, i0, u0, config,
-                      _Budget(config.budget), {})
+    rnd = _round_state(target, current)
+    a, bad = _counts(execute_block(b, rnd.residual.shape), rnd.residual, rnd.false_free)
+    s0 = _score_from_counts(a, bad, rnd.i0, rnd.u0, config)
+    rows, _ = _refine(tuple(encode_steps((b,))), s0, rnd, config, _Budget(config.budget), {})
     return build_statements(rows)[0]
 
 
-def _ranked_beam(candidates, truth_res, false_free, i0, u0, config, budget) -> list:
+def _ranked_beam(candidates, rnd: _Round, config, budget) -> list:
     """The best ``beam_width`` candidate tuples as (score, index, labelled
-    block), ordered by (-score, index), executing as few as that allows.
+    block), ordered by (-score, index), scoring as few as that allows.
 
     Candidates are visited by descending cover bound. A score can never
     exceed the score of its bound (both losses rise with covered voxels
     and fall with false ones), so the visit stops at the first bound whose
     score is strictly below the beam's last score. A tie is still
-    executed, since the index breaks it.
+    scored, since the index breaks it.
     """
-    dims = truth_res.shape
-    bounds = _cover_bounds(candidates, truth_res).tolist()
-    beam: list = []  # (-score, index, block)
+    dims = rnd.residual.shape
+    i0, u0 = rnd.i0, rnd.u0
+    bounds = _cover_bounds(candidates, rnd.table).tolist()
+    beam: list = []  # (-score, index)
     for idx in sorted(range(len(candidates)), key=lambda i: (-bounds[i], i)):
         if (len(beam) == config.beam_width
                 and _score_from_counts(bounds[idx], 0, i0, u0, config) < -beam[-1][0]):
             break
         if not budget.spend():
             break
-        block = _make_block(candidates[idx], dims)
-        a, b = _counts(execute_block(block, dims), truth_res, false_free)
-        bisect.insort(beam, (-_score_from_counts(a, b, i0, u0, config), idx, block))
+        cand = candidates[idx]
+        chain = _candidate_chain(cand)
+        if chain is None:
+            a, b = _counts(execute_block(_make_block(cand, dims), dims), rnd.residual,
+                           rnd.false_free)
+        else:
+            a, b = _chain_counts(rnd, *chain)
+        bisect.insort(beam, (-_score_from_counts(a, b, i0, u0, config), idx))
         del beam[config.beam_width:]
-    return [(-neg, idx, block) for neg, idx, block in beam]
+    return [(-neg, idx, _make_block(candidates[idx], dims)) for neg, idx in beam]
 
 
 def _relabel(block, dims):
@@ -552,20 +684,19 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
         return FitResult(Program(()), (), 1.0, 0, False, "residual_empty")
     stop = "max_blocks"
     while len(accepted) < max_blocks:
-        residual, false_free, i0, u0 = _round_state(target, current)
-        if budget.exhausted or not residual.any():
+        rnd = _round_state(target, current)
+        if budget.exhausted or not rnd.residual.any():
             stop = "budget" if budget.exhausted else "residual_empty"
             break
-        candidates = propose_candidates(residual, config)
-        beam = _ranked_beam(candidates, residual, false_free, i0, u0, config, budget)
-        if not beam:  # the budget ran out before one candidate was executed
+        candidates = propose_candidates(rnd.residual, config)
+        beam = _ranked_beam(candidates, rnd, config, budget)
+        if not beam:  # the budget ran out before one candidate was scored
             stop = "budget"
             break
         refined = []
         cache: dict = {}  # token rows -> score, shared by this round's refinements
         for s0, idx, cand in beam:
-            rows, rs = _refine(tuple(encode_steps((cand,))), s0, residual, false_free, i0, u0,
-                               config, budget, cache)
+            rows, rs = _refine(tuple(encode_steps((cand,))), s0, rnd, config, budget, cache)
             refined.append((rs, idx, rows))
         refined.sort(key=lambda t: (-t[0], t[1]))
         best_score, _, best_rows = refined[0]

@@ -119,11 +119,34 @@ def test_fit_off_default_grid_writes_decodable_outputs(tmp_path, capsys):
     assert "final_iou=1.0000" in capsys.readouterr().out
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "o.binvox", "o.json", "o.sp", "o.tok", "t.binvox"]
-    program = parse_text(out.read_text(), validate=False)
+    program = parse_text(out.read_text(), limits=Limits.for_dims(grid.shape))
     assert validate_program(program, Limits.for_dims(grid.shape)).ok
     assert detokenize(parse_token_lines((tmp_path / "o.tok").read_text())) == program
     recon, _, _ = read_binvox((tmp_path / "o.binvox").read_bytes())
     assert (recon == grid).all()
+
+
+def test_program_commands_validate_for_dims(tmp_path, capsys):
+    """parse, exec and tokenize accept a program fitted off the default grid
+    when given its dims, and reject it without them."""
+    grid = np.zeros((48, 48, 48), dtype=bool)
+    grid[36:44, 36:44, 36:44] = True
+    target = tmp_path / "t.binvox"
+    target.write_bytes(write_binvox(grid))
+    sp = tmp_path / "o.sp"
+    assert cli.main(["fit", str(target), "-o", str(sp)]) == 0
+    capsys.readouterr()
+    dims = ["--dims", "48,48,48"]
+    assert cli.main(dims + ["parse", str(sp)]) == 0
+    assert capsys.readouterr().out == sp.read_text()
+    assert cli.main(dims + ["exec", str(sp), "-o", str(tmp_path / "r.binvox")]) == 0
+    recon, _, _ = read_binvox((tmp_path / "r.binvox").read_bytes())
+    assert (recon == grid).all()
+    assert cli.main(dims + ["tokenize", str(sp), "-o", str(tmp_path / "r.tok")]) == 0
+    assert (tmp_path / "r.tok").read_text() == (tmp_path / "o.tok").read_text()
+    for command in (["parse"], ["tokenize"], ["exec", "-o", str(tmp_path / "d.binvox")]):
+        assert cli.main(command[:1] + [str(sp)] + command[1:]) == 1
+    assert "outside [0, 31]" in capsys.readouterr().err
 
 
 def test_fit_failure_writes_no_output(tmp_path, capsys, monkeypatch):

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, Program, Semantics,
                            ShapeKind)
 from voxscript.errors import BudgetError
-from voxscript.executor import (DEFAULT_DIMS, _rotate_point, draw_extents, empty_grid,
-                                execute_block, execute_program, render_draw, unroll_for)
+from voxscript.executor import (_STENCIL_MAX_RADIUS, DEFAULT_DIMS, _fill_disk_column,
+                                _rotate_point, draw_extents, empty_grid, execute_block,
+                                execute_program, render_draw, unroll_for)
 
 from randprog import random_program
 
@@ -162,6 +163,42 @@ def test_tall_tilted_cuboid_renders_in_bounded_time():
         x = px + int(np.rint((tall + y) * slope))
         expect[max(x, 0):x + 3, y, 4:9] = True
     assert expect.any() and (below == expect).all()
+
+
+def disk_column_formula(grid, px, py, pz, t, r):
+    """The disc column computed over its clipped window, with no stencil."""
+    dx, dy, dz = grid.shape
+    y0, y1 = max(py, 0), min(py + t, dy)
+    x0, x1 = max(px - r, 0), min(px + r + 1, dx)
+    z0, z1 = max(pz - r, 0), min(pz + r + 1, dz)
+    if y0 >= y1 or x0 >= x1 or z0 >= z1:
+        return
+    xs = np.arange(x0, x1)
+    zs = np.arange(z0, z1)
+    mask = (xs[:, None] - px) ** 2 + (zs[None, :] - pz) ** 2 <= r * r
+    grid[x0:x1, y0:y1, z0:z1] |= mask[:, None, :]
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 32), (16, 64, 16)])
+def test_disk_column_stencils_match_formula(dims):
+    """Every center from fully outside one side to fully outside the other,
+    per radius, with the column clipped in y at both ends; then columns
+    above the grid, and a radius past the cached stencils."""
+    dx, dy, dz = dims
+    cases = [(r, px, -2, pz, dy + 4) for r in range(17)
+             for px in range(-r - 2, dx + r + 2) for pz in range(-r - 2, dz + r + 2)]
+    cases += [(r, dx // 2, dy, dz // 2, 3) for r in range(17)]
+    r = _STENCIL_MAX_RADIUS + 1
+    cases += [(r, px, 0, pz, 5) for px in (-r - 1, -r + 3, dx // 2, dx + r - 3, dx + r)
+              for pz in (-r - 1, -r + 3, dz // 2, dz + r - 3, dz + r)]
+    filled = 0
+    for r, px, py, pz, t in cases:
+        got, want = empty_grid(dims), empty_grid(dims)
+        _fill_disk_column(got, px, py, pz, t, r)
+        disk_column_formula(want, px, py, pz, t, r)
+        assert (got == want).all(), (r, px, py, pz)
+        filled += bool(want.any())
+    assert filled > 1000
 
 
 def test_clipping_fully_outside_is_empty():

@@ -12,9 +12,10 @@ from voxscript.executor import execute_block, execute_program
 from voxscript.dsl.text import print_text
 from voxscript.dsl.tokens import encode_steps
 from voxscript.inference import (_SEED_DIRS, FitResult, LossKind, SearchConfig, _Budget,
-                                 _counts, _cover_bounds, _lattice_seeds, _make_block,
-                                 _ranked_beam, _refine, _runs, _score_from_counts, fit_program,
-                                 propose_candidates, refine_block, score_block)
+                                 _candidate_chain, _chain_counts, _counts, _cover_bounds,
+                                 _lattice_seeds, _make_block, _ranked_beam, _refine,
+                                 _round_state, _rows_chain, _runs, _score_from_counts,
+                                 fit_program, propose_candidates, refine_block, score_block)
 from voxscript.metrics import iou
 from voxscript.templates import builtin_templates, sample
 
@@ -49,6 +50,11 @@ def as_candidate(s):
         return (s.shape, s.position, s.geometry)
     arg = s.step if s.mode is LoopMode.TRANSLATION else s.angle
     return (s.mode, s.times, arg, tuple(as_candidate(b) for b in s.body))
+
+
+def table_of(residual):
+    """The summed-volume table of a round whose residual is ``residual``."""
+    return _round_state(residual, np.zeros_like(residual)).table
 
 
 def test_propose_contains_exact_cuboid():
@@ -201,7 +207,7 @@ nested = st.builds(lambda times, u, inner: ForStmt.translation(times, u, (inner,
        seed=st.integers(0, 2 ** 16))
 def test_cover_bounds_never_below_exact_cover(blocks, dims, density, seed):
     residual = np.random.default_rng(seed).random(dims) < density
-    bounds = _cover_bounds([as_candidate(b) for b in blocks], residual)
+    bounds = _cover_bounds([as_candidate(b) for b in blocks], table_of(residual))
     assert bounds.shape == (len(blocks),)
     for b, bound in zip(blocks, bounds.tolist()):
         assert bound >= np.count_nonzero(execute_block(b, dims) & residual), b
@@ -217,7 +223,58 @@ def test_cover_bounds_exact_for_boxes_and_lines_on_full_residual():
         ForStmt.translation(3, (9, 0, -7), (cuboid((1, 1, 20), (4, 5, 6)),)),
     ]
     exact = [int(np.count_nonzero(execute_block(b))) for b in blocks]
-    assert _cover_bounds([as_candidate(b) for b in blocks], full).tolist() == exact
+    assert _cover_bounds([as_candidate(b) for b in blocks], table_of(full)).tolist() == exact
+
+
+@st.composite
+def box_chains(draw):
+    """(dims, block): an untilted Cub or Rect, or a Sqr, alone or in a
+    translation loop of 2 to 16 copies, placed anywhere from inside the grid
+    to fully outside it."""
+    dims = draw(st.sampled_from([(32, 32, 32), (16, 64, 16), (7, 5, 9)]))
+    pos = tuple(draw(st.integers(-n // 2 - 6, n + 6)) for n in dims)
+    extent = st.integers(-2, 20)
+    shape = draw(st.sampled_from([ShapeKind.CUBOID, ShapeKind.RECTANGLE, ShapeKind.SQUARE]))
+    if shape is ShapeKind.SQUARE:
+        geom = (draw(extent), draw(st.integers(-2, 10)))
+    else:
+        geom = (draw(extent), draw(extent), draw(extent)) + draw(st.sampled_from([(), (0,)]))
+    block = DrawStmt(Semantics.BASE, shape, pos, geom)
+    if draw(st.booleans()):
+        # small steps overlap consecutive copies; zero steps stack them
+        u = draw(st.tuples(*(st.integers(-12, 12),) * 3))
+        block = ForStmt.translation(draw(st.integers(2, 16)), u, (block,))
+    return dims, block
+
+
+@settings(max_examples=400)
+@given(case=box_chains(), density=st.sampled_from([0.1, 0.5, 1.0]), seed=st.integers(0, 2 ** 16))
+def test_table_counts_equal_execution(case, density, seed):
+    dims, block = case
+    rng = np.random.default_rng(seed)
+    target = rng.random(dims) < density
+    rnd = _round_state(target, target & (rng.random(dims) < 0.3))
+    exact = _counts(execute_block(block, dims), rnd.residual, rnd.false_free)
+    from_candidate = _chain_counts(rnd, *_candidate_chain(as_candidate(block)))
+    from_rows = _chain_counts(rnd, *_rows_chain(tuple(encode_steps((block,)))))
+    assert from_candidate == from_rows == exact
+
+
+def test_table_counts_only_boxes():
+    cyl = DrawStmt(Semantics.LEG, ShapeKind.CYLINDER, (4, 0, 4), (5, 2))
+    line = DrawStmt(Semantics.BASE, ShapeKind.LINE, (1, 2, 3), (9, 2, 3))
+    box = cuboid()
+    executed = [
+        cyl, line, cuboid(geom=(5, 6, 7, 10)),
+        ForStmt.rotation(4, 90, Axis.Y, (box,)),
+        ForStmt.translation(2, (9, 0, 0), (box, box)),
+        ForStmt.translation(2, (9, 0, 0), (ForStmt.translation(2, (0, 0, 9), (box,)),)),
+        ForStmt.translation(3, (9, 0, 0), (cyl,)),
+    ]
+    for b in executed:
+        assert _candidate_chain(as_candidate(b)) is None, b
+        assert _rows_chain(tuple(encode_steps((b,)))) is None, b
+    assert _candidate_chain(as_candidate(box)) == ((8, 4, 8, 14, 9, 15), 1, (0, 0, 0))
 
 
 def _template_rounds():
@@ -248,7 +305,7 @@ def test_ranked_beam_equals_exhaustive_ranking(loss):
              idx, b) for idx, b in enumerate(blocks)]
         scored.sort(key=lambda t: (-t[0], t[1]))
         budget = _Budget(config.budget)
-        beam = _ranked_beam(candidates, residual, false_free, i0, u0, config, budget)
+        beam = _ranked_beam(candidates, _round_state(target, current), config, budget)
         assert beam == scored[:config.beam_width], tid
         skipped += len(candidates) - budget.calls
     assert skipped > 0
@@ -265,11 +322,9 @@ def test_refine_shared_round_cache_matches_uncached():
     config = SearchConfig()
     calls = {"shared": 0, "fresh": 0, "none": 0}
     for tid, target, current in _template_rounds():
-        residual, false_free = target & ~current, ~target & ~current
-        i0 = int(np.count_nonzero(current & target))
-        u0 = int(np.count_nonzero(current | target))
-        beam = _ranked_beam(propose_candidates(residual, config), residual, false_free, i0, u0,
-                            config, _Budget(config.budget))
+        rnd = _round_state(target, current)
+        beam = _ranked_beam(propose_candidates(rnd.residual, config), rnd, config,
+                            _Budget(config.budget))
         shared = {}
         for s0, _, block in beam:
             rows = tuple(encode_steps((block,)))
@@ -277,8 +332,7 @@ def test_refine_shared_round_cache_matches_uncached():
             for kind in calls:
                 budget = _Budget(config.budget)
                 cache = shared if kind == "shared" else {} if kind == "fresh" else NoCache()
-                results[kind] = _refine(rows, s0, residual, false_free, i0, u0, config,
-                                        budget, cache)
+                results[kind] = _refine(rows, s0, rnd, config, budget, cache)
                 calls[kind] += budget.calls
             assert results["shared"] == results["fresh"] == results["none"], tid
     assert calls["shared"] < calls["fresh"] < calls["none"]
