@@ -15,6 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import EmptyShapeError
+from .executor import as_grid
 
 HULL_EPS = 1e-9
 SEGMENT_SLACK = 0.5
@@ -33,7 +34,7 @@ def _structure(connectivity: Connectivity) -> np.ndarray:
 
 def connected_components(g, connectivity: Connectivity = Connectivity.TWENTY_SIX):
     """Label occupied regions; returns (labels array, component count)."""
-    g = np.asarray(g, dtype=bool)
+    g = as_grid(g)
     labels, count = ndimage.label(g, structure=_structure(connectivity))
     return labels, int(count)
 
@@ -127,7 +128,7 @@ class StabilityReport:
 
 def stability_report(g, connectivity: Connectivity = Connectivity.TWENTY_SIX) -> StabilityReport:
     """Full structural report; an empty grid is neither stable nor connected."""
-    g = np.asarray(g, dtype=bool)
+    g = as_grid(g)
     _, count = connected_components(g, connectivity)
     if count == 0:
         return StabilityReport(False, False, 0, None, ())
@@ -138,7 +139,7 @@ def stability_report(g, connectivity: Connectivity = Connectivity.TWENTY_SIX) ->
 
 
 def is_stable(g) -> bool:
-    g = np.asarray(g, dtype=bool)
+    g = as_grid(g)
     if not g.any():
         raise EmptyShapeError("stability of an empty grid")
     return stability_report(g).stable

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .dsl.ast import (
     ShapeKind,
     expanded_size,
 )
-from .errors import BudgetError
+from .errors import BudgetError, InputError, ShapeMismatchError
 
 DEFAULT_DIMS = (32, 32, 32)
 # Largest grid built from outside input (binvox dims, --dims): 16 MiB of bools.
@@ -32,7 +33,24 @@ _STENCIL_MAX_RADIUS = 64
 
 
 def empty_grid(dims=DEFAULT_DIMS) -> np.ndarray:
-    return np.zeros(tuple(int(d) for d in dims), dtype=bool)
+    """An all-empty grid; ``dims`` must be three non-negative ints holding
+    at most ``MAX_GRID_VOXELS`` voxels, checked before anything is allocated."""
+    try:
+        x, y, z = (operator.index(d) for d in dims)
+    except (TypeError, ValueError):
+        raise InputError(f"grid dims must be three ints, got {dims!r}") from None
+    if min(x, y, z) < 0 or x * y * z > MAX_GRID_VOXELS:
+        raise InputError(f"grid dims {(x, y, z)} must be >= 0 and hold at most"
+                         f" {MAX_GRID_VOXELS} voxels")
+    return np.zeros((x, y, z), dtype=bool)
+
+
+def as_grid(g) -> np.ndarray:
+    """``g`` as a bool array; anything but a 3-D grid raises ShapeMismatchError."""
+    g = np.asarray(g, dtype=bool)
+    if g.ndim != 3:
+        raise ShapeMismatchError(f"expected a 3-D grid, got shape {g.shape}")
+    return g
 
 
 def _fill_box(grid, x0, x1, y0, y1, z0, z1):
@@ -131,24 +149,29 @@ def _render(grid: np.ndarray, shape, position, geometry) -> None:
         grid[pts[:, 0], pts[:, 1], pts[:, 2]] = True
 
 
-# Shapes drawn as a column of half-width r about their position, geometry (t, r).
-_COLUMN_SHAPES = (ShapeKind.CYLINDER, ShapeKind.CIRCLE, ShapeKind.SQUARE)
+# A draw's shape code, where shapes are handled as arrays, is its index here.
+SHAPES = tuple(ShapeKind)
+_LINE_CODE = SHAPES.index(ShapeKind.LINE)
+# Per shape code: drawn as a column of half-width r about its position, geometry (t, r)?
+_IS_COLUMN = np.array([s in (ShapeKind.CYLINDER, ShapeKind.CIRCLE, ShapeKind.SQUARE)
+                       for s in SHAPES])
 
 
-def draw_extents(draws) -> tuple:
-    """Unclipped bounding boxes of ``(shape, position, geometry)`` draws.
+def draw_extents(shape, pos, geom) -> tuple:
+    """Unclipped bounding boxes of draws given as columns: shape codes (a
+    draw's index in ``SHAPES``), (n, 3) positions and (n, 4) geometry,
+    zero-padded after its last entry.
 
     Returns ``lo`` and ``hi`` (hi exclusive) as (n, 3) arrays and, per
     draw, an upper bound on the voxels it sets; degenerate geometry gives 0.
     A tilted Cuboid's box is widened by its last row's shift, computed as
     ``_render`` computes it; shifts are monotone in the row.
     """
-    a = np.array([(s is ShapeKind.LINE, s in _COLUMN_SHAPES, *p, *g, 0, 0)[:9]
-                  for s, p, g in draws]).reshape(len(draws), 9)
-    line, column = a[:, 0] == 1, a[:, 1] == 1
-    pos, end = a[:, 2:5], a[:, 5:8]
-    t, r1, r2, ang = a[:, 5:].T
-    shift = np.zeros(len(a), dtype=np.int64)
+    line = shape == _LINE_CODE
+    column = _IS_COLUMN[shape]
+    end = geom[:, :3]
+    t, r1, r2, ang = geom.T
+    shift = np.zeros(len(geom), dtype=np.int64)
     tilted = ~line & ~column & (ang != 0) & (t > 0)
     if tilted.any():
         slope = np.array([math.tan(math.radians(v)) for v in ang[tilted].tolist()])

@@ -22,15 +22,16 @@ copy j, so such a loop covers each copy's count minus each consecutive
 pair's overlap, exactly, for any step. Every other candidate is executed
 and its grid counted.
 
-Statements are built only where the executor needs them. Candidates are
-plain tuples, ``(shape, position, geometry)`` for a draw and ``(mode,
-times, step or angle, body)`` for a loop, and become labelled statements
-only when they are executed or survive ranking. Refinement is
-coordinate descent over a block's token rows (the ``dsl.tokens`` layout):
-a neighbour is the rows with one slot moved, each slot bounded by the
-grid dims and ``Limits.for_dims``. Neighbours are scored through one cache
-per round, keyed by the rows: the residual and counts are fixed within a
-round, so a neighbour that two beam entries reach is scored once.
+Statements are built only where the executor needs them. A round's
+candidates are the rows of one int64 array (see ``propose_candidates``)
+and are bounded and ordered as columns; a row becomes a labelled
+statement only when it is executed or survives ranking.
+Refinement is coordinate descent over a block's token rows (the
+``dsl.tokens`` layout): a neighbour is the rows with one slot moved, each
+slot bounded by the grid dims and ``Limits.for_dims``. Neighbours are
+scored through one cache per round, keyed by the rows: the residual and
+counts are fixed within a round, so a neighbour that two beam entries
+reach is scored once.
 """
 from __future__ import annotations
 
@@ -42,12 +43,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
-                      Semantics, ShapeKind)
+from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, Program, Semantics,
+                      ShapeKind)
 from .dsl.tokens import (DRAW_BY_ID, FOR_ROTATION_ID, FOR_TRANSLATION_ID, build_statements,
                          encode_steps)
 from .errors import ShapeMismatchError
-from .executor import draw_extents, execute_block
+from .executor import SHAPES, as_grid, draw_extents, execute_block
 from .metrics import BCE_EPS, LossWeights, iou
 
 _WRAP_TIMES = (2, 3, 4, 5)
@@ -60,6 +61,12 @@ _WRAP_BODIES_PER_COMPONENT = 3
 # period along the detected axis, not just at a component's first seed.
 _WRAP_MAX_SLAB_BODIES = 32
 _SCORE_EPS = 1e-12
+
+# Candidate row layout (see propose_candidates)
+_MODE, _TIMES, _STEP, _SHAPE, _POS, _GEOM, _ROW_LEN = 0, 1, slice(2, 5), 5, slice(6, 9), 9, 13
+_DRAW, _TRANS, _ROT = 0, 1, 2
+_CUBOID, _CYLINDER, _LINE = (SHAPES.index(k) for k in
+                             (ShapeKind.CUBOID, ShapeKind.CYLINDER, ShapeKind.LINE))
 
 
 class LossKind(enum.Enum):
@@ -202,32 +209,43 @@ def _make_draw(shape, pos, geom, dims) -> DrawStmt:
     return DrawStmt(_label_semantics(shape, pos, geom, dims), shape, pos, geom)
 
 
-def _make_block(cand, dims):
-    """The labelled statement a candidate tuple stands for."""
-    if len(cand) == 3:
-        return _make_draw(*cand, dims)
-    mode, times, arg, body = cand
-    body = tuple(_make_block(c, dims) for c in body)
-    if mode is LoopMode.TRANSLATION:
-        return ForStmt.translation(times, arg, body)
-    return ForStmt.rotation(times, arg, Axis.Y, body)
+def _make_block(row, dims):
+    """The labelled statement a candidate row (a list of ints) stands for."""
+    mode, times, ux, uy, uz, code, x, y, z, *geom = row
+    shape = SHAPES[code]
+    lo, hi = GEOMETRY_ARITY[shape]
+    draw = _make_draw(shape, (x, y, z), tuple(geom[:hi] if geom[hi - 1] else geom[:lo]), dims)
+    if mode == _TRANS:
+        return ForStmt.translation(times, (ux, uy, uz), (draw,))
+    return draw if mode == _DRAW else ForStmt.rotation(times, ux, Axis.Y, (draw,))
 
 
 def _periodic_steps(res) -> list:
-    """Per axis, the smallest shift under which the grid best overlaps itself."""
+    """Per axis, the smallest shift under which the grid best overlaps itself.
+
+    Entry (i, j) of the Gram matrix of the slices along an axis counts the
+    voxels slices i and j share, so the overlap under shift k is the sum of
+    its k-th upper diagonal (exact in float64 below 2^53 voxels). Slices
+    are cropped to the occupied box, which changes no overlap; past the
+    box's extent every overlap is 0.
+    """
     found = []
-    for axis in range(3):
-        n = res.shape[axis]
+    counts = [np.count_nonzero(res, axis=other) for other in ((1, 2), (0, 2), (0, 1))]
+    occupied = [np.flatnonzero(c) for c in counts]
+    if not len(occupied[0]):
+        return found
+    box = res[tuple(slice(o[0], o[-1] + 1) for o in occupied)].astype(np.float64)
+    for axis, c in enumerate(counts):
+        ext = box.shape[axis]
+        slices = np.moveaxis(box, axis, 0).reshape(ext, -1)
+        i = np.arange(ext)
+        overlap = np.bincount(abs(i[:, None] - i).ravel(), np.triu(slices @ slices.T).ravel())
+        # voxels from slice k on and before slice n - k: both nonzero for
+        # every shift inside the box
+        cum, overlap = np.cumsum(c).tolist(), overlap.tolist()
         best = None  # (fraction, k)
-        for k in range(2, n):
-            front = res[(slice(None),) * axis + (slice(k, None),)]
-            back = res[(slice(None),) * axis + (slice(0, n - k),)]
-            fc = int(np.count_nonzero(front))
-            bc = int(np.count_nonzero(back))
-            m = min(fc, bc)
-            if m == 0:
-                break
-            frac = int(np.count_nonzero(front & back)) / m
+        for k in range(2, ext):
+            frac = overlap[k] / min(cum[-1] - cum[k - 1], cum[len(cum) - k - 1])
             if frac >= _PERIOD_MIN_OVERLAP and (best is None or frac > best[0] + 1e-9):
                 best = (frac, k)
         if best is not None:
@@ -235,62 +253,18 @@ def _periodic_steps(res) -> list:
     return found
 
 
-def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> list:
-    """Candidate blocks seeded from the residual's occupied structure.
+def _loop_rows(headers, bodies) -> np.ndarray:
+    """Every header (mode, times, step or angle) over every body row, body-major."""
+    out = np.empty((len(bodies), len(headers), _ROW_LEN), dtype=np.int64)
+    out[:, :, :_SHAPE] = headers
+    out[:, :, _SHAPE:] = bodies[:, None, _SHAPE:]
+    return out.reshape(-1, _ROW_LEN)
 
-    Draw candidates: the bounding-box cuboid, plus cuboid / cylinder /
-    line seeds grown from occupied points of a stride lattice. Loop
-    candidates wrap the seeds at the first occupied lattice point, using
-    self-overlap-detected translation steps and 360/times rotations.
 
-    Candidates are label-free tuples: ``(shape, position, geometry)`` for a
-    draw, ``(LoopMode.TRANSLATION, times, step, body)`` or
-    ``(LoopMode.ROTATION, times, angle, body)`` for a loop (rotations are
-    about Y), with ``body`` a tuple of draw tuples. ``_make_block`` turns
-    one into its labelled statement.
-    """
-    res = np.asarray(residual, dtype=bool)
-    occ = np.argwhere(res)
-    if len(occ) == 0:
-        return []
-    lo = occ.min(axis=0)
-    hi = occ.max(axis=0)
-    labels, n_comp = ndimage.label(res, structure=np.ones((3, 3, 3), dtype=bool))
-    steps = _periodic_steps(res)
-    seen = set()
-    draws: list = []
-    # wrapper bodies: the seeds at the first lattice point of each component
-    buckets: dict = {}
-    # per detected (axis, k): seeds anchored within the first period slab
-    slabs: dict = {ak: [] for ak in steps}
-
-    def add(shape, pos, geom, bucket=None):
-        key = (shape, pos, geom)
-        if key in seen:
-            return
-        seen.add(key)
-        draws.append(key)
-        if bucket is not None and len(bucket) < _WRAP_BODIES_PER_COMPONENT:
-            bucket.append(key)
-        if shape is not ShapeKind.LINE:
-            for (axis, k), bodies in slabs.items():
-                if pos[axis] - int(lo[axis]) < k and len(bodies) < _WRAP_MAX_SLAB_BODIES:
-                    bodies.append(key)
-
-    ext = hi - lo + 1
-    add(ShapeKind.CUBOID, tuple(int(v) for v in lo),
-        (int(ext[1]), int(ext[0]), int(ext[2])))
-    # end-to-end lines: exact for any single rendered segment. Two scan
-    # orders, since the extreme voxel under one order can be off by one
-    # when several voxels tie on the leading axis.
-    occ_t = np.argwhere(res.transpose(2, 1, 0))[:, ::-1]
-    for a, b in ((occ[0], occ[-1]), (occ_t[0], occ_t[-1])):
-        add(ShapeKind.LINE, tuple(int(v) for v in a), tuple(int(v) for v in b))
-
-    # One seed point per stride cell: the cell's first occupied voxel.
-    # Snapping (rather than testing the lattice corner itself) keeps thin
-    # structures at off-lattice coordinates reachable.
-    seeds = _lattice_seeds(res, lo, hi, config.candidate_grid_stride)
+def _seed_draws(res, seeds) -> tuple:
+    """Draws grown from each seed, where big enough, as candidate columns
+    ``_SHAPE`` on: a cuboid, cylinders at the seed and at its snapped disc
+    center, and a line per line direction. Also returns each draw's seed."""
     runs = _runs(res, seeds, _SEED_DIRS)
     # disc seed snapped to the midpoint of the opposing runs, so rim points
     # still yield a usable cylinder; radius is taken from fresh runs at the
@@ -301,52 +275,88 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> list:
     moved = (centers != seeds).any(axis=1) & res[tuple(centers.T)]
     center_runs = np.zeros((len(seeds), 5), dtype=np.int64)
     center_runs[moved] = _runs(res, centers[moved], _SEED_DIRS[:5])
+    slots = np.zeros((len(seeds), 3 + 2 * len(_LINE_DIRS), _ROW_LEN - _SHAPE), dtype=np.int64)
+    slots[:, :, 0] = (_CUBOID, _CYLINDER, _CYLINDER) + (_LINE,) * 2 * len(_LINE_DIRS)
+    slots[:, :, 1:4] = seeds[:, None]
+    slots[:, 2, 1:4] = centers
+    geom = slots[:, :, 4:]
+    geom[:, 0, :3] = runs[:, :3]
+    for slot, r in ((1, runs), (2, center_runs)):
+        geom[:, slot, 0], geom[:, slot, 1] = r[:, 0], r[:, 1:5].min(axis=1) - 1
+    geom[:, 3:, :3] = seeds[:, None] + (runs[:, 5:, None] - 1) * _SEED_DIRS[None, 5:]
+    valid = np.concatenate((np.ones((len(seeds), 1), dtype=bool), geom[:, 1:3, 1] >= 1,
+                            runs[:, 5:] >= 4), axis=1)
+    return slots[valid], np.nonzero(valid)[0]
+
+
+def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.ndarray:
+    """Candidate blocks seeded from the residual's occupied structure.
+
+    Draws: the bounding-box cuboid, two end-to-end lines, and per point of
+    a stride lattice a cuboid, two cylinders and up to 20 lines grown from
+    it. Loops wrap the draws anchored within one period, and the first
+    draws at each of the first components' first lattice point, with
+    self-overlap-detected translation steps and 360/times rotations.
+
+    Each candidate is one row of the (n, 13) int64 array returned: mode (0
+    draw, 1 translation, 2 rotation about Y), times, step x/y/z (a
+    rotation's angle in x), shape code (see ``executor.SHAPES``), position
+    x/y/z, and geometry padded with zeros to the tilt slot. A draw has times
+    1 and a zero step. ``_make_block`` turns a row into its statement.
+    """
+    res = as_grid(residual)
+    occ = np.argwhere(res)
+    if len(occ) == 0:
+        return np.zeros((0, _ROW_LEN), dtype=np.int64)
+    lo, hi = occ.min(axis=0), occ.max(axis=0)
+    labels, _ = ndimage.label(res, structure=np.ones((3, 3, 3), dtype=bool))
+    steps = _periodic_steps(res)
+
+    # One seed point per stride cell: the cell's first occupied voxel.
+    # Snapping (rather than testing the lattice corner itself) keeps thin
+    # structures at off-lattice coordinates reachable.
+    seeds = _lattice_seeds(res, lo, hi, config.candidate_grid_stride)
+    seeded, seed_of = _seed_draws(res, seeds)
+    # the bounding-box cuboid and the end-to-end lines, exact for any single
+    # rendered segment. Two scan orders, since the extreme voxel under one
+    # order can be off by one when several voxels tie on the leading axis.
+    occ_t = np.argwhere(res.transpose(2, 1, 0))[:, ::-1]
+    head = np.array([(_CUBOID, *lo, *(hi - lo + 1)[[1, 0, 2]], 0),
+                     (_LINE, *occ[0], *occ[-1], 0), (_LINE, *occ_t[0], *occ_t[-1], 0)])
+    found = np.concatenate((head, seeded))
+    # each draw's first copy: the stable sort keeps equal rows in index order
+    order = np.lexsort(found.T)
+    ranked = found[order]
+    keep = np.sort(order[np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]])
+    draws = np.zeros((len(keep), _ROW_LEN), dtype=np.int64)
+    draws[:, _TIMES], draws[:, _SHAPE:] = 1, found[keep]
+    source = np.concatenate(((-1,) * len(head), seed_of))[keep]
+
+    # Translations over the first non-line draws anchored within the first
+    # period of each detected (axis, k); then, per wrapper body, every
+    # step's translations that pass did not make, and the rotations.
+    wraps = np.zeros((len(steps) + 1, len(_WRAP_TIMES), _SHAPE), dtype=np.int64)
+    wraps[..., _MODE], wraps[..., _TIMES] = _TRANS, _WRAP_TIMES
+    wraps[-1, :, _MODE], wraps[-1, :, _STEP.start] = _ROT, [360 // t for t in _WRAP_TIMES]
+    in_slab = np.zeros((len(steps) + 1, len(draws)), dtype=bool)
+    loops = []
+    for s, (axis, k) in enumerate(steps):
+        wraps[s, :, _STEP.start + axis] = k
+        near = (draws[:, _SHAPE] != _LINE) & (draws[:, _POS.start + axis] - lo[axis] < k)
+        in_slab[s, np.flatnonzero(near)[:_WRAP_MAX_SLAB_BODIES]] = True
+        loops.append(_loop_rows(wraps[s], draws[in_slab[s]]))
+    # wrapper bodies: the first draws from each of the first components'
+    # first seed, components in label order
     seed_labels = labels[tuple(seeds.T)]
-    line_vecs = _SEED_DIRS[5:].tolist()
-    for p, lab, (t, r1, r2, xm, zm, *line_runs), c, (tc, *c_runs) in zip(
-            map(tuple, seeds.tolist()), seed_labels.tolist(), runs.tolist(),
-            map(tuple, centers.tolist()), center_runs.tolist()):
-        bucket = None
-        if lab not in buckets and len(buckets) < _WRAP_MAX_COMPONENTS:
-            bucket = buckets.setdefault(lab, [])
-        add(ShapeKind.CUBOID, p, (t, r1, r2), bucket)
-        rad = min(r1, r2, xm, zm) - 1
-        if rad >= 1:
-            add(ShapeKind.CYLINDER, p, (t, rad), bucket)
-        rc = min(c_runs) - 1
-        if rc >= 1:
-            add(ShapeKind.CYLINDER, c, (tc, rc), bucket)
-        px, py, pz = p
-        for (ux, uy, uz), n in zip(line_vecs, line_runs):
-            if n >= 4:
-                n -= 1
-                add(ShapeKind.LINE, p, (px + n * ux, py + n * uy, pz + n * uz), bucket)
-
-    loops: list = []
-    wrapped = set()
-
-    def add_trans(times, u, body):
-        loop = (LoopMode.TRANSLATION, times, u, (body,))
-        if loop not in wrapped:
-            wrapped.add(loop)
-            loops.append(loop)
-
-    for (axis, k), bodies in slabs.items():
-        u = tuple(k if i == axis else 0 for i in range(3))
-        for body in bodies:
-            for times in _WRAP_TIMES:
-                add_trans(times, u, body)
-    for lab in sorted(buckets):
-        for body in buckets[lab]:
-            for axis, k in steps:
-                u = tuple(k if i == axis else 0 for i in range(3))
-                for times in _WRAP_TIMES:
-                    add_trans(times, u, body)
-            for times in _WRAP_TIMES:
-                loops.append((LoopMode.ROTATION, times, 360 // times, (body,)))
+    firsts = np.sort(np.unique(seed_labels, return_index=True)[1])[:_WRAP_MAX_COMPONENTS]
+    rank = np.arange(len(source)) - np.searchsorted(source, source)  # among its seed's draws
+    bodies = np.flatnonzero(np.isin(source, firsts) & (rank < _WRAP_BODIES_PER_COMPONENT))
+    bodies = bodies[np.argsort(seed_labels[source[bodies]], kind="stable")]
+    fresh = np.repeat(~in_slab[:, bodies].T, len(_WRAP_TIMES), axis=1)
+    loops.append(_loop_rows(wraps.reshape(-1, _SHAPE), draws[bodies])[fresh.ravel()])
 
     cap = max(1, config.budget // (2 * config.max_blocks))
-    return (draws + loops)[:cap]
+    return np.concatenate([draws] + loops)[:cap]
 
 
 def _counts(block_grid, truth_res, false_free):
@@ -434,16 +444,11 @@ def _box(shape, pos, geom):
     return None
 
 
-def _candidate_chain(cand):
-    """(box, times, step) of a candidate tuple the table can count, else None."""
-    if len(cand) == 3:
-        box = _box(*cand)
-        return None if box is None else (box, 1, (0, 0, 0))
-    mode, times, step, body = cand
-    if mode is LoopMode.TRANSLATION and len(body) == 1 and len(body[0]) == 3:
-        box = _box(*body[0])
-        return None if box is None else (box, times, step)
-    return None
+def _candidate_chain(row):
+    """(box, times, step) of a candidate row the table can count, else None."""
+    mode, times, ux, uy, uz, code, x, y, z, *geom = row
+    box = None if mode == _ROT else _box(SHAPES[code], (x, y, z), geom)
+    return None if box is None else (box, times, (ux, uy, uz))
 
 
 def _rows_chain(rows):
@@ -484,39 +489,32 @@ def _chain_counts(rnd: _Round, box, times, step) -> tuple:
     return total & _LOW_BITS, total >> 32
 
 
-def _cover_bounds(candidates, table) -> np.ndarray:
-    """Per candidate tuple, an upper bound on the residual voxels it covers.
+def _cover_bounds(rows, table) -> np.ndarray:
+    """Per candidate row, an upper bound on the residual voxels it covers.
 
     A draw covers at most min(its voxel bound, the residual inside its
-    clipped box), a translation loop over draws at most the sum of that
-    over its copies, and any other loop at most the whole residual. Box
-    sums come from the round's summed-volume table, and every draw's box
-    from one ``draw_extents`` pass.
+    clipped box), a translation loop at most the sum of that over its
+    copies, and a rotation loop at most the whole residual. Box sums come
+    from the round's summed-volume table, and every box from one
+    ``draw_extents`` pass over the rows' columns.
     """
     dims = np.array(table.shape) - 1
-    bounds = np.full(len(candidates), table[-1, -1, -1] & _LOW_BITS, dtype=np.int64)
-    rows = []  # (candidate, draw, copies, step)
-    for i, c in enumerate(candidates):
-        if len(c) == 3:
-            rows.append((i, c, 1, (0, 0, 0)))
-        elif c[0] is LoopMode.TRANSLATION and all(len(d) == 3 for d in c[3]):
-            rows.extend((i, d, c[1], c[2]) for d in c[3])
-    if not rows:
-        return bounds
-    owner, draws, times, step = zip(*rows)
-    lo, hi, volume = draw_extents(draws)
-    owner, times, step = np.array(owner), np.array(times), np.array(step)
+    bounds = np.full(len(rows), table[-1, -1, -1] & _LOW_BITS, dtype=np.int64)
+    boxed = np.flatnonzero(rows[:, _MODE] != _ROT)
+    sub = rows[boxed]
+    lo, hi, volume = draw_extents(sub[:, _SHAPE], sub[:, _POS], sub[:, _GEOM:])
+    times = sub[:, _TIMES]
     # copy k of a row is its box moved by k * step
     k = np.arange(times.sum()) - np.repeat(np.cumsum(times) - times, times)
-    off = k[:, None] * np.repeat(step, times, axis=0)
+    off = k[:, None] * np.repeat(sub[:, _STEP], times, axis=0)
     lo = np.clip(np.repeat(lo, times, axis=0) + off, 0, dims)
     hi = np.clip(np.repeat(hi, times, axis=0) + off, lo, dims)
     (x0, y0, z0), (x1, y1, z1) = lo.T, hi.T
     inside = (table[x1, y1, z1] - table[x0, y1, z1] - table[x1, y0, z1] - table[x1, y1, z0]
               + table[x0, y0, z1] + table[x0, y1, z0] + table[x1, y0, z0] - table[x0, y0, z0])
-    owner = np.repeat(owner, times)
-    bounds[owner] = np.bincount(owner, np.minimum(np.repeat(volume, times),
-                                                  inside & _LOW_BITS))[owner]
+    bounds[boxed] = np.bincount(np.repeat(np.arange(len(sub)), times),
+                                np.minimum(np.repeat(volume, times), inside & _LOW_BITS),
+                                minlength=len(sub))
     return bounds
 
 
@@ -626,36 +624,37 @@ def refine_block(b, target, current, config: SearchConfig = SearchConfig()):
     return build_statements(rows)[0]
 
 
-def _ranked_beam(candidates, rnd: _Round, config, budget) -> list:
-    """The best ``beam_width`` candidate tuples as (score, index, labelled
+def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
+    """The best ``beam_width`` candidate rows as (score, index, labelled
     block), ordered by (-score, index), scoring as few as that allows.
 
-    Candidates are visited by descending cover bound. A score can never
-    exceed the score of its bound (both losses rise with covered voxels
-    and fall with false ones), so the visit stops at the first bound whose
-    score is strictly below the beam's last score. A tie is still
-    scored, since the index breaks it.
+    Candidates are visited by descending cover bound, ties in index order.
+    A score can never exceed the score of its bound (both losses rise with
+    covered voxels and fall with false ones), so the visit stops at the
+    first bound whose score is strictly below the beam's last score. A tie
+    is still scored, since the index breaks it.
     """
     dims = rnd.residual.shape
     i0, u0 = rnd.i0, rnd.u0
-    bounds = _cover_bounds(candidates, rnd.table).tolist()
+    bounds = _cover_bounds(rows, rnd.table)
+    order = np.argsort(-bounds, kind="stable")
     beam: list = []  # (-score, index)
-    for idx in sorted(range(len(candidates)), key=lambda i: (-bounds[i], i)):
+    for idx, bound in zip(order.tolist(), bounds[order].tolist()):
         if (len(beam) == config.beam_width
-                and _score_from_counts(bounds[idx], 0, i0, u0, config) < -beam[-1][0]):
+                and _score_from_counts(bound, 0, i0, u0, config) < -beam[-1][0]):
             break
         if not budget.spend():
             break
-        cand = candidates[idx]
-        chain = _candidate_chain(cand)
+        row = rows[idx].tolist()
+        chain = _candidate_chain(row)
         if chain is None:
-            a, b = _counts(execute_block(_make_block(cand, dims), dims), rnd.residual,
+            a, b = _counts(execute_block(_make_block(row, dims), dims), rnd.residual,
                            rnd.false_free)
         else:
             a, b = _chain_counts(rnd, *chain)
         bisect.insort(beam, (-_score_from_counts(a, b, i0, u0, config), idx))
         del beam[config.beam_width:]
-    return [(-neg, idx, _make_block(candidates[idx], dims)) for neg, idx in beam]
+    return [(-neg, idx, _make_block(rows[idx].tolist(), dims)) for neg, idx in beam]
 
 
 def _relabel(block, dims):
@@ -673,7 +672,7 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
     at most that many top-level statements, and refinement keeps every
     coordinate and extent inside the grid.
     """
-    target = np.asarray(target, dtype=bool)
+    target = as_grid(target)
     dims = target.shape
     max_blocks = min(config.max_blocks, Limits.for_dims(dims).max_top_level)
     budget = _Budget(config.budget)

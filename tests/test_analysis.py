@@ -10,7 +10,7 @@ from voxscript.analysis import (Connectivity, analyze_dataset, center_of_mass,
                                 ground_contacts, is_stable, point_in_hull,
                                 stability_report)
 from voxscript.dsl import parse_text
-from voxscript.errors import EmptyShapeError
+from voxscript.errors import EmptyShapeError, ShapeMismatchError
 from voxscript.executor import execute_program
 
 TABLE = """\
@@ -220,3 +220,25 @@ def test_analyze_dataset_formats():
     table = format_analysis_table(summary)
     assert "Stable (%)" in table and "Conn. (%)" in table
     assert "100.0" in table
+
+
+NOT_3D = [(4, 4), (4,), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("shape", NOT_3D)
+def test_connected_components_rejects_non_3d_grids(shape):
+    with pytest.raises(ShapeMismatchError):
+        connected_components(np.ones(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("shape", NOT_3D)
+def test_stability_report_rejects_non_3d_grids(shape):
+    with pytest.raises(ShapeMismatchError):
+        stability_report(np.ones(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("shape", NOT_3D)
+def test_is_stable_rejects_non_3d_grids(shape):
+    for g in (np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)):
+        with pytest.raises(ShapeMismatchError):
+            is_stable(g)

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, Program, Semantics,
                            ShapeKind)
-from voxscript.errors import BudgetError
-from voxscript.executor import (_STENCIL_MAX_RADIUS, DEFAULT_DIMS, _fill_disk_column,
-                                _rotate_point, draw_extents, empty_grid, execute_block,
-                                execute_program, render_draw, unroll_for)
+from voxscript.errors import BudgetError, InputError
+from voxscript.executor import (_STENCIL_MAX_RADIUS, DEFAULT_DIMS, MAX_GRID_VOXELS, SHAPES,
+                                _fill_disk_column, _rotate_point, draw_extents, empty_grid,
+                                execute_block, execute_program, render_draw, unroll_for)
 
 from randprog import random_program
 
@@ -441,8 +441,30 @@ def draw_tuples(draw):
 @settings(max_examples=300)
 @given(st.lists(draw_tuples(), min_size=1, max_size=8))
 def test_draw_extents_match_scalar_reference(draws):
-    lo, hi, volume = draw_extents(draws)
+    lo, hi, volume = draw_extents(np.array([SHAPES.index(s) for s, _, _ in draws]),
+                                  np.array([p for _, p, _ in draws]),
+                                  np.array([(g + (0,) * 4)[:4] for _, _, g in draws]))
     expect = [extent_reference(*d) for d in draws]
     assert lo.tolist() == [list(e[0]) for e in expect]
     assert hi.tolist() == [list(e[1]) for e in expect]
     assert volume.tolist() == [e[2] for e in expect]
+
+
+@pytest.mark.parametrize("dims", [
+    (4, 4), (4, 4, 4, 4), (-4, 4, 4), (4, 0, -1), (4.0, 4, 4), ("4", 4, 4), None, 4,
+    (4096,) * 3,  # 64 GiB: refused before anything is allocated
+    (MAX_GRID_VOXELS + 1, 1, 1),
+])
+def test_bad_dims_raise_input_error(dims):
+    draw = DrawStmt(SEM, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1))
+    for make in (empty_grid, lambda d: execute_program(Program((draw,)), d),
+                 lambda d: execute_block(draw, d), lambda d: render_draw(draw, d)):
+        with pytest.raises(InputError):
+            make(dims)
+
+
+def test_grid_dims_accept_zero_and_the_voxel_limit():
+    assert empty_grid((0, 5, 0)).shape == (0, 5, 0)
+    assert empty_grid(np.array([2, 3, 4])).shape == (2, 3, 4)
+    assert execute_block(DrawStmt(SEM, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1)),
+                         (MAX_GRID_VOXELS, 1, 1)).sum() == 1

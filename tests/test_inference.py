@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, LoopMode, Program, Semantics,
                            ShapeKind, validate_program)
 from voxscript.errors import ShapeMismatchError
-from voxscript.executor import execute_block, execute_program
+from voxscript.executor import SHAPES, execute_block, execute_program
 from voxscript.dsl.text import print_text
 from voxscript.dsl.tokens import encode_steps
-from voxscript.inference import (_SEED_DIRS, FitResult, LossKind, SearchConfig, _Budget,
-                                 _candidate_chain, _chain_counts, _counts, _cover_bounds,
-                                 _lattice_seeds, _make_block, _ranked_beam, _refine,
-                                 _round_state, _rows_chain, _runs, _score_from_counts,
-                                 fit_program, propose_candidates, refine_block, score_block)
+from voxscript.inference import (_PERIOD_MIN_OVERLAP, _SEED_DIRS, FitResult, LossKind,
+                                 SearchConfig, _Budget, _candidate_chain, _chain_counts, _counts,
+                                 _cover_bounds, _lattice_seeds, _make_block, _periodic_steps,
+                                 _ranked_beam, _refine, _round_state, _rows_chain, _runs,
+                                 _score_from_counts, fit_program, propose_candidates,
+                                 refine_block, score_block)
 from voxscript.metrics import iou
 from voxscript.templates import builtin_templates, sample
 
@@ -41,15 +42,19 @@ def test_config_validation():
 
 
 def test_propose_empty_residual():
-    assert propose_candidates(np.zeros((32, 32, 32), dtype=bool)) == []
+    assert len(propose_candidates(np.zeros((32, 32, 32), dtype=bool))) == 0
 
 
-def as_candidate(s):
-    """The candidate tuple of a statement; a rotation tuple drops the axis."""
+def as_row(s):
+    """The candidate row of a draw, or of a loop over one draw (a rotation's
+    axis must be Y)."""
     if isinstance(s, DrawStmt):
-        return (s.shape, s.position, s.geometry)
-    arg = s.step if s.mode is LoopMode.TRANSLATION else s.angle
-    return (s.mode, s.times, arg, tuple(as_candidate(b) for b in s.body))
+        return [0, 1, 0, 0, 0, SHAPES.index(s.shape), *s.position, *(s.geometry + (0,) * 4)[:4]]
+    (body,) = s.body
+    if s.mode is LoopMode.TRANSLATION:
+        return [1, s.times, *s.step] + as_row(body)[5:]
+    assert s.axis is Axis.Y
+    return [2, s.times, s.angle, 0, 0] + as_row(body)[5:]
 
 
 def table_of(residual):
@@ -60,12 +65,13 @@ def table_of(residual):
 def test_propose_contains_exact_cuboid():
     target = render(cuboid())
     cands = propose_candidates(target)
-    assert any((render(_make_block(c, target.shape)) == target).all() for c in cands)
+    assert any((render(_make_block(c, target.shape)) == target).all() for c in cands.tolist())
 
 
 def test_make_block_inverts_candidate_tuples():
-    for c in propose_candidates(render(cuboid()) | render(cuboid((20, 0, 2), (3, 2, 9)))):
-        assert as_candidate(_make_block(c, (32, 32, 32))) == c
+    res = render(cuboid()) | render(cuboid((20, 0, 2), (3, 2, 9)))
+    for c in propose_candidates(res).tolist():
+        assert as_row(_make_block(c, (32, 32, 32))) == c
 
 
 def test_propose_count_within_cap():
@@ -78,7 +84,7 @@ def test_propose_count_within_cap():
 def test_propose_deterministic_order():
     rng = np.random.default_rng(31)
     res = rng.random((32, 32, 32)) < 0.1
-    assert propose_candidates(res) == propose_candidates(res)
+    assert np.array_equal(propose_candidates(res), propose_candidates(res))
 
 
 def walk_run(res, p, d):
@@ -165,9 +171,63 @@ PINNED_CANDIDATES = {
 def test_propose_candidates_pinned():
     for case, res, stride in _pinned_residuals():
         cands = propose_candidates(res, SearchConfig(candidate_grid_stride=stride))
-        blocks = tuple(_make_block(c, res.shape) for c in cands)
+        blocks = tuple(_make_block(c, res.shape) for c in cands.tolist())
         digest = hashlib.sha256(print_text(Program(blocks)).encode()).hexdigest()[:16]
         assert (len(cands), digest) == PINNED_CANDIDATES[case], case
+
+
+def periodic_steps_scan(res):
+    """Reference for ``_periodic_steps``: counts each shift's overlap directly."""
+    found = []
+    for axis in range(3):
+        n = res.shape[axis]
+        best = None  # (fraction, k)
+        for k in range(2, n):
+            front = res[(slice(None),) * axis + (slice(k, None),)]
+            back = res[(slice(None),) * axis + (slice(0, n - k),)]
+            m = min(int(np.count_nonzero(front)), int(np.count_nonzero(back)))
+            if m == 0:
+                break
+            frac = int(np.count_nonzero(front & back)) / m
+            if frac >= _PERIOD_MIN_OVERLAP and (best is None or frac > best[0] + 1e-9):
+                best = (frac, k)
+        if best is not None:
+            found.append((axis, best[1]))
+    return found
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 32), (20, 24, 28), (1, 12, 9), (7, 1, 5),
+                                  (6, 9, 1), (2, 11, 8), (10, 2, 2), (1, 2, 30)])
+def test_periodic_steps_match_per_shift_scan(dims):
+    rng = np.random.default_rng(sum(dims))
+    grids = [rng.random(dims) < density
+             for density in (0.0, 0.002, 0.02, 0.1, 0.3, 0.6, 0.9, 0.99, 1.0) for _ in range(3)]
+    # motifs repeated along one axis, with voxels dropped, hit the detector
+    for axis in range(3):
+        for period in (2, 3, 5, 7):
+            reps = [1, 1, 1]
+            reps[axis] = -(-dims[axis] // period)
+            motif = rng.random(dims[:axis] + (period,) + dims[axis + 1:]) < 0.4
+            tiled = np.tile(motif, reps)[:dims[0], :dims[1], :dims[2]]
+            grids += [tiled, tiled & (rng.random(dims) < 0.9)]
+    hits = 0
+    for res in grids:
+        want = periodic_steps_scan(res)
+        assert _periodic_steps(res) == want
+        hits += len(want)
+    assert hits > 0
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4,), (2, 2, 2, 2)])
+def test_propose_candidates_rejects_non_3d_grids(shape):
+    with pytest.raises(ShapeMismatchError):
+        propose_candidates(np.ones(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4,), (2, 2, 2, 2)])
+def test_fit_program_rejects_non_3d_grids(shape):
+    with pytest.raises(ShapeMismatchError):
+        fit_program(np.ones(shape, dtype=bool))
 
 
 coord = st.integers(-12, 44)
@@ -189,25 +249,23 @@ def draws(draw):
     return DrawStmt(Semantics.LEG, shape, pos, geom)
 
 
-step = st.tuples(*(st.integers(-12, 12),) * 3)
-translations = st.builds(lambda times, u, body: ForStmt.translation(times, u, tuple(body)),
-                         st.integers(1, 5), step, st.lists(draws(), min_size=1, max_size=3))
-rotations = st.builds(lambda n, ang, axis, body: ForStmt.rotation(n, ang, axis, tuple(body)),
-                      st.integers(2, 5), st.integers(-120, 120), st.sampled_from(list(Axis)),
-                      st.lists(draws(), min_size=1, max_size=2))
-nested = st.builds(lambda times, u, inner: ForStmt.translation(times, u, (inner,)),
-                   st.integers(2, 3), step, st.one_of(translations, rotations))
+# every candidate row kind: any draw, a translation loop over one draw with
+# any step, and a rotation loop about Y over one draw
+step = st.tuples(*(st.integers(-40, 40),) * 3)
+translations = st.builds(lambda times, u, body: ForStmt.translation(times, u, (body,)),
+                         st.integers(1, 16), step, draws())
+rotations = st.builds(lambda n, ang, body: ForStmt.rotation(n, ang, Axis.Y, (body,)),
+                      st.integers(2, 5), st.integers(-120, 120), draws())
 
 
 @settings(max_examples=300)
-@given(blocks=st.lists(st.one_of(draws(), translations, rotations, nested), min_size=1,
-                       max_size=6),
+@given(blocks=st.lists(st.one_of(draws(), translations, rotations), min_size=1, max_size=6),
        dims=st.sampled_from([(32, 32, 32), (12, 20, 9)]),
        density=st.sampled_from([0.05, 0.4, 0.9, 1.0]),
        seed=st.integers(0, 2 ** 16))
 def test_cover_bounds_never_below_exact_cover(blocks, dims, density, seed):
     residual = np.random.default_rng(seed).random(dims) < density
-    bounds = _cover_bounds([as_candidate(b) for b in blocks], table_of(residual))
+    bounds = _cover_bounds(np.array([as_row(b) for b in blocks]), table_of(residual))
     assert bounds.shape == (len(blocks),)
     for b, bound in zip(blocks, bounds.tolist()):
         assert bound >= np.count_nonzero(execute_block(b, dims) & residual), b
@@ -223,7 +281,7 @@ def test_cover_bounds_exact_for_boxes_and_lines_on_full_residual():
         ForStmt.translation(3, (9, 0, -7), (cuboid((1, 1, 20), (4, 5, 6)),)),
     ]
     exact = [int(np.count_nonzero(execute_block(b))) for b in blocks]
-    assert _cover_bounds([as_candidate(b) for b in blocks], table_of(full)).tolist() == exact
+    assert _cover_bounds(np.array([as_row(b) for b in blocks]), table_of(full)).tolist() == exact
 
 
 @st.composite
@@ -255,7 +313,7 @@ def test_table_counts_equal_execution(case, density, seed):
     target = rng.random(dims) < density
     rnd = _round_state(target, target & (rng.random(dims) < 0.3))
     exact = _counts(execute_block(block, dims), rnd.residual, rnd.false_free)
-    from_candidate = _chain_counts(rnd, *_candidate_chain(as_candidate(block)))
+    from_candidate = _chain_counts(rnd, *_candidate_chain(as_row(block)))
     from_rows = _chain_counts(rnd, *_rows_chain(tuple(encode_steps((block,)))))
     assert from_candidate == from_rows == exact
 
@@ -267,14 +325,18 @@ def test_table_counts_only_boxes():
     executed = [
         cyl, line, cuboid(geom=(5, 6, 7, 10)),
         ForStmt.rotation(4, 90, Axis.Y, (box,)),
-        ForStmt.translation(2, (9, 0, 0), (box, box)),
-        ForStmt.translation(2, (9, 0, 0), (ForStmt.translation(2, (0, 0, 9), (box,)),)),
         ForStmt.translation(3, (9, 0, 0), (cyl,)),
     ]
+    # loops no candidate row can hold: two bodies, and a nested loop
+    token_only = [
+        ForStmt.translation(2, (9, 0, 0), (box, box)),
+        ForStmt.translation(2, (9, 0, 0), (ForStmt.translation(2, (0, 0, 9), (box,)),)),
+    ]
     for b in executed:
-        assert _candidate_chain(as_candidate(b)) is None, b
+        assert _candidate_chain(as_row(b)) is None, b
+    for b in executed + token_only:
         assert _rows_chain(tuple(encode_steps((b,)))) is None, b
-    assert _candidate_chain(as_candidate(box)) == ((8, 4, 8, 14, 9, 15), 1, (0, 0, 0))
+    assert _candidate_chain(as_row(box)) == ((8, 4, 8, 14, 9, 15), 1, (0, 0, 0))
 
 
 def _template_rounds():
@@ -299,7 +361,7 @@ def test_ranked_beam_equals_exhaustive_ranking(loss):
         i0 = int(np.count_nonzero(current & target))
         u0 = int(np.count_nonzero(current | target))
         candidates = propose_candidates(residual, config)
-        blocks = [_make_block(c, target.shape) for c in candidates]
+        blocks = [_make_block(c, target.shape) for c in candidates.tolist()]
         scored = [
             (_score_from_counts(*_counts(execute_block(b), residual, false_free), i0, u0, config),
              idx, b) for idx, b in enumerate(blocks)]
@@ -339,18 +401,33 @@ def test_refine_shared_round_cache_matches_uncached():
 
 
 # sha256 prefix of (program text, final IoU, score trace), and the final
-# IoU, recorded from the fit that executed every candidate
+# IoU, per built-in template. The first five were recorded from the fit that
+# executed every candidate, the rest from the fit that made candidates as
+# tuples, before they became array rows.
 PINNED_FITS = {
     "table_four_leg": ("3ccc15ff483da354", 1.0),
     "table_round_rotleg": ("7195dfc175fc5d81", 1.0),
     "table_locker": ("947f9e3ccdd72b8b", 0.7368421052631579),
     "chair_armchair": ("938cf240ab8887d1", 0.6571428571428571),
     "chair_swivel": ("286518ff58eb8900", 0.9867075664621677),
+    "table_pedestal": ("d9c1ab83511bef02", 1.0),
+    "table_sideboard": ("4f0c397d5bace2c1", 1.0),
+    "table_layer": ("70f9042c661a048e", 1.0),
+    "table_multi_layer": ("bb2cb98c2da33fe8", 1.0),
+    "table_hbar": ("345ee988d9483227", 1.0),
+    "table_slab": ("ec3a327caccd4fdd", 1.0),
+    "table_round_corner": ("62321e9f06fbb484", 0.8710900473933649),
+    "chair_basic": ("1a576f372c272873", 0.8435374149659864),
+    "chair_bar_back": ("84ef370bb4c81315", 0.9250936329588015),
+    "chair_sofa": ("23285c90e6ce6c9c", 0.76),
+    "chair_bench": ("da5c499f2be86d14", 1.0),
+    "chair_post_back": ("fcefdb3e3ea2fee8", 1.0),
 }
 
 
 def test_fit_program_pinned():
     templates = {t.id: t for t in builtin_templates()}
+    assert set(PINNED_FITS) == set(templates)
     for tid, (digest, final_iou) in PINNED_FITS.items():
         r = fit_program(execute_program(sample(templates[tid], np.random.default_rng(7))[0]))
         blob = repr((print_text(r.program), repr(r.final_iou),
@@ -362,7 +439,7 @@ def test_fit_program_pinned():
 def test_candidates_are_valid_blocks():
     rng = np.random.default_rng(32)
     res = rng.random((32, 32, 32)) < 0.05
-    for c in propose_candidates(res):
+    for c in propose_candidates(res).tolist():
         assert not validate_program(Program((_make_block(c, res.shape),))).violations
 
 
