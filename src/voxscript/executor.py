@@ -122,6 +122,21 @@ def _line_points(p0, p1, dims):
     return np.rint(p0[None, :] + ts * (p1 - p0)[None, :]).astype(int)
 
 
+def tilt_runs(ang, k0, k1) -> list:
+    """Rows k0..k1-1 of a Cuboid tilted by ``ang`` degrees as [first row,
+    end row, x shift] runs of equal shift; row k shifts by round(k * tan(ang))."""
+    slope = math.tan(math.radians(ang))
+    runs: list = []
+    for k in range(k0, k1):
+        # round() halves to even on a float, as np.rint does
+        shift = round(k * slope)
+        if runs and runs[-1][2] == shift:
+            runs[-1][1] = k + 1
+        else:
+            runs.append([k, k + 1, shift])
+    return runs
+
+
 def _render(grid: np.ndarray, shape, position, geometry) -> None:
     px, py, pz = position
     if shape is ShapeKind.CUBOID or shape is ShapeKind.RECTANGLE:
@@ -129,12 +144,9 @@ def _render(grid: np.ndarray, shape, position, geometry) -> None:
         if len(geometry) == 3 or geometry[3] == 0:
             _fill_box(grid, px, px + r1, py, py + t, pz, pz + r2)
         else:
-            slope = math.tan(math.radians(geometry[3]))
             # only the rows inside the grid: the cost stays bounded by dims
-            for k in range(max(0, -py), min(t, grid.shape[1] - py)):
-                # round() halves to even on a float, as np.rint does
-                shift = round(k * slope)
-                _fill_box(grid, px + shift, px + r1 + shift, py + k, py + k + 1, pz, pz + r2)
+            for k0, k1, shift in tilt_runs(geometry[3], max(0, -py), min(t, grid.shape[1] - py)):
+                _fill_box(grid, px + shift, px + r1 + shift, py + k0, py + k1, pz, pz + r2)
     elif shape is ShapeKind.CYLINDER or shape is ShapeKind.CIRCLE:
         t, r = geometry
         _fill_disk_column(grid, px, py, pz, t, r)

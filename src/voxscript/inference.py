@@ -15,12 +15,18 @@ remaining bound can reach the beam. The bound only decides which
 candidates are scored, and while the budget lasts the beam is exactly the
 one that scoring every candidate would give.
 
-A candidate whose voxels are boxes is counted from the table, not
-executed: an untilted ``Cub`` or ``Rect``, a ``Sqr``, or a translation
-loop over one of them. Copies i < j < k of a convex body meet only inside
-copy j, so such a loop covers each copy's count minus each consecutive
-pair's overlap, exactly, for any step. Every other candidate is executed
-and its grid counted.
+A candidate whose voxels are a union of boxes is counted from the table,
+not executed. An untilted ``Cub`` or ``Rect``, or a ``Sqr``, is one box; a
+tilted ``Cub`` is one box per run of rows with equal shift. Copies
+i < j < k of a box meet only inside copy j, so a translation loop over one
+covers each copy's count minus each consecutive pair's overlap, exactly,
+for any step; over a tilted ``Cub`` this holds run by run while the step
+keeps y. A rotation about Y counts its copies, each the draw moved to its
+rotated anchor, when their clipped bounding boxes are disjoint. Executed
+and their grids counted: lines, cylinders, rotations whose copies
+overlap, translations moving a multi-run tilt in y, and refined blocks
+with several bodies or nested loops. The beam's single-box rows are
+counted all at once, in the pass that bounds them.
 
 Statements are built only where the executor needs them. A round's
 candidates are the rows of one int64 array (see ``propose_candidates``)
@@ -48,7 +54,7 @@ from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, Program, 
 from .dsl.tokens import (DRAW_BY_ID, FOR_ROTATION_ID, FOR_TRANSLATION_ID, build_statements,
                          encode_steps)
 from .errors import ShapeMismatchError
-from .executor import SHAPES, as_grid, draw_extents, execute_block
+from .executor import SHAPES, _rotate_point, as_grid, draw_extents, execute_block, tilt_runs
 from .metrics import BCE_EPS, LossWeights, iou
 
 _WRAP_TIMES = (2, 3, 4, 5)
@@ -67,6 +73,10 @@ _MODE, _TIMES, _STEP, _SHAPE, _POS, _GEOM, _ROW_LEN = 0, 1, slice(2, 5), 5, slic
 _DRAW, _TRANS, _ROT = 0, 1, 2
 _CUBOID, _CYLINDER, _LINE = (SHAPES.index(k) for k in
                              (ShapeKind.CUBOID, ShapeKind.CYLINDER, ShapeKind.LINE))
+# Per shape code: are an untilted draw's voxels one box?
+_IS_BOX = np.array([k in (ShapeKind.CUBOID, ShapeKind.RECTANGLE, ShapeKind.SQUARE)
+                    for k in SHAPES])
+_AXIS_Y = tuple(Axis).index(Axis.Y)  # a rotation header's axis slot (see dsl.tokens)
 
 
 class LossKind(enum.Enum):
@@ -309,7 +319,9 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
     if len(occ) == 0:
         return np.zeros((0, _ROW_LEN), dtype=np.int64)
     lo, hi = occ.min(axis=0), occ.max(axis=0)
-    labels, _ = ndimage.label(res, structure=np.ones((3, 3, 3), dtype=bool))
+    # labelled inside the occupied box, which keeps the raster order of components
+    labels, _ = ndimage.label(res[tuple(slice(a, b + 1) for a, b in zip(lo, hi))],
+                              structure=np.ones((3, 3, 3), dtype=bool))
     steps = _periodic_steps(res)
 
     # One seed point per stride cell: the cell's first occupied voxel.
@@ -347,7 +359,7 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
         loops.append(_loop_rows(wraps[s], draws[in_slab[s]]))
     # wrapper bodies: the first draws from each of the first components'
     # first seed, components in label order
-    seed_labels = labels[tuple(seeds.T)]
+    seed_labels = labels[tuple((seeds - lo).T)]
     firsts = np.sort(np.unique(seed_labels, return_index=True)[1])[:_WRAP_MAX_COMPONENTS]
     rank = np.arange(len(source)) - np.searchsorted(source, source)  # among its seed's draws
     bodies = np.flatnonzero(np.isin(source, firsts) & (rank < _WRAP_BODIES_PER_COMPONENT))
@@ -429,51 +441,35 @@ def _box_sum(sums, dims, x0, y0, z0, x1, y1, z1) -> int:
             + sums[x0, y0, z1] + sums[x0, y1, z0] + sums[x1, y0, z0] - sums[x0, y0, z0])
 
 
-def _box(shape, pos, geom):
-    """(x0, y0, z0, x1, y1, z1) of the voxels a draw sets when they form a
-    box (an untilted Cub or Rect, or a Sqr), else None."""
+def _draw_boxes(shape, pos, geom, dy):
+    """The disjoint boxes (x0, y0, z0, x1, y1, z1) whose union a draw sets,
+    or None for a line or a cylinder: one box for an untilted Cub or Rect or
+    a Sqr, one per run of equal shift for a tilted Cub. Given the grid's
+    height ``dy``, tilted rows are clipped to the grid as ``_render`` clips
+    them; given None they are not, and a tilt of several runs gives None."""
     x, y, z = pos
-    if shape is ShapeKind.CUBOID or shape is ShapeKind.RECTANGLE:
-        if len(geom) > 3 and geom[3] != 0:
-            return None
-        t, r1, r2 = geom[:3]
-        return x, y, z, x + r1, y + t, z + r2
     if shape is ShapeKind.SQUARE:
         t, r = geom[:2]
-        return x - r, y, z - r, x + r + 1, y + t, z + r + 1
-    return None
-
-
-def _candidate_chain(row):
-    """(box, times, step) of a candidate row the table can count, else None."""
-    mode, times, ux, uy, uz, code, x, y, z, *geom = row
-    box = None if mode == _ROT else _box(SHAPES[code], (x, y, z), geom)
-    return None if box is None else (box, times, (ux, uy, uz))
-
-
-def _rows_chain(rows):
-    """(box, times, step) of a block's token rows the table can count, else None."""
-    if len(rows) == 1:
-        (sid, args), = rows
-        times, step = 1, (0, 0, 0)
-    elif len(rows) == 3 and rows[0][0] == FOR_TRANSLATION_ID:
-        times, *step = rows[0][1][:4]
-        sid, args = rows[1]
-    else:
+        return ((x - r, y, z - r, x + r + 1, y + t, z + r + 1),)
+    if shape is not ShapeKind.CUBOID and shape is not ShapeKind.RECTANGLE:
         return None
-    draw = DRAW_BY_ID.get(sid)
-    box = None if draw is None else _box(draw[1], args[:3], args[3:])
-    return None if box is None else (box, times, step)
+    t, r1, r2 = geom[:3]
+    tilt = geom[3] if len(geom) > 3 else 0
+    if tilt and dy is not None:
+        return tuple((x + s, y + k0, z, x + r1 + s, y + k1, z + r2)
+                     for k0, k1, s in tilt_runs(tilt, max(0, -y), min(t, dy - y)))
+    if tilt and t > 0 and tilt_runs(tilt, t - 1, t)[0][2]:
+        return None  # shifts are monotone from 0 at row 0, so the last row's decides
+    return ((x, y, z, x + r1, y + t, z + r2),)
 
 
-def _chain_counts(rnd: _Round, box, times, step) -> tuple:
-    """(a, b) of ``times`` copies of ``box``, copy k moved by k * step.
+def _chain_sum(sums, dims, box, times, step) -> int:
+    """The packed counts of ``times`` copies of ``box``, copy k moved by k * step.
 
     A voxel lies in a run of consecutive copies, since copies i < j < k of
     a box meet only inside copy j. Summing every copy and subtracting every
     consecutive pair's overlap therefore counts each covered voxel once.
     """
-    sums, dims = rnd.sums, rnd.residual.shape
     x0, y0, z0, x1, y1, z1 = box
     ux, uy, uz = step
     # copies k and k + 1 overlap in copy k cut short by the step on each axis
@@ -486,36 +482,103 @@ def _chain_counts(rnd: _Round, box, times, step) -> tuple:
         if k + 1 < times:
             total -= _box_sum(sums, dims, ox0 + dx, oy0 + dy, oz0 + dz,
                               ox1 + dx, oy1 + dy, oz1 + dz)
+    return total
+
+
+def _block_counts(rnd: _Round, mode, times, step, shape, pos, geom):
+    """(a, b) of a draw, or of a translation or rotation about Y over one
+    draw (``step`` holds a rotation's angle in x), counted from the round's
+    table; None when it must be executed (see the module docstring)."""
+    sums, dims = rnd.sums, rnd.residual.shape
+    boxes = _draw_boxes(shape, pos, geom, None if mode == _TRANS and step[1] else dims[1])
+    if boxes is None:
+        return None
+    total = 0
+    if mode != _ROT:
+        for box in boxes:
+            total += _chain_sum(sums, dims, box, times, step)
+        return total & _LOW_BITS, total >> 32
+    if not boxes:
+        return 0, 0
+    x, y, z = pos
+    x0s, _, z0s, x1s, _, z1s = zip(*boxes)
+    bx0, bz0, bx1, bz1 = min(x0s), min(z0s), max(x1s), max(z1s)
+    kept: list = []  # clipped (x0, z0, x1, z1) of the copies so far, which share their rows
+    for ax, _, az in {(x, y, z) if k == 0 or step[0] == 0 else
+                      _rotate_point((x, y, z), k * step[0], Axis.Y, dims) for k in range(times)}:
+        dx, dz = ax - x, az - z
+        cx0, cz0 = max(bx0 + dx, 0), max(bz0 + dz, 0)
+        cx1, cz1 = min(bx1 + dx, dims[0]), min(bz1 + dz, dims[2])
+        if cx0 >= cx1 or cz0 >= cz1:
+            continue
+        if any(cx0 < kx1 and kx0 < cx1 and cz0 < kz1 and kz0 < cz1 for kx0, kz0, kx1, kz1 in kept):
+            return None
+        kept.append((cx0, cz0, cx1, cz1))
+        for x0, y0, z0, x1, y1, z1 in boxes:
+            total += _box_sum(sums, dims, x0 + dx, y0, z0 + dz, x1 + dx, y1, z1 + dz)
     return total & _LOW_BITS, total >> 32
 
 
-def _cover_bounds(rows, table) -> np.ndarray:
-    """Per candidate row, an upper bound on the residual voxels it covers.
+def _rows_counts(rnd: _Round, rows):
+    """``_block_counts`` of a block's token rows, or None to execute them."""
+    if len(rows) not in (1, 3):
+        return None
+    # a draw alone is one copy
+    lid, (times, u0, u1, u2, *_) = rows[0] if len(rows) == 3 else (None, (1, 0, 0, 0))
+    sid, args = rows[len(rows) // 2]
+    if sid not in DRAW_BY_ID or lid == FOR_ROTATION_ID and u1 != _AXIS_Y:
+        return None
+    mode, step = (_ROT, (u0, 0, 0)) if lid == FOR_ROTATION_ID else (_TRANS, (u0, u1, u2))
+    return _block_counts(rnd, mode, times, step, DRAW_BY_ID[sid][1], args[:3], args[3:])
+
+
+def _table_sums(table, dims, lo, hi) -> np.ndarray:
+    """The packed counts of the boxes from rows of ``lo`` to rows of ``hi``
+    (exclusive), each clipped to the grid of ``dims``."""
+    lo = np.clip(lo, 0, dims)
+    (x0, y0, z0), (x1, y1, z1) = lo.T, np.clip(hi, lo, dims).T
+    return (table[x1, y1, z1] - table[x0, y1, z1] - table[x1, y0, z1] - table[x1, y1, z0]
+            + table[x0, y0, z1] + table[x0, y1, z0] + table[x1, y0, z0] - table[x0, y0, z0])
+
+
+def _cover_bounds(rows, table) -> tuple:
+    """Per candidate row, an upper bound on the residual voxels it covers,
+    and the row's exact packed counts where it is one untilted box or a
+    translation of one, else -1.
 
     A draw covers at most min(its voxel bound, the residual inside its
     clipped box), a translation loop at most the sum of that over its
     copies, and a rotation loop at most the whole residual. Box sums come
     from the round's summed-volume table, and every box from one
-    ``draw_extents`` pass over the rows' columns.
+    ``draw_extents`` pass over the rows' columns; exact counts subtract the
+    consecutive copies' overlaps as ``_chain_sum`` does.
     """
     dims = np.array(table.shape) - 1
     bounds = np.full(len(rows), table[-1, -1, -1] & _LOW_BITS, dtype=np.int64)
+    counts = np.full(len(rows), -1, dtype=np.int64)
     boxed = np.flatnonzero(rows[:, _MODE] != _ROT)
     sub = rows[boxed]
     lo, hi, volume = draw_extents(sub[:, _SHAPE], sub[:, _POS], sub[:, _GEOM:])
     times = sub[:, _TIMES]
     # copy k of a row is its box moved by k * step
     k = np.arange(times.sum()) - np.repeat(np.cumsum(times) - times, times)
-    off = k[:, None] * np.repeat(sub[:, _STEP], times, axis=0)
-    lo = np.clip(np.repeat(lo, times, axis=0) + off, 0, dims)
-    hi = np.clip(np.repeat(hi, times, axis=0) + off, lo, dims)
-    (x0, y0, z0), (x1, y1, z1) = lo.T, hi.T
-    inside = (table[x1, y1, z1] - table[x0, y1, z1] - table[x1, y0, z1] - table[x1, y1, z0]
-              + table[x0, y0, z1] + table[x0, y1, z0] + table[x1, y0, z0] - table[x0, y0, z0])
+    step = np.repeat(sub[:, _STEP], times, axis=0)
+    lo = np.repeat(lo, times, axis=0) + k[:, None] * step
+    hi = np.repeat(hi, times, axis=0) + k[:, None] * step
+    inside = _table_sums(table, dims, lo, hi)
     bounds[boxed] = np.bincount(np.repeat(np.arange(len(sub)), times),
                                 np.minimum(np.repeat(volume, times), inside & _LOW_BITS),
                                 minlength=len(sub))
-    return bounds
+    # rows whose every copy is one box: an untilted Cub or Rect, or a Sqr
+    box = _IS_BOX[sub[:, _SHAPE]] & (sub[:, _GEOM + 3] == 0)
+    pair = np.repeat(box, times) & (k + 1 < np.repeat(times, times))
+    inside[pair] -= _table_sums(table, dims, lo[pair] + np.maximum(step[pair], 0),
+                                hi[pair] + np.minimum(step[pair], 0))
+    # per row, the sum of its copies' entries (int64 wraps, so differences stay exact)
+    ends = np.cumsum(times)
+    net = np.concatenate(((0,), np.cumsum(inside)))
+    counts[boxed[box]] = (net[ends] - net[ends - times])[box]
+    return bounds, counts
 
 
 def _score_from_counts(a, b, i0, u0, config: SearchConfig) -> float:
@@ -582,12 +645,8 @@ def _refine(rows, score, rnd: _Round, config, budget, cache) -> tuple:
         if s is None:
             if not budget.spend():
                 return None
-            chain = _rows_chain(nb)
-            if chain is None:
-                block = build_statements(nb)[0]
-                a, bad = _counts(execute_block(block, dims), rnd.residual, rnd.false_free)
-            else:
-                a, bad = _chain_counts(rnd, *chain)
+            a, bad = (_rows_counts(rnd, nb) or _counts(execute_block(build_statements(nb)[0], dims),
+                                                       rnd.residual, rnd.false_free))
             s = cache[nb] = _score_from_counts(a, bad, rnd.i0, rnd.u0, config)
         return s
 
@@ -636,22 +695,23 @@ def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
     """
     dims = rnd.residual.shape
     i0, u0 = rnd.i0, rnd.u0
-    bounds = _cover_bounds(rows, rnd.table)
+    bounds, counts = _cover_bounds(rows, rnd.table)
     order = np.argsort(-bounds, kind="stable")
     beam: list = []  # (-score, index)
-    for idx, bound in zip(order.tolist(), bounds[order].tolist()):
+    for idx, bound, packed in zip(order.tolist(), bounds[order].tolist(), counts[order].tolist()):
         if (len(beam) == config.beam_width
                 and _score_from_counts(bound, 0, i0, u0, config) < -beam[-1][0]):
             break
         if not budget.spend():
             break
-        row = rows[idx].tolist()
-        chain = _candidate_chain(row)
-        if chain is None:
-            a, b = _counts(execute_block(_make_block(row, dims), dims), rnd.residual,
-                           rnd.false_free)
+        if packed >= 0:
+            a, b = packed & _LOW_BITS, packed >> 32
         else:
-            a, b = _chain_counts(rnd, *chain)
+            row = rows[idx].tolist()
+            a, b = (_block_counts(rnd, row[_MODE], row[_TIMES], row[_STEP], SHAPES[row[_SHAPE]],
+                                  row[_POS], row[_GEOM:])
+                    or _counts(execute_block(_make_block(row, dims), dims), rnd.residual,
+                               rnd.false_free))
         bisect.insort(beam, (-_score_from_counts(a, b, i0, u0, config), idx))
         del beam[config.beam_width:]
     return [(-neg, idx, _make_block(rows[idx].tolist(), dims)) for neg, idx in beam]
@@ -683,10 +743,10 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
         return FitResult(Program(()), (), 1.0, 0, False, "residual_empty")
     stop = "max_blocks"
     while len(accepted) < max_blocks:
-        rnd = _round_state(target, current)
-        if budget.exhausted or not rnd.residual.any():
+        if budget.exhausted or not (target & ~current).any():
             stop = "budget" if budget.exhausted else "residual_empty"
             break
+        rnd = _round_state(target, current)
         candidates = propose_candidates(rnd.residual, config)
         beam = _ranked_beam(candidates, rnd, config, budget)
         if not beam:  # the budget ran out before one candidate was scored

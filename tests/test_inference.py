@@ -12,9 +12,9 @@ from voxscript.executor import SHAPES, execute_block, execute_program
 from voxscript.dsl.text import print_text
 from voxscript.dsl.tokens import encode_steps
 from voxscript.inference import (_PERIOD_MIN_OVERLAP, _SEED_DIRS, FitResult, LossKind,
-                                 SearchConfig, _Budget, _candidate_chain, _chain_counts, _counts,
-                                 _cover_bounds, _lattice_seeds, _make_block, _periodic_steps,
-                                 _ranked_beam, _refine, _round_state, _rows_chain, _runs,
+                                 SearchConfig, _Budget, _block_counts, _counts, _cover_bounds,
+                                 _lattice_seeds, _make_block, _periodic_steps, _ranked_beam,
+                                 _refine, _round_state, _rows_counts, _runs,
                                  _score_from_counts, fit_program, propose_candidates,
                                  refine_block, score_block)
 from voxscript.metrics import iou
@@ -265,7 +265,7 @@ rotations = st.builds(lambda n, ang, body: ForStmt.rotation(n, ang, Axis.Y, (bod
        seed=st.integers(0, 2 ** 16))
 def test_cover_bounds_never_below_exact_cover(blocks, dims, density, seed):
     residual = np.random.default_rng(seed).random(dims) < density
-    bounds = _cover_bounds(np.array([as_row(b) for b in blocks]), table_of(residual))
+    bounds, _ = _cover_bounds(np.array([as_row(b) for b in blocks]), table_of(residual))
     assert bounds.shape == (len(blocks),)
     for b, bound in zip(blocks, bounds.tolist()):
         assert bound >= np.count_nonzero(execute_block(b, dims) & residual), b
@@ -281,15 +281,15 @@ def test_cover_bounds_exact_for_boxes_and_lines_on_full_residual():
         ForStmt.translation(3, (9, 0, -7), (cuboid((1, 1, 20), (4, 5, 6)),)),
     ]
     exact = [int(np.count_nonzero(execute_block(b))) for b in blocks]
-    assert _cover_bounds(np.array([as_row(b) for b in blocks]), table_of(full)).tolist() == exact
+    assert _cover_bounds(np.array([as_row(b) for b in blocks]), table_of(full))[0].tolist() == exact
 
 
 @st.composite
-def box_chains(draw):
+def box_chains(draw, dims=None):
     """(dims, block): an untilted Cub or Rect, or a Sqr, alone or in a
     translation loop of 2 to 16 copies, placed anywhere from inside the grid
     to fully outside it."""
-    dims = draw(st.sampled_from([(32, 32, 32), (16, 64, 16), (7, 5, 9)]))
+    dims = dims or draw(st.sampled_from([(32, 32, 32), (16, 64, 16), (7, 5, 9)]))
     pos = tuple(draw(st.integers(-n // 2 - 6, n + 6)) for n in dims)
     extent = st.integers(-2, 20)
     shape = draw(st.sampled_from([ShapeKind.CUBOID, ShapeKind.RECTANGLE, ShapeKind.SQUARE]))
@@ -313,30 +313,141 @@ def test_table_counts_equal_execution(case, density, seed):
     target = rng.random(dims) < density
     rnd = _round_state(target, target & (rng.random(dims) < 0.3))
     exact = _counts(execute_block(block, dims), rnd.residual, rnd.false_free)
-    from_candidate = _chain_counts(rnd, *_candidate_chain(as_row(block)))
-    from_rows = _chain_counts(rnd, *_rows_chain(tuple(encode_steps((block,)))))
-    assert from_candidate == from_rows == exact
+    assert table_counts(rnd, block) == (exact, exact)
+
+
+def table_counts(rnd, block):
+    """A block's ``_block_counts`` from its candidate row and from its token rows."""
+    mode, times, ux, uy, uz, code, x, y, z, *geom = as_row(block)
+    return (_block_counts(rnd, mode, times, (ux, uy, uz), SHAPES[code], (x, y, z), geom),
+            _rows_counts(rnd, tuple(encode_steps((block,)))))
+
+
+@st.composite
+def tilts_and_rotations(draw):
+    """(dims, block): a tilted Cub, a translation over one, or a rotation
+    about Y over a Cub, Rect, Sqr or tilted Cub, from inside the grid to
+    outside it, heights past the grid included."""
+    dims = draw(st.sampled_from([(32, 32, 32), (16, 64, 16), (7, 5, 9)]))
+    pos = tuple(draw(st.integers(-n // 2 - 6, n + 6)) for n in dims)
+    extent = st.integers(-2, 20)
+    tilted = (draw(st.integers(-2, dims[1] + 8)), draw(extent), draw(extent),
+              draw(st.integers(-45, 45)))
+    kind = draw(st.sampled_from(["draw", "translation", "rotation"]))
+    if kind == "rotation":
+        shape = draw(st.sampled_from(["tilt", ShapeKind.CUBOID, ShapeKind.RECTANGLE,
+                                      ShapeKind.SQUARE]))
+        geom = (tilted if shape == "tilt" else (draw(extent), draw(st.integers(-2, 10)))
+                if shape is ShapeKind.SQUARE else (draw(extent), draw(extent), draw(extent)))
+        body = DrawStmt(Semantics.BASE, ShapeKind.CUBOID if shape == "tilt" else shape, pos, geom)
+        times = draw(st.integers(1, 16))
+        angle = draw(st.sampled_from([0, 360 // times, -90, 355]) | st.integers(-355, 355))
+        return dims, ForStmt.rotation(times, angle, Axis.Y, (body,))
+    body = DrawStmt(Semantics.BASE, ShapeKind.CUBOID, pos, tilted)
+    if kind == "draw":
+        return dims, body
+    uy = draw(st.sampled_from([0, 0]) | st.integers(-12, 12))
+    u = (draw(st.integers(-12, 12)), uy, draw(st.integers(-12, 12)))
+    return dims, ForStmt.translation(draw(st.integers(2, 16)), u, (body,))
+
+
+@settings(max_examples=400)
+@given(case=tilts_and_rotations(), density=st.sampled_from([0.1, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_tilt_and_rotation_counts_equal_execution(case, density, seed):
+    dims, block = case
+    rng = np.random.default_rng(seed)
+    target = rng.random(dims) < density
+    rnd = _round_state(target, target & (rng.random(dims) < 0.3))
+    exact = _counts(execute_block(block, dims), rnd.residual, rnd.false_free)
+    from_row, from_rows = table_counts(rnd, block)
+    assert from_row == from_rows
+    assert from_row in (exact, None)
+    # only rotations with overlapping copies and multi-run tilts moving in y are executed
+    if isinstance(block, DrawStmt) or (block.mode is LoopMode.TRANSLATION and not block.step[1]):
+        assert from_row == exact
 
 
 def test_table_counts_only_boxes():
     cyl = DrawStmt(Semantics.LEG, ShapeKind.CYLINDER, (4, 0, 4), (5, 2))
     line = DrawStmt(Semantics.BASE, ShapeKind.LINE, (1, 2, 3), (9, 2, 3))
     box = cuboid()
-    executed = [
-        cyl, line, cuboid(geom=(5, 6, 7, 10)),
-        ForStmt.rotation(4, 90, Axis.Y, (box,)),
-        ForStmt.translation(3, (9, 0, 0), (cyl,)),
+    # rows 0..9 of a 30 degree tilt shift by 0, 1, 1, 2, 2, 3, 3, 4, 5, 5
+    steep = cuboid(geom=(10, 3, 3, 30))
+    counted = [
+        box, steep, cuboid(geom=(5, 6, 7, 5)),
+        DrawStmt(Semantics.TOP, ShapeKind.RECTANGLE, (2, 3, 4), (5, 6, 7)),
+        DrawStmt(Semantics.BASE, ShapeKind.SQUARE, (16, 0, 16), (3, 4)),
+        ForStmt.translation(3, (9, 0, 0), (steep,)),
+        ForStmt.translation(3, (9, 4, 0), (cuboid(geom=(5, 6, 7, 5)),)),
+        ForStmt.rotation(4, 90, Axis.Y, (cuboid((2, 0, 2), (5, 4, 4)),)),
+        ForStmt.rotation(4, 90, Axis.Y, (cuboid((2, 0, 2), (5, 4, 4, 20)),)),
+        ForStmt.rotation(3, 0, Axis.Y, (box,)),
     ]
-    # loops no candidate row can hold: two bodies, and a nested loop
+    executed = [
+        cyl, line,
+        ForStmt.translation(3, (9, 0, 0), (cyl,)),
+        ForStmt.rotation(4, 90, Axis.Y, (cyl,)),
+        # a box across the centre: the rotated copies overlap
+        ForStmt.rotation(4, 90, Axis.Y, (cuboid((12, 0, 12), (5, 8, 8)),)),
+        ForStmt.translation(3, (9, 4, 0), (steep,)),
+    ]
+    # loops no candidate row can hold: two bodies, a nested loop, and a
+    # rotation about another axis
     token_only = [
         ForStmt.translation(2, (9, 0, 0), (box, box)),
         ForStmt.translation(2, (9, 0, 0), (ForStmt.translation(2, (0, 0, 9), (box,)),)),
+        ForStmt.rotation(4, 90, Axis.X, (cuboid((2, 0, 2), (5, 4, 4)),)),
     ]
+    target = np.random.default_rng(5).random((32, 32, 32)) < 0.5
+    rnd = _round_state(target, np.zeros_like(target))
+    for b in counted:
+        exact = _counts(execute_block(b), rnd.residual, rnd.false_free)
+        assert table_counts(rnd, b) == (exact, exact), b
     for b in executed:
-        assert _candidate_chain(as_row(b)) is None, b
-    for b in executed + token_only:
-        assert _rows_chain(tuple(encode_steps((b,)))) is None, b
-    assert _candidate_chain(as_row(box)) == ((8, 4, 8, 14, 9, 15), 1, (0, 0, 0))
+        assert table_counts(rnd, b) == (None, None), b
+    for b in token_only:
+        assert _rows_counts(rnd, tuple(encode_steps((b,)))) is None, b
+
+
+@settings(max_examples=200)
+@given(dims=st.sampled_from([(32, 32, 32), (16, 64, 16), (7, 5, 9)]),
+       density=st.sampled_from([0.1, 0.5, 1.0]), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_cover_bounds_counts_single_box_rows_exactly(dims, density, seed, data):
+    blocks = data.draw(st.lists(box_chains(dims).map(lambda case: case[1])
+                                | draws() | translations | rotations, min_size=1, max_size=8))
+    rng = np.random.default_rng(seed)
+    target = rng.random(dims) < density
+    rnd = _round_state(target, target & (rng.random(dims) < 0.3))
+    rows = np.array([as_row(b) for b in blocks])
+    bounds, counts = _cover_bounds(rows, rnd.table)
+    for b, row, bound, packed in zip(blocks, rows.tolist(), bounds.tolist(), counts.tolist()):
+        body = b if isinstance(b, DrawStmt) else b.body[0]
+        if (row[0] == 2 or row[12] != 0 or body.shape not in
+                (ShapeKind.CUBOID, ShapeKind.RECTANGLE, ShapeKind.SQUARE)):
+            assert packed == -1, b
+            continue
+        a, bad = _counts(execute_block(b, dims), rnd.residual, rnd.false_free)
+        assert packed == a + (bad << 32), b
+        # the bound is unchanged: per copy, min(volume, residual in its clipped box)
+        times, u = (1, (0, 0, 0)) if b is body else (b.times, b.step)
+        lo, hi, volume = box_of(body)
+        expect = 0
+        for k in range(times):
+            sl = tuple(slice(max(l + k * s, 0), max(h + k * s, 0)) for l, h, s in zip(lo, hi, u))
+            expect += min(volume, int(np.count_nonzero(rnd.residual[sl])))
+        assert bound == expect, b
+
+
+def box_of(d):
+    """(lo, hi, volume) of an untilted Cub or Rect, or of a Sqr."""
+    x, y, z = d.position
+    if d.shape is ShapeKind.SQUARE:
+        t, r = d.geometry
+        w = 2 * r + 1
+        return (x - r, y, z - r), (x + r + 1, y + t, z + r + 1), max(t, 0) * max(w, 0) ** 2
+    t, r1, r2 = d.geometry[:3]
+    return (x, y, z), (x + r1, y + t, z + r2), max(t, 0) * max(r1, 0) * max(r2, 0)
 
 
 def _template_rounds():
