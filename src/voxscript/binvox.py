@@ -4,8 +4,17 @@ Binvox layout: text header (magic, dim, translate, scale, data) then a
 run-length payload of (value, count) byte pairs. Runs nest x slowest,
 then z, then y fastest; grids here are indexed (x, y, z), so the payload
 is the grid transposed to (x, z, y) and flattened.
+
+The writer encodes canonically, with maximal runs split into chunks of 255,
+in one numpy pass: run starts are where a value differs from the one before
+it, and the pairs of all runs' chunks are written with one ``tobytes()``.
+Headers carry ``translate`` and ``scale`` as ``:g`` text when that reads
+back equal, and as ``repr`` otherwise, so every written file decodes to the
+grid and the header values it was given.
 """
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -16,33 +25,55 @@ from .metrics import surface_mask
 _MAGIC = b"#binvox 1"
 
 
+def check_dims(dims, offset=None) -> None:
+    """Raise BinvoxError unless ``dims`` are three ints >= 1 holding at most
+    ``MAX_GRID_VOXELS`` voxels: the grids a binvox file can hold here."""
+    try:
+        x, y, z = (operator.index(d) for d in dims)
+    except (TypeError, ValueError):
+        raise BinvoxError(f"bad dims {dims!r}", offset=offset) from None
+    if min(x, y, z) < 1:
+        raise BinvoxError(f"bad dims {(x, y, z)}", offset=offset)
+    if x * y * z > MAX_GRID_VOXELS:
+        raise BinvoxError(f"dims {(x, y, z)} too large", offset=offset)
+
+
+def _header_number(v) -> str:
+    """``v`` as ``:g`` text if that parses back to ``v``, else its repr."""
+    v = float(v)
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
+
+
 def write_binvox(g, translate=(0.0, 0.0, 0.0), scale=1.0) -> bytes:
-    """Canonical encoding: maximal runs, counts split at 255."""
+    """Canonical encoding: maximal runs, counts split at 255.
+
+    A grid that ``read_binvox`` would refuse, with a zero dimension or more
+    than ``MAX_GRID_VOXELS`` voxels, raises BinvoxError before encoding."""
     g = np.asarray(g, dtype=bool)
     if g.ndim != 3:
         raise BinvoxError(f"grid must be 3-d, got shape {g.shape}")
+    check_dims(g.shape)
     header = (
         f"#binvox 1\n"
         f"dim {g.shape[0]} {g.shape[1]} {g.shape[2]}\n"
-        f"translate {translate[0]:g} {translate[1]:g} {translate[2]:g}\n"
-        f"scale {scale:g}\n"
+        f"translate {_header_number(translate[0])} {_header_number(translate[1])}"
+        f" {_header_number(translate[2])}\n"
+        f"scale {_header_number(scale)}\n"
         f"data\n"
     ).encode("ascii")
-    flat = g.transpose(0, 2, 1).ravel().astype(np.uint8)
-    out = bytearray(header)
-    if flat.size:
-        # boundaries of equal-value runs
-        edges = np.flatnonzero(np.diff(flat)) + 1
-        starts = np.concatenate(([0], edges))
-        ends = np.concatenate((edges, [flat.size]))
-        for s, e in zip(starts, ends):
-            value = flat[s]
-            run = int(e - s)
-            while run > 255:
-                out += bytes((value, 255))
-                run -= 255
-            out += bytes((value, run))
-    return bytes(out)
+    flat = g.transpose(0, 2, 1).ravel()
+    # run boundaries: 0, every index whose value differs from the one before, the end
+    bounds = np.concatenate(([0], np.flatnonzero(flat[1:] != flat[:-1]) + 1, [flat.size]))
+    lengths = np.diff(bounds)
+    chunks = (lengths + 254) // 255
+    ends = np.cumsum(chunks)
+    pairs = np.empty((int(ends[-1]), 2), dtype=np.uint8)
+    pairs[:, 0] = np.repeat(flat[bounds[:-1]], chunks)
+    pairs[:, 1] = 255
+    # each run's last chunk holds the remainder, 1..255 voxels
+    pairs[ends - 1, 1] = lengths - 255 * (chunks - 1)
+    return header + pairs.tobytes()
 
 
 def read_binvox(data: bytes):
@@ -70,10 +101,7 @@ def read_binvox(data: bytes):
                 dims = tuple(int(v) for v in fields[1:4])
             except ValueError:
                 raise BinvoxError(f"bad dim line {line!r}", offset=line_start) from None
-            if len(dims) != 3 or any(d < 1 for d in dims):
-                raise BinvoxError(f"bad dims {dims}", offset=line_start)
-            if dims[0] * dims[1] * dims[2] > MAX_GRID_VOXELS:
-                raise BinvoxError(f"dims {dims} too large", offset=line_start)
+            check_dims(dims, offset=line_start)
         elif fields[0] in ("translate", "scale"):
             want = 3 if fields[0] == "translate" else 1
             try:

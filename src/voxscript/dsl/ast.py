@@ -8,7 +8,10 @@ over them is a pure function.
 from __future__ import annotations
 
 import enum
+import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Union
 
 
@@ -84,11 +87,36 @@ def canon_number(v):
 
 
 def format_number(v) -> str:
-    """Render a numeric argument: integers bare, floats via repr."""
+    """Render a numeric argument: integers bare, other floats positionally
+    with the digits of their shortest repr (1e-05 prints as 0.00001)."""
     v = canon_number(v)
     if isinstance(v, int):
         return str(v)
-    return repr(float(v))
+    text = repr(float(v))
+    return format(Decimal(text), "f") if "e" in text else text
+
+
+# What format_number writes for a finite number: ASCII digits after an
+# optional minus, and for a non-integral float a point and more digits.
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+
+
+def parse_number(text: str):
+    """Inverse of format_number: an int, or a float for text with a point.
+
+    Anything else raises ValueError: other digits, underscores, exponents,
+    ``inf``/``nan``, and decimals too large to be a finite float."""
+    if text.isascii() and text.isdigit():  # the common case, without the regex
+        return int(text)
+    m = _DECIMAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a decimal number: {text!r}")
+    if m.group(1) is None:
+        return int(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 @dataclass(frozen=True)

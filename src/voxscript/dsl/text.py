@@ -28,10 +28,13 @@ from .ast import (
     Semantics,
     ShapeKind,
     format_number,
+    parse_number,
     validate_program,
 )
 
 _PUNCT = "(){},="
+# Number tokens are ASCII only: other Unicode digits are unexpected characters.
+_DIGITS = "0123456789"
 
 
 class _Token(NamedTuple):
@@ -69,16 +72,16 @@ def _lex(src: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and (src[i + 1].isdigit() or src[i + 1] == ".")):
+        if c in _DIGITS or (c == "-" and i + 1 < n and (src[i + 1] in _DIGITS or src[i + 1] == ".")):
             j = i + 1
             seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
+            while j < n and (src[j] in _DIGITS or (src[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or src[j] == "."
                 j += 1
             text = src[i:j]
             try:
-                value = float(text) if "." in text else int(text)
-            except ValueError:  # "-." alone, or an integer too long to convert
+                value = parse_number(text)
+            except ValueError:  # "-.", "5.", or an integer too long to convert
                 raise DslSyntaxError(f"malformed number {text!r}", line, col) from None
             toks.append(_Token("number", text, value, line, col))
             col += j - i

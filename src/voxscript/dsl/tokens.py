@@ -14,6 +14,7 @@ Row layouts (unused trailing slots are zero):
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +33,7 @@ from .ast import (
     ShapeKind,
     canon_number,
     format_number,
+    parse_number,
     validate_program,
 )
 
@@ -211,18 +213,26 @@ def format_token_lines(t: TokenProgram) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+# Token rows hold only ASCII digits, minus signs, points and whitespace.
+_NON_TOKEN_CHAR = re.compile(r"[^0-9.\-\s]")
+
+
 def _parse_number(text, lineno):
+    # int() also takes "_", "+" and non-ASCII digits, which the row's
+    # character check has refused; what it refuses here gets the strict parse
     try:
         return int(text)
     except ValueError:
         pass
     try:
-        return canon_number(float(text))
+        return canon_number(parse_number(text))
     except ValueError:
         raise TokenError(lineno, f"not a number: {text!r}") from None
 
 
 def parse_token_lines(src: str) -> TokenProgram:
+    """Rows of ``id a1 .. a7`` as format_token_lines writes them; a field that
+    is not an ASCII decimal raises TokenError."""
     steps = []
     for lineno, line in enumerate(src.splitlines()):
         if not line.strip():
@@ -230,6 +240,9 @@ def parse_token_lines(src: str) -> TokenProgram:
         fields = line.split()
         if len(fields) != 1 + N_ARG_SLOTS:
             raise TokenError(lineno, f"expected {1 + N_ARG_SLOTS} fields, got {len(fields)}")
+        bad = _NON_TOKEN_CHAR.search(line)
+        if bad:
+            raise TokenError(lineno, f"unexpected character {bad.group()!r}")
         sid = _parse_number(fields[0], lineno)
         if not isinstance(sid, int) or sid < 0:
             raise TokenError(lineno, f"id must be a non-negative integer, got {fields[0]!r}")

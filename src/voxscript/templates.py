@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .binvox import write_binvox
+from .binvox import check_dims, write_binvox
 from .dsl.ast import (
     Axis,
     DrawStmt,
@@ -481,8 +481,10 @@ def generate_dataset(out_dir, tables=0, chairs=0, seed=0, weights=None,
     Files land in programs/, tokens/, and voxels/ under ``out_dir``, one
     trio per record, plus manifest.json. Record i draws from its own
     generator seeded with seed XOR i, so records are independent of each
-    other and of generation order.
+    other and of generation order. ``dims`` that no binvox file can hold
+    raise BinvoxError before any directory is created.
     """
+    check_dims(dims)
     out = Path(out_dir)
     all_templates = builtin_templates()
     families = {

@@ -1,13 +1,87 @@
 """binvox encode/decode and OBJ surface export."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from voxscript.binvox import export_obj, read_binvox, write_binvox
 from voxscript.errors import BinvoxError
+from voxscript.executor import MAX_GRID_VOXELS
 
 
 def rand_grid(rng, dims=(32, 32, 32), p=0.2):
     return rng.random(dims) < p
+
+
+def reference_write_binvox(g) -> bytes:
+    """One Python step per run: the encoder write_binvox must match byte for byte."""
+    header = (f"#binvox 1\ndim {g.shape[0]} {g.shape[1]} {g.shape[2]}\n"
+              f"translate 0 0 0\nscale 1\ndata\n").encode("ascii")
+    flat = g.transpose(0, 2, 1).ravel().astype(np.uint8)
+    out = bytearray(header)
+    edges = np.flatnonzero(np.diff(flat)) + 1
+    starts = np.concatenate(([0], edges))
+    ends = np.concatenate((edges, [flat.size]))
+    for s, e in zip(starts, ends):
+        value = flat[s]
+        run = int(e - s)
+        while run > 255:
+            out += bytes((value, 255))
+            run -= 255
+        out += bytes((value, run))
+    return bytes(out)
+
+
+def grid_from_runs(dims, first, runs):
+    """A grid whose (x, z, y) payload order holds alternating runs, starting
+    with value ``first``; what the runs leave over is one more run."""
+    flat = np.zeros(dims[0] * dims[1] * dims[2], dtype=bool)
+    value, at = first, 0
+    for run in runs:
+        flat[at:at + run] = value
+        value, at = not value, at + run
+    flat[at:] = value
+    return flat.reshape(dims[0], dims[2], dims[1]).transpose(0, 2, 1)
+
+
+axis_sizes = st.one_of(st.just(1), st.integers(1, 40))
+
+
+@settings(max_examples=300)
+@given(dims=st.tuples(axis_sizes, axis_sizes, axis_sizes),
+       density=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(dims=(40, 40, 40), density=0.0, seed=0)
+@example(dims=(40, 40, 40), density=1.0, seed=0)
+@example(dims=(1, 1, 1), density=1.0, seed=0)
+def test_encoder_matches_reference_on_random_grids(dims, density, seed):
+    g = np.random.default_rng(seed).random(dims) < density
+    assert write_binvox(g) == reference_write_binvox(g)
+
+
+@settings(max_examples=300)
+@given(dims=st.sampled_from([(40, 40, 40), (16, 64, 16), (7, 5, 9), (1, 40, 40), (40, 1, 1)]),
+       first=st.booleans(),
+       runs=st.lists(st.sampled_from([1, 2, 254, 255, 256, 510, 511, 765, 1000]), max_size=12))
+def test_encoder_matches_reference_on_exact_run_lengths(dims, first, runs):
+    g = grid_from_runs(dims, first, runs)
+    assert write_binvox(g) == reference_write_binvox(g)
+
+
+@pytest.mark.parametrize("run", [254, 255, 256, 510, 511, 765])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_run_split_into_chunks_of_255(run, where):
+    dims = (4, 16, 32)  # 2048 voxels
+    total = dims[0] * dims[1] * dims[2]
+    before = {"first": 0, "middle": 100, "last": total - run}[where]
+    g = grid_from_runs(dims, False, [before, run])
+    data = write_binvox(g)
+    assert data == reference_write_binvox(g)
+    payload = data.split(b"data\n", 1)[1]
+    pairs = list(zip(payload[0::2], payload[1::2]))
+    ones = [c for v, c in pairs if v == 1]
+    assert ones == [255] * ((run - 1) // 255) + [run - 255 * ((run - 1) // 255)]
+    out, _, _ = read_binvox(data)
+    assert (out == g).all()
 
 
 def test_roundtrip_random_grids():
@@ -31,6 +105,32 @@ def test_header_contents():
     assert "scale 0.5" in head
     _, translate, scale = read_binvox(data)
     assert translate == (1.5, 0.0, -2.0) and scale == 0.5
+
+
+def test_header_values_roundtrip_where_g_truncates():
+    g = np.zeros((3, 4, 5), dtype=bool)
+    for translate, scale in [((0.123456789, 0.0, 0.0), 1 / 3),
+                             ((1e-300, -2.5e10, 123456.7), 1e-7),
+                             ((-0.1, 0.2, 0.30000000000000004), 2.0 ** 0.5)]:
+        data = write_binvox(g, translate=translate, scale=scale)
+        _, t, s = read_binvox(data)
+        assert t == translate and s == scale
+
+
+@pytest.mark.parametrize("dims", [(0, 4, 4), (4, 0, 4), (4, 4, 0), (0, 0, 0)])
+def test_write_refuses_zero_dims(dims):
+    with pytest.raises(BinvoxError):
+        write_binvox(np.zeros(dims, dtype=bool))
+
+
+def test_write_refuses_grids_too_large_to_read():
+    # a broadcast view: the 2^24 + 1 voxels are never allocated
+    g = np.broadcast_to(np.zeros((1, 1, 1), dtype=bool), (MAX_GRID_VOXELS + 1, 1, 1))
+    with pytest.raises(BinvoxError):
+        write_binvox(g)
+    edge = np.zeros((4096, 4096, 1), dtype=bool)  # exactly MAX_GRID_VOXELS still writes
+    out, _, _ = read_binvox(write_binvox(edge))
+    assert out.shape == edge.shape
 
 
 def test_full_2cube_single_run():

@@ -10,7 +10,7 @@ from voxscript.analysis import Connectivity, connected_components, stability_rep
 from voxscript.dsl import ForStmt, parse_text, validate_program
 from voxscript.dsl.tokens import parse_token_lines, detokenize
 from voxscript.binvox import read_binvox
-from voxscript.errors import TemplateInfeasibleError
+from voxscript.errors import BinvoxError, TemplateInfeasibleError
 from voxscript.executor import execute_program
 from voxscript.templates import (Category, Template, builtin_templates,
                                  generate_dataset, sample)
@@ -165,6 +165,13 @@ def test_generate_dataset_empty(tmp_path):
     assert man["records"] == []
     files = [f for f in (tmp_path / "ds").rglob("*") if f.is_file()]
     assert [f.name for f in files] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("dims", [(0, 4, 4), (4097, 4096, 1)])
+def test_generate_dataset_refuses_dims_binvox_cannot_hold(tmp_path, dims):
+    with pytest.raises(BinvoxError):
+        generate_dataset(tmp_path / "ds", tables=1, chairs=1, seed=1, dims=dims)
+    assert not (tmp_path / "ds").exists()
 
 
 def test_generate_dataset_family_restriction(tmp_path):

@@ -61,6 +61,37 @@ def test_roundtrip_random_programs():
         assert parse_text(print_text(p)) == p
 
 
+# (value, the text print_text writes for it): angles that repr writes with an
+# exponent are written positionally with the same digits
+FLOAT_ANGLES = [(1e-05, "0.00001"), (2.5e-07, "0.00000025"),
+                (51.42857142857143, "51.42857142857143"), (-0.0001, "-0.0001")]
+
+
+def float_angle_program(angle):
+    """A valid program that rotates by ``angle`` and tilts a Cub by it (or,
+    past the 45-degree tilt limit, by ``angle - 45``)."""
+    tilt = angle if abs(angle) <= 45 else angle - 45
+    leg = DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (4, 0, 15), (18, 2, 2, tilt))
+    return Program((leg, ForStmt.rotation(4, angle, Axis.Y, (leg,))))
+
+
+@pytest.mark.parametrize("angle,text", FLOAT_ANGLES)
+def test_roundtrip_float_angles_and_tilts(angle, text):
+    p = float_angle_program(angle)
+    src = print_text(p)
+    assert f"theta={text}," in src
+    assert parse_text(src) == p
+
+
+@pytest.mark.parametrize("number", ["２", "８", "٣", "1_2", "inf", "nan", "1e400", "1e-05", "5.", "-.5"])
+def test_numbers_other_than_ascii_decimals_are_syntax_errors(number):
+    with pytest.raises(DslSyntaxError):
+        parse_text(f"draw(Top, Cub, P=({number},0,0), G=(2,16,16))", validate=False)
+    with pytest.raises(DslSyntaxError):
+        parse_text(f"for(Rot, i=2, theta={number}, axis=Y) {{\n"
+                   f"  draw(Top, Cub, P=(0,0,0), G=(2,16,16))\n}}\n", validate=False)
+
+
 def test_syntax_error_position():
     with pytest.raises(DslSyntaxError) as exc:
         parse_text("draw(Top, Cub, P=(8,20,8) G=(2,16,16))")

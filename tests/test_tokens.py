@@ -13,6 +13,7 @@ from voxscript.dsl.tokens import build_statements, encode_steps
 from voxscript.errors import TokenError
 
 from randprog import random_program
+from test_text import FLOAT_ANGLES, float_angle_program
 
 
 def test_id_layout():
@@ -148,6 +149,23 @@ def test_line_format_roundtrip():
     for seed in range(30):
         t = tokenize(random_program(seed))
         assert parse_token_lines(format_token_lines(t)) == t
+
+
+@pytest.mark.parametrize("angle,text", FLOAT_ANGLES)
+def test_line_format_roundtrip_float_angles_and_tilts(angle, text):
+    p = float_angle_program(angle)
+    lines = format_token_lines(tokenize(p))
+    assert f"74 4 {text} 1 " in lines
+    assert detokenize(parse_token_lines(lines)) == p
+
+
+@pytest.mark.parametrize("row", ["1_2 0 0 0 1 1 1 0", "２ 0 0 0 1 1 1 0", "1 ８ 0 0 1 1 1 0",
+                                 "74 2 inf 1 0 0 0 0", "74 2 nan 1 0 0 0 0", "74 2 1e400 1 0 0 0 0",
+                                 "74 2 1e-05 1 0 0 0 0", "74 2 5. 1 0 0 0 0", "74 2 .5 1 0 0 0 0",
+                                 "74 2 +5 1 0 0 0 0", "74 2 " + "9" * 400 + ".5 1 0 0 0 0"])
+def test_line_format_refuses_numbers_other_than_ascii_decimals(row):
+    with pytest.raises(TokenError):
+        parse_token_lines(row + "\n")
 
 
 def test_line_format_shape():
