@@ -41,7 +41,7 @@ def connected_components(g, connectivity: Connectivity = Connectivity.TWENTY_SIX
 
 def center_of_mass(g) -> tuple:
     """Unweighted mean of occupied voxel centers, in voxel units."""
-    g = np.asarray(g, dtype=bool)
+    g = as_grid(g)
     occ = np.argwhere(g)
     if len(occ) == 0:
         raise EmptyShapeError("center of mass of an empty grid")
@@ -51,7 +51,7 @@ def center_of_mass(g) -> tuple:
 
 def ground_contacts(g) -> list:
     """(x, z) centers of the voxels on the lowest occupied y-layer."""
-    g = np.asarray(g, dtype=bool)
+    g = as_grid(g)
     ys = np.nonzero(g.any(axis=(0, 2)))[0]
     if len(ys) == 0:
         raise EmptyShapeError("ground contacts of an empty grid")

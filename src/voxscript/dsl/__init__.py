@@ -13,7 +13,6 @@ from .ast import (
     Statement,
     ValidationReport,
     Violation,
-    blocks,
     validate_program,
 )
 from .text import parse_text, print_text
@@ -39,7 +38,7 @@ from .tokens import (
 __all__ = [
     "Axis", "DEFAULT_LIMITS", "DrawStmt", "ForStmt", "GEOMETRY_ARITY",
     "Limits", "LoopMode", "Program", "Semantics", "ShapeKind", "Statement",
-    "ValidationReport", "Violation", "blocks", "validate_program",
+    "ValidationReport", "Violation", "validate_program",
     "parse_text", "print_text",
     "END_FOR_ID", "FOR_ROTATION_ID", "FOR_TRANSLATION_ID", "N_ARG_SLOTS",
     "TokenProgram", "TokenStep", "VACANT_ID", "VOCAB_SIZE",

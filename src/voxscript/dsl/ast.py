@@ -221,15 +221,6 @@ class ValidationReport:
     violations: tuple
 
 
-def blocks(p: Program) -> list:
-    """Partition a program into blocks, preserving order.
-
-    Every top-level statement is its own block, so concatenating the result
-    reproduces ``p.statements`` exactly.
-    """
-    return list(p.statements)
-
-
 def expanded_size(stmt: Statement) -> int:
     """Number of primitives the statement produces once loops are unrolled."""
     if isinstance(stmt, DrawStmt):

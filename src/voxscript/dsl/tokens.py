@@ -14,6 +14,7 @@ Row layouts (unused trailing slots are zero):
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,7 +58,7 @@ _DRAW_ID = {
     for j, shp in enumerate(_SHAPES)
 }
 # draw token id -> (semantics, shape kind)
-DRAW_BY_ID = {v: k for k, v in _DRAW_ID.items()}
+_DRAW_BY_ID = {v: k for k, v in _DRAW_ID.items()}
 
 
 def draw_token_id(semantics: Semantics, shape: ShapeKind) -> int:
@@ -147,64 +148,49 @@ def detokenize(t: TokenProgram) -> Program:
 
     A row whose unused slots are not all 0 is rejected, so a decoded
     program that validates re-encodes to its input, vacant steps aside.
+    A loop header's arguments are checked when its end marker closes it.
     """
-    open_loops: list[tuple] = []  # (header step index, header id, header args)
+    root: list = []
+    open_loops: list[tuple] = []  # (header step index, header id, header args, body list)
     for idx, (sid, args) in enumerate(t.steps):
+        if len(args) != N_ARG_SLOTS:
+            raise TokenError(idx, f"expected {N_ARG_SLOTS} argument slots, got {len(args)}")
         if sid in _CONTROL_SLOTS:
             _require_unused_zero(args, _CONTROL_SLOTS[sid], idx, _NAMES[sid])
-        if sid == END_FOR_ID:
+        if sid in _DRAW_BY_ID:
+            sem, shape = _DRAW_BY_ID[sid]
+            for a in args[:3]:
+                _int_arg(a, idx, "position")
+            lo, hi = GEOMETRY_ARITY[shape]
+            _require_unused_zero(args, 3 + hi, idx, shape.value)
+            # the optional last geometry entry (a Cub tilt) is absent when 0
+            stmt = DrawStmt(sem, shape, args[:3], args[3:3 + (hi if args[2 + hi] != 0 else lo)])
+        elif sid == FOR_TRANSLATION_ID or sid == FOR_ROTATION_ID:
+            if len(open_loops) == MAX_NESTING:
+                raise TokenError(idx, f"loops nested deeper than {MAX_NESTING}")
+            open_loops.append((idx, sid, args, []))
+            continue
+        elif sid == END_FOR_ID:
             if not open_loops:
                 raise TokenError(idx, "end-of-loop marker without an open loop")
-            hidx, hid, hargs = open_loops.pop()
-            _int_arg(hargs[0], hidx, "times")
+            hidx, hid, hargs, body = open_loops.pop()
+            times = _int_arg(hargs[0], hidx, "times")
             if hid == FOR_TRANSLATION_ID:
-                for a in hargs[1:4]:
-                    _int_arg(a, hidx, "step u")
+                stmt = ForStmt.translation(times, [_int_arg(a, hidx, "step u") for a in hargs[1:4]],
+                                           body)
             else:
                 code = _int_arg(hargs[2], hidx, "axis code")
                 if not 0 <= code < len(_AXES):
                     raise TokenError(hidx, f"axis code {code} outside 0..{len(_AXES) - 1}")
-        elif sid in (FOR_TRANSLATION_ID, FOR_ROTATION_ID):
-            if len(open_loops) == MAX_NESTING:
-                raise TokenError(idx, f"loops nested deeper than {MAX_NESTING}")
-            open_loops.append((idx, sid, args))
-        elif sid in DRAW_BY_ID:
-            shape = DRAW_BY_ID[sid][1]
-            for a in args[:3]:
-                _int_arg(a, idx, "position")
-            _require_unused_zero(args, 3 + GEOMETRY_ARITY[shape][1], idx, shape.value)
-        elif sid != VACANT_ID:
+                stmt = ForStmt.rotation(times, hargs[1], _AXES[code], body)
+        elif sid == VACANT_ID:
+            continue
+        else:
             raise TokenError(idx, f"unknown token id {sid}")
+        (open_loops[-1][3] if open_loops else root).append(stmt)
     if open_loops:
         raise TokenError(open_loops[-1][0], "loop header never closed")
-    return Program(build_statements(t.steps))
-
-
-def build_statements(steps) -> tuple:
-    """The statements of ``(id, args)`` steps that :func:`detokenize` would
-    accept, built without checking them; vacant steps vanish."""
-    root: list = []
-    stack: list[tuple] = []  # (header id, header args, body list)
-    for sid, args in steps:
-        if sid in DRAW_BY_ID:
-            sem, shape = DRAW_BY_ID[sid]
-            lo, hi = GEOMETRY_ARITY[shape]
-            # the optional last geometry entry (a Cub tilt) is absent when 0
-            n = hi if args[2 + hi] != 0 else lo
-            stmt = DrawStmt(sem, shape, args[:3], args[3:3 + n])
-        elif sid == FOR_TRANSLATION_ID or sid == FOR_ROTATION_ID:
-            stack.append((sid, args, []))
-            continue
-        elif sid == END_FOR_ID:
-            hid, hargs, body = stack.pop()
-            if hid == FOR_TRANSLATION_ID:
-                stmt = ForStmt.translation(hargs[0], hargs[1:4], body)
-            else:
-                stmt = ForStmt.rotation(hargs[0], hargs[1], _AXES[hargs[2]], body)
-        else:
-            continue
-        (stack[-1][2] if stack else root).append(stmt)
-    return tuple(root)
+    return Program(tuple(root))
 
 
 def format_token_lines(t: TokenProgram) -> str:
@@ -260,10 +246,28 @@ def token_program_to_json(t: TokenProgram) -> dict:
     }
 
 
+def _is_number(v) -> bool:
+    """An int of any size or a finite float, but not a bool."""
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
+
+
 def token_program_from_json(obj: dict) -> TokenProgram:
-    steps = []
-    for idx, entry in enumerate(obj.get("steps", [])):
-        if len(entry) != 2 or len(entry[1]) != N_ARG_SLOTS:
-            raise TokenError(idx, "each step must be [id, [7 args]]")
-        steps.append(TokenStep(int(entry[0]), tuple(canon_number(a) for a in entry[1])))
-    return TokenProgram(tuple(steps))
+    """Inverse of :func:`token_program_to_json`. Anything but an object
+    whose steps are ``[id, [7 args]]``, with a non-negative integer id and
+    finite numbers as args, raises TokenError; an id is never coerced."""
+    steps = obj.get("steps", []) if isinstance(obj, dict) else None
+    if not isinstance(steps, list):
+        raise TokenError(0, "expected an object whose 'steps' is a list")
+    out = []
+    for idx, entry in enumerate(steps):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)
+                and len(entry[1]) == N_ARG_SLOTS):
+            raise TokenError(idx, f"each step must be [id, [{N_ARG_SLOTS} args]]")
+        sid, args = entry
+        if not (isinstance(sid, int) and not isinstance(sid, bool) and sid >= 0):
+            raise TokenError(idx, f"id must be a non-negative integer, got {sid!r}")
+        if not all(_is_number(a) for a in args):
+            raise TokenError(idx, f"args must be finite numbers, got {args!r}")
+        out.append(TokenStep(sid, tuple(canon_number(a) for a in args)))
+    return TokenProgram(tuple(out))

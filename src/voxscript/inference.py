@@ -24,18 +24,17 @@ for any step; over a tilted ``Cub`` this holds run by run while the step
 keeps y. A rotation about Y counts its copies, each the draw moved to its
 rotated anchor, when their clipped bounding boxes are disjoint. Executed
 and their grids counted: lines, cylinders, rotations whose copies
-overlap, translations moving a multi-run tilt in y, and refined blocks
-with several bodies or nested loops. The beam's single-box rows are
-counted all at once, in the pass that bounds them.
+overlap, and translations moving a multi-run tilt in y. The beam's
+single-box rows are counted all at once, in the pass that bounds them.
 
 Statements are built only where the executor needs them. A round's
 candidates are the rows of one int64 array (see ``propose_candidates``)
 and are bounded and ordered as columns; a row becomes a labelled
-statement only when it is executed or survives ranking.
-Refinement is coordinate descent over a block's token rows (the
-``dsl.tokens`` layout): a neighbour is the rows with one slot moved, each
-slot bounded by the grid dims and ``Limits.for_dims``. Neighbours are
-scored through one cache per round, keyed by the rows: the residual and
+statement only when it is executed or accepted.
+Refinement is coordinate descent over a block's candidate row: a
+neighbour is the row with one column moved, each column bounded by the
+grid dims and ``Limits.for_dims``. Neighbours are scored through one cache
+per round, keyed by the row, which holds no part label: the residual and
 counts are fixed within a round, so a neighbour that two beam entries
 reach is scored once.
 """
@@ -49,11 +48,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, Program, Semantics,
-                      ShapeKind)
-from .dsl.tokens import (DRAW_BY_ID, FOR_ROTATION_ID, FOR_TRANSLATION_ID, build_statements,
-                         encode_steps)
-from .errors import ShapeMismatchError
+from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
+                      Semantics, ShapeKind)
+from .errors import InputError, ShapeMismatchError
 from .executor import SHAPES, _rotate_point, as_grid, draw_extents, execute_block, tilt_runs
 from .metrics import BCE_EPS, LossWeights, iou
 
@@ -76,7 +73,6 @@ _CUBOID, _CYLINDER, _LINE = (SHAPES.index(k) for k in
 # Per shape code: are an untilted draw's voxels one box?
 _IS_BOX = np.array([k in (ShapeKind.CUBOID, ShapeKind.RECTANGLE, ShapeKind.SQUARE)
                     for k in SHAPES])
-_AXIS_Y = tuple(Axis).index(Axis.Y)  # a rotation header's axis slot (see dsl.tokens)
 
 
 class LossKind(enum.Enum):
@@ -215,19 +211,37 @@ def _label_semantics(shape, pos, geom, dims) -> Semantics:
     return Semantics.LOCKER if grounded else Semantics.BACK
 
 
-def _make_draw(shape, pos, geom, dims) -> DrawStmt:
-    return DrawStmt(_label_semantics(shape, pos, geom, dims), shape, pos, geom)
-
-
-def _make_block(row, dims):
-    """The labelled statement a candidate row (a list of ints) stands for."""
+def _make_block(row, dims, semantics=None):
+    """The statement a candidate row (a sequence of numbers) stands for, its
+    draw labelled ``semantics``, or from its geometry when that is None."""
     mode, times, ux, uy, uz, code, x, y, z, *geom = row
     shape = SHAPES[code]
     lo, hi = GEOMETRY_ARITY[shape]
-    draw = _make_draw(shape, (x, y, z), tuple(geom[:hi] if geom[hi - 1] else geom[:lo]), dims)
+    geom = tuple(geom[:hi] if geom[hi - 1] else geom[:lo])
+    if semantics is None:
+        semantics = _label_semantics(shape, (x, y, z), geom, dims)
+    draw = DrawStmt(semantics, shape, (x, y, z), geom)
     if mode == _TRANS:
         return ForStmt.translation(times, (ux, uy, uz), (draw,))
     return draw if mode == _DRAW else ForStmt.rotation(times, ux, Axis.Y, (draw,))
+
+
+def _row_of(block) -> tuple:
+    """The candidate row of a draw, or of a translation or rotation about Y
+    over one draw: the inverse of ``_make_block`` but for part labels. Any
+    other block raises InputError."""
+    head, draw = (_DRAW, 1, 0, 0, 0), block
+    if isinstance(block, ForStmt):
+        if len(block.body) != 1 or not isinstance(block.body[0], DrawStmt):
+            raise InputError("only a loop over one draw has a candidate row")
+        if block.mode is LoopMode.TRANSLATION:
+            head = (_TRANS, block.times, *block.step)
+        elif block.axis is Axis.Y:
+            head = (_ROT, block.times, block.angle, 0, 0)
+        else:
+            raise InputError(f"a rotation about {block.axis.value} has no candidate row")
+        draw = block.body[0]
+    return head + (SHAPES.index(draw.shape), *draw.position, *(draw.geometry + (0,) * 4)[:4])
 
 
 def _periodic_steps(res) -> list:
@@ -396,27 +410,20 @@ class _Round(NamedTuple):
     sums: memoryview
 
 
-def _round_grids(target, current) -> tuple:
-    """(residual, false_free, i0, u0) for adding blocks to ``current``."""
-    target = np.asarray(target, dtype=bool)
-    current = np.asarray(current, dtype=bool)
+def _round_state(target, current) -> _Round:
+    """The round state for adding blocks to ``current``."""
+    target, current = as_grid(target), as_grid(current)
     if target.shape != current.shape:
         raise ShapeMismatchError(f"grid dims differ: {target.shape} vs {current.shape}")
-    return (target & ~current, ~target & ~current,
-            int(np.count_nonzero(current & target)), int(np.count_nonzero(current | target)))
-
-
-def _round_state(target, current) -> _Round:
-    """The round state, summed-volume table included, for adding blocks to
-    ``current``."""
-    residual, false_free, i0, u0 = _round_grids(target, current)
+    residual, false_free = target & ~current, ~target & ~current
     table = np.zeros(tuple(n + 1 for n in residual.shape), dtype=np.int64)
     table[1:, 1:, 1:] = false_free
     table <<= 32
     table[1:, 1:, 1:] += residual
     for axis in range(3):
         np.cumsum(table, axis, out=table)
-    return _Round(residual, false_free, i0, u0, table, memoryview(table))
+    return _Round(residual, false_free, int(np.count_nonzero(current & target)),
+                  int(np.count_nonzero(current | target)), table, memoryview(table))
 
 
 def _box_sum(sums, dims, x0, y0, z0, x1, y1, z1) -> int:
@@ -485,27 +492,26 @@ def _chain_sum(sums, dims, box, times, step) -> int:
     return total
 
 
-def _block_counts(rnd: _Round, mode, times, step, shape, pos, geom):
-    """(a, b) of a draw, or of a translation or rotation about Y over one
-    draw (``step`` holds a rotation's angle in x), counted from the round's
-    table; None when it must be executed (see the module docstring)."""
+def _block_counts(rnd: _Round, row):
+    """(a, b) of a candidate row, counted from the round's table; None when
+    it must be executed (see the module docstring)."""
+    mode, times, ux, uy, uz, code, x, y, z, *geom = row
     sums, dims = rnd.sums, rnd.residual.shape
-    boxes = _draw_boxes(shape, pos, geom, None if mode == _TRANS and step[1] else dims[1])
+    boxes = _draw_boxes(SHAPES[code], (x, y, z), geom, None if mode == _TRANS and uy else dims[1])
     if boxes is None:
         return None
     total = 0
     if mode != _ROT:
         for box in boxes:
-            total += _chain_sum(sums, dims, box, times, step)
+            total += _chain_sum(sums, dims, box, times, (ux, uy, uz))
         return total & _LOW_BITS, total >> 32
     if not boxes:
         return 0, 0
-    x, y, z = pos
     x0s, _, z0s, x1s, _, z1s = zip(*boxes)
     bx0, bz0, bx1, bz1 = min(x0s), min(z0s), max(x1s), max(z1s)
     kept: list = []  # clipped (x0, z0, x1, z1) of the copies so far, which share their rows
-    for ax, _, az in {(x, y, z) if k == 0 or step[0] == 0 else
-                      _rotate_point((x, y, z), k * step[0], Axis.Y, dims) for k in range(times)}:
+    for ax, _, az in {(x, y, z) if k == 0 or ux == 0 else
+                      _rotate_point((x, y, z), k * ux, Axis.Y, dims) for k in range(times)}:
         dx, dz = ax - x, az - z
         cx0, cz0 = max(bx0 + dx, 0), max(bz0 + dz, 0)
         cx1, cz1 = min(bx1 + dx, dims[0]), min(bz1 + dz, dims[2])
@@ -519,17 +525,12 @@ def _block_counts(rnd: _Round, mode, times, step, shape, pos, geom):
     return total & _LOW_BITS, total >> 32
 
 
-def _rows_counts(rnd: _Round, rows):
-    """``_block_counts`` of a block's token rows, or None to execute them."""
-    if len(rows) not in (1, 3):
-        return None
-    # a draw alone is one copy
-    lid, (times, u0, u1, u2, *_) = rows[0] if len(rows) == 3 else (None, (1, 0, 0, 0))
-    sid, args = rows[len(rows) // 2]
-    if sid not in DRAW_BY_ID or lid == FOR_ROTATION_ID and u1 != _AXIS_Y:
-        return None
-    mode, step = (_ROT, (u0, 0, 0)) if lid == FOR_ROTATION_ID else (_TRANS, (u0, u1, u2))
-    return _block_counts(rnd, mode, times, step, DRAW_BY_ID[sid][1], args[:3], args[3:])
+def _row_counts(rnd: _Round, row) -> tuple:
+    """(a, b) of a candidate row, from the round's table where it can be,
+    else from executing the row's block."""
+    dims = rnd.residual.shape
+    return (_block_counts(rnd, row)
+            or _counts(execute_block(_make_block(row, dims), dims), rnd.residual, rnd.false_free))
 
 
 def _table_sums(table, dims, lo, hi) -> np.ndarray:
@@ -597,43 +598,41 @@ def score_block(b, target, current, config: SearchConfig = SearchConfig()) -> fl
     the weighted cross-entropy treating occupancy as a hard {eps, 1-eps}
     prediction. Positive is better under both.
     """
-    residual, false_free, i0, u0 = _round_grids(target, current)
-    a, bad = _counts(execute_block(b, residual.shape), residual, false_free)
-    return _score_from_counts(a, bad, i0, u0, config)
+    rnd = _round_state(target, current)
+    a, bad = _counts(execute_block(b, rnd.residual.shape), rnd.residual, rnd.false_free)
+    return _score_from_counts(a, bad, rnd.i0, rnd.u0, config)
 
 
 # ------------------------------------------------------------- refinement
 
-def _slots(rows, dims, limits) -> list:
-    """(row, slot, step, low, high) for every adjustable number in a block's
-    token rows: per loop header its times, then its step or angle; per draw
-    its position, then its geometry, then a Cub's coarse and fine tilt."""
+def _slots(row, dims, limits) -> list:
+    """(column, step, low, high) for every adjustable number in a candidate
+    row: a loop's times, then its step or angle; the draw's position, then
+    its geometry, then a Cub's coarse and fine tilt."""
     out = []
-    for r, (sid, _) in enumerate(rows):
-        if sid == FOR_TRANSLATION_ID:
-            out.append((r, 0, 1, 2, 16))
-            out.extend((r, 1 + i, 1, 1 - n, n - 1) for i, n in enumerate(dims))
-        elif sid == FOR_ROTATION_ID:
-            out += [(r, 0, 1, 2, 16), (r, 1, 5, -355, 355)]
-        elif sid in DRAW_BY_ID:
-            shape = DRAW_BY_ID[sid][1]
-            out.extend((r, i, 1, 0, n - 1) for i, n in enumerate(dims))
-            if shape is ShapeKind.LINE:
-                out.extend((r, 3 + i, 1, 0, n - 1) for i, n in enumerate(dims))
-                continue
-            lo, hi = GEOMETRY_ARITY[shape]
-            out.extend((r, 3 + i, 1, 1, limits.max_extent) for i in range(lo))
-            if hi > lo:
-                # coarse steps jump plateaus where one degree moves no voxel,
-                # fine steps land on the exact tilt
-                tilt = limits.max_tilt
-                out += [(r, 2 + hi, 5, -tilt, tilt), (r, 2 + hi, 1, -tilt, tilt)]
+    if row[_MODE] == _TRANS:
+        out.append((_TIMES, 1, 2, 16))
+        out.extend((_STEP.start + i, 1, 1 - n, n - 1) for i, n in enumerate(dims))
+    elif row[_MODE] == _ROT:
+        out += [(_TIMES, 1, 2, 16), (_STEP.start, 5, -355, 355)]
+    out.extend((_POS.start + i, 1, 0, n - 1) for i, n in enumerate(dims))
+    shape = SHAPES[row[_SHAPE]]
+    if shape is ShapeKind.LINE:
+        out.extend((_GEOM + i, 1, 0, n - 1) for i, n in enumerate(dims))
+        return out
+    lo, hi = GEOMETRY_ARITY[shape]
+    out.extend((_GEOM + i, 1, 1, limits.max_extent) for i in range(lo))
+    if hi > lo:
+        # coarse steps jump plateaus where one degree moves no voxel,
+        # fine steps land on the exact tilt
+        tilt = limits.max_tilt
+        out += [(_GEOM + hi - 1, 5, -tilt, tilt), (_GEOM + hi - 1, 1, -tilt, tilt)]
     return out
 
 
-def _refine(rows, score, rnd: _Round, config, budget, cache) -> tuple:
-    """Coordinate descent over a block's token rows; returns (rows, score).
-    Never scores worse.
+def _refine(row, score, rnd: _Round, config, budget, cache) -> tuple:
+    """Coordinate descent over a candidate row (a tuple); returns (row,
+    score). Never scores worse.
 
     ``cache`` maps rows to their scores in this round; a hit neither
     scores nor spends budget.
@@ -645,47 +644,53 @@ def _refine(rows, score, rnd: _Round, config, budget, cache) -> tuple:
         if s is None:
             if not budget.spend():
                 return None
-            a, bad = (_rows_counts(rnd, nb) or _counts(execute_block(build_statements(nb)[0], dims),
-                                                       rnd.residual, rnd.false_free))
+            a, bad = _row_counts(rnd, nb)
             s = cache[nb] = _score_from_counts(a, bad, rnd.i0, rnd.u0, config)
         return s
 
-    slots = _slots(rows, dims, Limits.for_dims(dims))
+    slots = _slots(row, dims, Limits.for_dims(dims))
     for _ in range(config.refine_rounds):
         improved = False
-        for r, slot, delta, lo, hi in slots:
+        for c, delta, lo, hi in slots:
             for direction in (delta, -delta):
                 while True:
-                    sid, args = rows[r]
-                    v = args[slot] + direction
+                    v = row[c] + direction
                     if not lo <= v <= hi:
                         break
-                    nb = rows[:r] + ((sid, args[:slot] + (v,) + args[slot + 1:]),) + rows[r + 1:]
+                    nb = row[:c] + (v,) + row[c + 1:]
                     s = rescore(nb)
                     if s is None:
-                        return rows, score
+                        return row, score
                     if s > score + _SCORE_EPS:
-                        rows, score = nb, s
+                        row, score = nb, s
                         improved = True
                     else:
                         break
         if not improved:
             break
-    return rows, score
+    return row, score
 
 
 def refine_block(b, target, current, config: SearchConfig = SearchConfig()):
-    """Polish one block against the target; result never scores worse."""
+    """Polish one block against the target; the result never scores worse
+    and keeps ``b``'s part label.
+
+    ``b`` must be a block a candidate row can hold: a draw, or a
+    translation or a rotation about Y over one draw. A loop with several
+    bodies or a nested loop, or a rotation about X or Z, raises InputError.
+    """
+    row = _row_of(b)
     rnd = _round_state(target, current)
-    a, bad = _counts(execute_block(b, rnd.residual.shape), rnd.residual, rnd.false_free)
+    a, bad = _row_counts(rnd, row)
     s0 = _score_from_counts(a, bad, rnd.i0, rnd.u0, config)
-    rows, _ = _refine(tuple(encode_steps((b,))), s0, rnd, config, _Budget(config.budget), {})
-    return build_statements(rows)[0]
+    row, _ = _refine(row, s0, rnd, config, _Budget(config.budget), {})
+    draw = b if isinstance(b, DrawStmt) else b.body[0]
+    return _make_block(row, rnd.residual.shape, draw.semantics)
 
 
 def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
-    """The best ``beam_width`` candidate rows as (score, index, labelled
-    block), ordered by (-score, index), scoring as few as that allows.
+    """The best ``beam_width`` candidate rows as (score, index, row tuple),
+    ordered by (-score, index), scoring as few as that allows.
 
     Candidates are visited by descending cover bound, ties in index order.
     A score can never exceed the score of its bound (both losses rise with
@@ -693,7 +698,6 @@ def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
     first bound whose score is strictly below the beam's last score. A tie
     is still scored, since the index breaks it.
     """
-    dims = rnd.residual.shape
     i0, u0 = rnd.i0, rnd.u0
     bounds, counts = _cover_bounds(rows, rnd.table)
     order = np.argsort(-bounds, kind="stable")
@@ -707,22 +711,10 @@ def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
         if packed >= 0:
             a, b = packed & _LOW_BITS, packed >> 32
         else:
-            row = rows[idx].tolist()
-            a, b = (_block_counts(rnd, row[_MODE], row[_TIMES], row[_STEP], SHAPES[row[_SHAPE]],
-                                  row[_POS], row[_GEOM:])
-                    or _counts(execute_block(_make_block(row, dims), dims), rnd.residual,
-                               rnd.false_free))
+            a, b = _row_counts(rnd, tuple(rows[idx].tolist()))
         bisect.insort(beam, (-_score_from_counts(a, b, i0, u0, config), idx))
         del beam[config.beam_width:]
-    return [(-neg, idx, _make_block(rows[idx].tolist(), dims)) for neg, idx in beam]
-
-
-def _relabel(block, dims):
-    """Reassign part labels after refinement moved the geometry."""
-    if isinstance(block, DrawStmt):
-        return _make_draw(block.shape, block.position, block.geometry, dims)
-    body = tuple(_relabel(s, dims) for s in block.body)
-    return ForStmt(block.mode, block.times, body, block.step, block.angle, block.axis)
+    return [(-neg, idx, tuple(rows[idx].tolist())) for neg, idx in beam]
 
 
 def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
@@ -753,16 +745,16 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
             stop = "budget"
             break
         refined = []
-        cache: dict = {}  # token rows -> score, shared by this round's refinements
-        for s0, idx, cand in beam:
-            rows, rs = _refine(tuple(encode_steps((cand,))), s0, rnd, config, budget, cache)
-            refined.append((rs, idx, rows))
+        cache: dict = {}  # candidate row -> score, shared by this round's refinements
+        for s0, idx, row in beam:
+            row, rs = _refine(row, s0, rnd, config, budget, cache)
+            refined.append((rs, idx, row))
         refined.sort(key=lambda t: (-t[0], t[1]))
-        best_score, _, best_rows = refined[0]
+        best_score, _, best_row = refined[0]
         if best_score < config.min_gain:
             stop = "min_gain"
             break
-        best_block = _relabel(build_statements(best_rows)[0], dims)
+        best_block = _make_block(best_row, dims)
         current |= execute_block(best_block, dims)
         accepted.append(best_block)
         trace.append((best_block, iou(current, target)))

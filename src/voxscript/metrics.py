@@ -19,6 +19,7 @@ from .errors import (
     EmptyShapeError,
     ShapeMismatchError,
 )
+from .executor import as_grid
 
 BCE_EPS = 1e-7
 
@@ -63,7 +64,7 @@ def iou(a, b) -> float:
 
 def surface_mask(g) -> np.ndarray:
     """Occupied voxels with at least one vacant 6-neighbor (or a grid face)."""
-    g = _as_grid(g)
+    g = as_grid(g)
     interior = np.ones(g.shape, dtype=bool)
     for axis in range(3):
         lo = np.roll(g, 1, axis)
@@ -83,7 +84,7 @@ def surface_mask(g) -> np.ndarray:
 
 def surface_points(g, n: int = 512, rng=None) -> np.ndarray:
     """Sample n surface-voxel centers with replacement, scaled into [0,1]^3."""
-    g = _as_grid(g)
+    g = as_grid(g)
     surf = np.argwhere(surface_mask(g))
     if len(surf) == 0:
         raise EmptyShapeError("no occupied voxels to sample surface points from")

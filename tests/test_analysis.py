@@ -9,9 +9,11 @@ from voxscript.analysis import (Connectivity, analyze_dataset, center_of_mass,
                                 format_analysis_json, format_analysis_table,
                                 ground_contacts, is_stable, point_in_hull,
                                 stability_report)
+from voxscript.binvox import export_obj
 from voxscript.dsl import parse_text
 from voxscript.errors import EmptyShapeError, ShapeMismatchError
 from voxscript.executor import execute_program
+from voxscript.metrics import surface_mask, surface_points
 
 TABLE = """\
 draw(Top, Cub, P=(8,20,8), G=(2,16,16))
@@ -242,3 +244,12 @@ def test_is_stable_rejects_non_3d_grids(shape):
     for g in (np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)):
         with pytest.raises(ShapeMismatchError):
             is_stable(g)
+
+
+@pytest.mark.parametrize("shape", NOT_3D)
+@pytest.mark.parametrize("fn", [center_of_mass, ground_contacts, surface_mask, surface_points,
+                                export_obj])
+def test_grid_functions_reject_non_3d_grids(fn, shape):
+    for g in (np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)):
+        with pytest.raises(ShapeMismatchError):
+            fn(g)

@@ -2,8 +2,7 @@
 import pytest
 
 from voxscript.dsl import (Axis, DEFAULT_LIMITS, DrawStmt, ForStmt, GEOMETRY_ARITY,
-                           Limits, LoopMode, Program, Semantics, ShapeKind, blocks,
-                           validate_program)
+                           Limits, LoopMode, Program, Semantics, ShapeKind, validate_program)
 
 from randprog import random_program
 
@@ -48,12 +47,6 @@ def test_for_constructors():
     assert f.mode is LoopMode.TRANSLATION and f.times == 4 and f.step == (0, 0, 6)
     g = ForStmt.rotation(4, 90, Axis.Y, (leg(),))
     assert g.mode is LoopMode.ROTATION and g.angle == 90 and g.axis is Axis.Y
-
-
-def test_blocks_enumerates_top_level():
-    f = ForStmt.translation(2, (1, 0, 0), (leg(),))
-    p = Program((leg(), f))
-    assert list(blocks(p)) == [leg(), f]
 
 
 def test_validate_ok_program():

@@ -7,16 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, LoopMode, Program, Semantics,
                            ShapeKind, validate_program)
-from voxscript.errors import ShapeMismatchError
+from voxscript.errors import InputError, ShapeMismatchError
 from voxscript.executor import SHAPES, execute_block, execute_program
 from voxscript.dsl.text import print_text
-from voxscript.dsl.tokens import encode_steps
 from voxscript.inference import (_PERIOD_MIN_OVERLAP, _SEED_DIRS, FitResult, LossKind,
                                  SearchConfig, _Budget, _block_counts, _counts, _cover_bounds,
                                  _lattice_seeds, _make_block, _periodic_steps, _ranked_beam,
-                                 _refine, _round_state, _rows_counts, _runs,
-                                 _score_from_counts, fit_program, propose_candidates,
-                                 refine_block, score_block)
+                                 _refine, _round_state, _row_of, _runs, _score_from_counts,
+                                 fit_program, propose_candidates, refine_block, score_block)
 from voxscript.metrics import iou
 from voxscript.templates import builtin_templates, sample
 
@@ -45,18 +43,6 @@ def test_propose_empty_residual():
     assert len(propose_candidates(np.zeros((32, 32, 32), dtype=bool))) == 0
 
 
-def as_row(s):
-    """The candidate row of a draw, or of a loop over one draw (a rotation's
-    axis must be Y)."""
-    if isinstance(s, DrawStmt):
-        return [0, 1, 0, 0, 0, SHAPES.index(s.shape), *s.position, *(s.geometry + (0,) * 4)[:4]]
-    (body,) = s.body
-    if s.mode is LoopMode.TRANSLATION:
-        return [1, s.times, *s.step] + as_row(body)[5:]
-    assert s.axis is Axis.Y
-    return [2, s.times, s.angle, 0, 0] + as_row(body)[5:]
-
-
 def table_of(residual):
     """The summed-volume table of a round whose residual is ``residual``."""
     return _round_state(residual, np.zeros_like(residual)).table
@@ -71,7 +57,30 @@ def test_propose_contains_exact_cuboid():
 def test_make_block_inverts_candidate_tuples():
     res = render(cuboid()) | render(cuboid((20, 0, 2), (3, 2, 9)))
     for c in propose_candidates(res).tolist():
-        assert as_row(_make_block(c, (32, 32, 32))) == c
+        assert _row_of(_make_block(c, (32, 32, 32))) == tuple(c)
+
+
+# a draw of each shape kind, a tilted Cub, and each as the body of a
+# translation, a rotation and a rotation by a non-integral angle
+ROW_BODIES = [(SHAPES.index(ShapeKind.CUBOID), 3, 0, 4, 9, 2, 3, 0),
+              (SHAPES.index(ShapeKind.CUBOID), 3, 0, 4, 9, 2, 3, -15),
+              (SHAPES.index(ShapeKind.RECTANGLE), 3, 20, 4, 2, 8, 5, 0),
+              (SHAPES.index(ShapeKind.SQUARE), 16, 0, 16, 2, 6, 0, 0),
+              (SHAPES.index(ShapeKind.CYLINDER), 6, 0, 6, 12, 2, 0, 0),
+              (SHAPES.index(ShapeKind.CIRCLE), 16, 20, 16, 1, 9, 0, 0),
+              (SHAPES.index(ShapeKind.LINE), 2, 3, 4, 20, 9, 4, 0)]
+ROW_HEADS = [(0, 1, 0, 0, 0), (1, 4, 7, 0, -3), (2, 4, 90, 0, 0), (2, 7, 51.42857142857143, 0, 0)]
+
+
+@pytest.mark.parametrize("row", [head + body for head in ROW_HEADS for body in ROW_BODIES])
+def test_row_of_inverts_make_block(row):
+    block = _make_block(row, (32, 32, 32))
+    assert _row_of(block) == row
+    assert validate_program(Program((block,))).ok
+    labelled = _make_block(row, (32, 32, 32), Semantics.HBAR)
+    assert _row_of(labelled) == row
+    assert (labelled if isinstance(labelled, DrawStmt) else labelled.body[0]).semantics \
+        is Semantics.HBAR
 
 
 def test_propose_count_within_cap():
@@ -265,7 +274,7 @@ rotations = st.builds(lambda n, ang, body: ForStmt.rotation(n, ang, Axis.Y, (bod
        seed=st.integers(0, 2 ** 16))
 def test_cover_bounds_never_below_exact_cover(blocks, dims, density, seed):
     residual = np.random.default_rng(seed).random(dims) < density
-    bounds, _ = _cover_bounds(np.array([as_row(b) for b in blocks]), table_of(residual))
+    bounds, _ = _cover_bounds(np.array([_row_of(b) for b in blocks]), table_of(residual))
     assert bounds.shape == (len(blocks),)
     for b, bound in zip(blocks, bounds.tolist()):
         assert bound >= np.count_nonzero(execute_block(b, dims) & residual), b
@@ -281,7 +290,7 @@ def test_cover_bounds_exact_for_boxes_and_lines_on_full_residual():
         ForStmt.translation(3, (9, 0, -7), (cuboid((1, 1, 20), (4, 5, 6)),)),
     ]
     exact = [int(np.count_nonzero(execute_block(b))) for b in blocks]
-    assert _cover_bounds(np.array([as_row(b) for b in blocks]), table_of(full))[0].tolist() == exact
+    assert _cover_bounds(np.array([_row_of(b) for b in blocks]), table_of(full))[0].tolist() == exact
 
 
 @st.composite
@@ -313,14 +322,7 @@ def test_table_counts_equal_execution(case, density, seed):
     target = rng.random(dims) < density
     rnd = _round_state(target, target & (rng.random(dims) < 0.3))
     exact = _counts(execute_block(block, dims), rnd.residual, rnd.false_free)
-    assert table_counts(rnd, block) == (exact, exact)
-
-
-def table_counts(rnd, block):
-    """A block's ``_block_counts`` from its candidate row and from its token rows."""
-    mode, times, ux, uy, uz, code, x, y, z, *geom = as_row(block)
-    return (_block_counts(rnd, mode, times, (ux, uy, uz), SHAPES[code], (x, y, z), geom),
-            _rows_counts(rnd, tuple(encode_steps((block,)))))
+    assert _block_counts(rnd, _row_of(block)) == exact
 
 
 @st.composite
@@ -360,8 +362,7 @@ def test_tilt_and_rotation_counts_equal_execution(case, density, seed):
     target = rng.random(dims) < density
     rnd = _round_state(target, target & (rng.random(dims) < 0.3))
     exact = _counts(execute_block(block, dims), rnd.residual, rnd.false_free)
-    from_row, from_rows = table_counts(rnd, block)
-    assert from_row == from_rows
+    from_row = _block_counts(rnd, _row_of(block))
     assert from_row in (exact, None)
     # only rotations with overlapping copies and multi-run tilts moving in y are executed
     if isinstance(block, DrawStmt) or (block.mode is LoopMode.TRANSLATION and not block.step[1]):
@@ -392,22 +393,32 @@ def test_table_counts_only_boxes():
         ForStmt.rotation(4, 90, Axis.Y, (cuboid((12, 0, 12), (5, 8, 8)),)),
         ForStmt.translation(3, (9, 4, 0), (steep,)),
     ]
-    # loops no candidate row can hold: two bodies, a nested loop, and a
-    # rotation about another axis
-    token_only = [
-        ForStmt.translation(2, (9, 0, 0), (box, box)),
-        ForStmt.translation(2, (9, 0, 0), (ForStmt.translation(2, (0, 0, 9), (box,)),)),
-        ForStmt.rotation(4, 90, Axis.X, (cuboid((2, 0, 2), (5, 4, 4)),)),
-    ]
     target = np.random.default_rng(5).random((32, 32, 32)) < 0.5
     rnd = _round_state(target, np.zeros_like(target))
     for b in counted:
         exact = _counts(execute_block(b), rnd.residual, rnd.false_free)
-        assert table_counts(rnd, b) == (exact, exact), b
+        assert _block_counts(rnd, _row_of(b)) == exact, b
     for b in executed:
-        assert table_counts(rnd, b) == (None, None), b
-    for b in token_only:
-        assert _rows_counts(rnd, tuple(encode_steps((b,)))) is None, b
+        assert _block_counts(rnd, _row_of(b)) is None, b
+
+
+# loops no candidate row can hold: two bodies, a nested loop, and
+# rotations about the other axes
+ROWLESS = [
+    ForStmt.translation(2, (9, 0, 0), (cuboid(), cuboid((20, 0, 2)))),
+    ForStmt.translation(2, (9, 0, 0), (ForStmt.translation(2, (0, 0, 9), (cuboid(),)),)),
+    ForStmt.rotation(4, 90, Axis.X, (cuboid((2, 0, 2), (5, 4, 4)),)),
+    ForStmt.rotation(4, 90, Axis.Z, (cuboid((2, 0, 2), (5, 4, 4)),)),
+]
+
+
+@pytest.mark.parametrize("block", ROWLESS)
+def test_refine_block_refuses_blocks_no_row_holds(block):
+    target = render(cuboid())
+    with pytest.raises(InputError):
+        _row_of(block)
+    with pytest.raises(InputError):
+        refine_block(block, target, np.zeros_like(target))
 
 
 @settings(max_examples=200)
@@ -419,7 +430,7 @@ def test_cover_bounds_counts_single_box_rows_exactly(dims, density, seed, data):
     rng = np.random.default_rng(seed)
     target = rng.random(dims) < density
     rnd = _round_state(target, target & (rng.random(dims) < 0.3))
-    rows = np.array([as_row(b) for b in blocks])
+    rows = np.array([_row_of(b) for b in blocks])
     bounds, counts = _cover_bounds(rows, rnd.table)
     for b, row, bound, packed in zip(blocks, rows.tolist(), bounds.tolist(), counts.tolist()):
         body = b if isinstance(b, DrawStmt) else b.body[0]
@@ -472,10 +483,10 @@ def test_ranked_beam_equals_exhaustive_ranking(loss):
         i0 = int(np.count_nonzero(current & target))
         u0 = int(np.count_nonzero(current | target))
         candidates = propose_candidates(residual, config)
-        blocks = [_make_block(c, target.shape) for c in candidates.tolist()]
         scored = [
-            (_score_from_counts(*_counts(execute_block(b), residual, false_free), i0, u0, config),
-             idx, b) for idx, b in enumerate(blocks)]
+            (_score_from_counts(*_counts(execute_block(_make_block(c, target.shape)), residual,
+                                         false_free), i0, u0, config),
+             idx, tuple(c)) for idx, c in enumerate(candidates.tolist())]
         scored.sort(key=lambda t: (-t[0], t[1]))
         budget = _Budget(config.budget)
         beam = _ranked_beam(candidates, _round_state(target, current), config, budget)
@@ -499,13 +510,12 @@ def test_refine_shared_round_cache_matches_uncached():
         beam = _ranked_beam(propose_candidates(rnd.residual, config), rnd, config,
                             _Budget(config.budget))
         shared = {}
-        for s0, _, block in beam:
-            rows = tuple(encode_steps((block,)))
+        for s0, _, row in beam:
             results = {}
             for kind in calls:
                 budget = _Budget(config.budget)
                 cache = shared if kind == "shared" else {} if kind == "fresh" else NoCache()
-                results[kind] = _refine(rows, s0, rnd, config, budget, cache)
+                results[kind] = _refine(row, s0, rnd, config, budget, cache)
                 calls[kind] += budget.calls
             assert results["shared"] == results["fresh"] == results["none"], tid
     assert calls["shared"] < calls["fresh"] < calls["none"]
@@ -627,6 +637,13 @@ def skeleton(s):
     return (s.mode, s.axis, tuple(skeleton(b) for b in s.body))
 
 
+def row_holds(s):
+    """Whether a candidate row can hold ``s``: a draw, or a translation or
+    rotation about Y over one draw."""
+    return isinstance(s, DrawStmt) or (len(s.body) == 1 and isinstance(s.body[0], DrawStmt)
+                                       and s.axis in (None, Axis.Y))
+
+
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_refine_random_statements_never_worse_and_keep_structure(seed):
@@ -634,6 +651,10 @@ def test_refine_random_statements_never_worse_and_keep_structure(seed):
     target = execute_program(program)
     empty = np.zeros_like(target)
     for s in program.statements:
+        if not row_holds(s):
+            with pytest.raises(InputError):
+                refine_block(s, target, empty)
+            continue
         refined = refine_block(s, target, empty)
         assert skeleton(refined) == skeleton(s)
         assert score_block(refined, target, empty) >= score_block(s, target, empty)

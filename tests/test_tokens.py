@@ -2,14 +2,12 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, N_ARG_SLOTS, Program, Semantics,
                            ShapeKind, TokenProgram, TokenStep, VOCAB_SIZE, detokenize,
                            draw_token_id, format_token_lines, parse_token_lines,
                            token_program_from_json, token_program_to_json, tokenize,
                            vocabulary)
-from voxscript.dsl.tokens import build_statements, encode_steps
 from voxscript.errors import TokenError
 
 from randprog import random_program
@@ -203,8 +201,50 @@ def test_tokenize_under_grid_limits():
     assert detokenize(tokenize(p, Limits.for_dims((100, 8, 8)))) == p
 
 
-@settings(max_examples=60)
-@given(seed=st.integers(0, 2 ** 32 - 1))
-def test_build_statements_inverts_encode_steps(seed):
-    for s in random_program(seed).statements:
-        assert build_statements(encode_steps((s,))) == (s,)
+GOOD_STEP = [1, [0, 0, 0, 1, 1, 1, 0]]
+
+
+@pytest.mark.parametrize("bad", [
+    5, [1], [[1], [0] * 7], [1, 5], [1, [0] * 6], [1, [0] * 8], [1, [0] * 7, 0],
+    [1.7, [0] * 7], [1.0, [0] * 7], [True, [0] * 7], ["2", [0] * 7], [None, [0] * 7],
+    [-1, [0] * 7], [1, [0, 0, 0, 1, 1, 1, "0"]], [1, [0, 0, 0, 1, 1, True, 0]],
+    [1, [0, 0, 0, 1, 1, None, 0]], [1, [0, 0, 0, 1, 1, [1], 0]],
+    [1, [0, 0, 0, 1, 1, float("inf"), 0]], [1, [0, 0, 0, 1, 1, float("nan"), 0]],
+])
+def test_json_refuses_malformed_steps(bad):
+    with pytest.raises(TokenError) as exc:
+        token_program_from_json({"steps": [GOOD_STEP, bad]})
+    assert exc.value.step == 1
+
+
+@pytest.mark.parametrize("obj", [[GOOD_STEP], "steps", None, {"steps": 5}, {"steps": "ab"},
+                                 {"steps": {"0": GOOD_STEP}}])
+def test_json_refuses_malformed_containers(obj):
+    with pytest.raises(TokenError):
+        token_program_from_json(obj)
+
+
+def test_json_reads_text_with_float_args():
+    blob = json.loads('{"steps": [[74, [4, 51.5, 1, 0, 0, 0, 0]], [1, [0, 0, 0, 1, 1, 1, 2.0]],'
+                      ' [75, [0, 0, 0, 0, 0, 0, 0]]]}')
+    t = token_program_from_json(blob)
+    assert t.steps[0].args[1] == 51.5 and t.steps[1].args[6] == 2
+    assert detokenize(t).statements[0].angle == 51.5
+    # an int too large for a float is still a number
+    big = token_program_from_json({"steps": [[1, [0, 0, 0, 1, 1, 10 ** 400, 0]]]})
+    assert big.steps[0].args[5] == 10 ** 400
+
+
+@pytest.mark.parametrize("steps", [
+    (DRAW, TokenStep(1, (0, 0, 0, 1, 1, 1))),
+    (DRAW, TokenStep(1, (0, 0, 0))),
+    (DRAW, TokenStep(1, ())),
+    (DRAW, TokenStep(74, (2, 90)), DRAW, END),
+    (DRAW, TokenStep(73, (2, 1, 0, 0, 0, 0, 0, 0)), DRAW, END),
+    (DRAW, TokenStep(75, ())),
+    (DRAW, TokenStep(0, ())),
+])
+def test_detokenize_refuses_rows_of_other_lengths(steps):
+    with pytest.raises(TokenError) as exc:
+        detokenize(TokenProgram(steps))
+    assert exc.value.step == 1
