@@ -15,10 +15,10 @@ import numpy as np
 
 from .analysis import analyze_dataset, format_analysis_json, format_analysis_table, stability_report
 from .binvox import export_obj, read_binvox, write_binvox
-from .dsl import Limits, Program, parse_text, print_text
+from .dsl import Limits, Program, parse_text, print_text, validate_program
 from .dsl.tokens import (format_token_lines, parse_token_lines, detokenize,
                          token_program_to_json, tokenize)
-from .errors import InputError, ResourceError
+from .errors import InputError, InvalidProgramError, ResourceError
 from .executor import DEFAULT_DIMS, MAX_GRID_VOXELS, execute_program
 from .inference import SearchConfig, fit_program
 from .metrics import chamfer, emd, iou, surface_points
@@ -154,8 +154,11 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_detokenize(args) -> int:
-    t = parse_token_lines(args.file.read_text())
-    _emit(print_text(detokenize(t)), args.out)
+    program = detokenize(parse_token_lines(args.file.read_text()))
+    report = validate_program(program, Limits.for_dims(args.dims))
+    if not report.ok:
+        raise InvalidProgramError(report)
+    _emit(print_text(program), args.out)
     return 0
 
 

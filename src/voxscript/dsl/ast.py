@@ -86,6 +86,17 @@ def canon_number(v):
     return v
 
 
+_INT_TYPE = frozenset((int,))
+
+
+def canon_numbers(values) -> tuple:
+    """canon_number over ``values`` as a tuple; a tuple of plain ints, the
+    common case, is returned as it is."""
+    if values.__class__ is tuple and _INT_TYPE.issuperset(map(type, values)):
+        return values
+    return tuple(canon_number(v) for v in values)
+
+
 def format_number(v) -> str:
     """Render a numeric argument: integers bare, other floats positionally
     with the digits of their shortest repr (1e-05 prints as 0.00001)."""
@@ -134,8 +145,8 @@ class DrawStmt:
     geometry: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "position", tuple(canon_number(c) for c in self.position))
-        geom = tuple(canon_number(g) for g in self.geometry)
+        object.__setattr__(self, "position", canon_numbers(self.position))
+        geom = canon_numbers(self.geometry)
         if self.shape is ShapeKind.CUBOID and len(geom) == 4 and geom[3] == 0:
             geom = geom[:3]
         object.__setattr__(self, "geometry", geom)

@@ -10,10 +10,21 @@ The surface syntax is one statement per line:
 
 Whitespace and newlines are insignificant to the parser; the printer emits
 the canonical layout (2-space indent per nesting level).
+
+The lexer is one regex ``findall`` that yields the tokens as plain strings,
+and the parser walks that list by index, checking each fixed run of tokens
+at once. Tokens keep no position: an error finds its token's character
+offset again and computes the line and column from it (every character but
+a newline is one column). The parser reads names only from its keyword
+tables and numbers only through ``parse_number``, so a parse that succeeds
+has read no malformed token. A parse that fails reports the first lexical
+error in the source, if there is one, before its own error, as if the
+whole source had been lexed first.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+import re
+from operator import itemgetter
 
 from ..errors import DslSemanticError, DslSyntaxError
 from .ast import (
@@ -23,6 +34,7 @@ from .ast import (
     ForStmt,
     GEOMETRY_ARITY,
     Limits,
+    LoopMode,
     MAX_NESTING,
     Program,
     Semantics,
@@ -32,206 +44,153 @@ from .ast import (
     validate_program,
 )
 
-_PUNCT = "(){},="
-# Number tokens are ASCII only: other Unicode digits are unexpected characters.
-_DIGITS = "0123456789"
+# A token is a number (ASCII digits with at most one point, after a digit or
+# a minus that a digit or point follows), a name (a word character that is
+# not a decimal digit, then word characters), or any other character but
+# " \t\r\n", which findall skips. \w is exactly isalnum() or "_". A name that
+# starts with a character isalpha() refuses, such as "²", and a number that
+# parse_number refuses, such as "-." or "5.", are lexical errors.
+_TOKEN = re.compile(r"(?:[0-9]|-(?=[0-9.]))[0-9]*(?:\.[0-9]*)?|[^\W\d]\w*|[^ \t\r\n]")
+_VALUE_NAMES = {int: "integer", float: "number"}
 
 
-class _Token(NamedTuple):
-    kind: str   # "name", "number", one of _PUNCT, or "eof"
-    text: str
-    value: object
-    line: int
-    col: int
+def _value(text, kind):
+    """What token ``text`` holds in a slot of ``kind`` (a name table, int or
+    float), or None if it does not fit there."""
+    if kind.__class__ is dict:
+        return kind.get(text)
+    try:
+        v = parse_number(text)
+    except ValueError:
+        return None
+    return v if kind is float or v.__class__ is int else None
 
 
-def _lex(src: str) -> list[_Token]:
-    toks = []
-    line, col, i, n = 1, 1, 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c in _PUNCT:
-            toks.append(_Token(c, c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Token("name", src[i:j], src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _DIGITS or (c == "-" and i + 1 < n and (src[i + 1] in _DIGITS or src[i + 1] == ".")):
-            j = i + 1
-            seen_dot = False
-            while j < n and (src[j] in _DIGITS or (src[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            text = src[i:j]
-            try:
-                value = parse_number(text)
-            except ValueError:  # "-.", "5.", or an integer too long to convert
-                raise DslSyntaxError(f"malformed number {text!r}", line, col) from None
-            toks.append(_Token("number", text, value, line, col))
-            col += j - i
-            i = j
-            continue
-        raise DslSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("eof", "", None, line, col))
-    return toks
+def _line_col(src, offset):
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
+
+
+class _Run:
+    """A fixed run of tokens: a str slot is that token, any other slot a
+    value (see ``_value``)."""
+
+    def __init__(self, *slots):
+        self.slots = slots
+        self.texts = tuple(s for s in slots if s.__class__ is str)
+        self.text_at = itemgetter(*(i for i, s in enumerate(slots) if s.__class__ is str))
+        self.kinds = tuple(s for s in slots if s.__class__ is not str)
+        self.value_at = itemgetter(*(i for i, s in enumerate(slots) if s.__class__ is not str))
+
+
+def _names(enum):
+    return {m.value: m for m in enum}
+
+
+_DRAW = _Run("draw", "(", _names(Semantics), ",", _names(ShapeKind), ",", "P", "=",
+             "(", int, ",", int, ",", int, ")", ",", "G", "=", "(", float)
+_FOR = _Run("for", "(", _names(LoopMode), ",", "i", "=", int, ",")
+_TRANS = _Run("u", "=", "(", int, ",", int, ",", int, ")", ")", "{")
+_ROT = _Run("theta", "=", float, ",", "axis", "=", _names(Axis), ")", "{")
 
 
 class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-        self.depth = 0
+    def __init__(self, src):
+        self.src = src
+        self.toks = _TOKEN.findall(src)
+        self.toks.append("")  # the end of input, equal to no token
 
-    @property
-    def cur(self) -> _Token:
-        return self.toks[self.pos]
+    def fail(self, k, expected=(), message=None):
+        """Raise the source's first lexical error, or else the error of a
+        parse that failed at token ``k``."""
+        src, offset = self.src, len(self.src)
+        for n, m in enumerate(_TOKEN.finditer(src)):
+            text = m.group()
+            if text[0] in "-0123456789" and text != "-":
+                if _value(text, float) is None:
+                    raise DslSyntaxError(f"malformed number {text!r}", *_line_col(src, m.start()))
+            elif not (text[0].isalpha() or text[0] in "_(){},="):
+                raise DslSyntaxError(f"unexpected character {text[0]!r}",
+                                     *_line_col(src, m.start()))
+            if n == k:
+                offset = m.start()
+        if message is None:
+            what = "end of input" if k == len(self.toks) - 1 else repr(self.toks[k])
+            message = f"unexpected {what}"
+        raise DslSyntaxError(message, *_line_col(src, offset), expected)
 
-    def fail(self, expected):
-        t = self.cur
-        what = "end of input" if t.kind == "eof" else repr(t.text)
-        raise DslSyntaxError(f"unexpected {what}", t.line, t.col, expected)
+    def read(self, k, run) -> list:
+        """The values of ``run`` read from token ``k`` on."""
+        toks = self.toks
+        seg = toks[k:k + len(run.slots)]
+        if len(seg) == len(run.slots) and run.text_at(seg) == run.texts:
+            values = [_value(t, kind) for t, kind in zip(run.value_at(seg), run.kinds)]
+            if None not in values:
+                return values
+        for i, slot in enumerate(run.slots, k):  # the first token that does not fit
+            if slot.__class__ is str:
+                if toks[i] != slot:
+                    self.fail(i, (slot,))
+            elif _value(toks[i], slot) is None:
+                self.fail(i, tuple(slot) if slot.__class__ is dict else (_VALUE_NAMES[slot],))
 
-    def eat(self, kind, text=None) -> _Token:
-        t = self.cur
-        if t.kind != kind or (text is not None and t.text != text):
-            self.fail((text or kind,))
-        self.pos += 1
-        return t
-
-    def eat_name(self, *options) -> _Token:
-        t = self.cur
-        if t.kind != "name" or (options and t.text not in options):
-            self.fail(options or ("name",))
-        self.pos += 1
-        return t
-
-    def eat_int(self) -> int:
-        t = self.cur
-        if t.kind != "number" or not isinstance(t.value, int):
-            self.fail(("integer",))
-        self.pos += 1
-        return t.value
-
-    def eat_number(self):
-        t = self.cur
-        if t.kind != "number":
-            self.fail(("number",))
-        self.pos += 1
-        return t.value
-
-    def int_triple(self) -> tuple:
-        self.eat("(")
-        a = self.eat_int()
-        self.eat(",")
-        b = self.eat_int()
-        self.eat(",")
-        c = self.eat_int()
-        self.eat(")")
-        return (a, b, c)
-
-    def program(self, *, top=False) -> list:
-        stmts = []
-        stop = "eof" if top else "}"
+    def statements(self, k, depth) -> tuple:
+        """The statements from token ``k`` to the end of input, or at
+        ``depth`` > 0 to the "}" closing a loop body; returns them and the
+        index of that end."""
+        toks, stmts, stop = self.toks, [], "}" if depth else ""
         while True:
-            t = self.cur
-            if t.kind == stop:
-                return stmts
-            if t.kind == "name" and t.text == "draw":
-                stmts.append(self.draw())
-            elif t.kind == "name" and t.text == "for":
-                stmts.append(self.for_stmt())
+            t = toks[k]
+            if t == "draw":
+                stmt, k = self.draw(k)
+            elif t == "for":
+                stmt, k = self.loop(k, depth)
+            elif t == stop:
+                return tuple(stmts), k
             else:
-                self.fail(("draw", "for") if top else ("draw", "for", "}"))
+                self.fail(k, ("draw", "for", "}") if depth else ("draw", "for"))
+            stmts.append(stmt)
 
-    def draw(self) -> DrawStmt:
-        self.eat_name("draw")
-        self.eat("(")
-        sem_tok = self.eat_name(*(s.value for s in Semantics))
-        self.eat(",")
-        shp_tok = self.eat_name(*(s.value for s in ShapeKind))
-        shape = ShapeKind(shp_tok.text)
-        self.eat(",")
-        self.eat_name("P")
-        self.eat("=")
-        pos = self.int_triple()
-        self.eat(",")
-        self.eat_name("G")
-        self.eat("=")
-        self.eat("(")
-        geom = [self.eat_number()]
-        while self.cur.kind == ",":
-            self.eat(",")
-            geom.append(self.eat_number())
-        self.eat(")")
-        self.eat(")")
+    def draw(self, k) -> tuple:
+        sem, shape, x, y, z, g = self.read(k, _DRAW)
+        toks, geom, sem_at = self.toks, [g], k + 2
+        k += len(_DRAW.slots)
+        while toks[k] == ",":
+            g = _value(toks[k + 1], float)
+            if g is None:
+                self.fail(k + 1, ("number",))
+            geom.append(g)
+            k += 2
+        for close in (k, k + 1):
+            if toks[close] != ")":
+                self.fail(close, (")",))
         lo, hi = GEOMETRY_ARITY[shape]
         if not lo <= len(geom) <= hi:
             want = str(lo) if lo == hi else f"{lo} or {hi}"
-            raise DslSyntaxError(
-                f"{shape.value} takes {want} geometry arguments, got {len(geom)}",
-                sem_tok.line, sem_tok.col,
-            )
-        return DrawStmt(Semantics(sem_tok.text), shape, pos, tuple(geom))
+            self.fail(sem_at, message=f"{shape.value} takes {want} geometry arguments,"
+                                      f" got {len(geom)}")
+        return DrawStmt(sem, shape, (x, y, z), tuple(geom)), k + 2
 
-    def for_stmt(self) -> ForStmt:
-        self.eat_name("for")
-        self.eat("(")
-        mode = self.eat_name("Trans", "Rot")
-        self.eat(",")
-        self.eat_name("i")
-        self.eat("=")
-        times = self.eat_int()
-        self.eat(",")
-        if mode.text == "Trans":
-            self.eat_name("u")
-            self.eat("=")
-            step = self.int_triple()
-            self.eat(")")
-            body = self.block_body()
-            return ForStmt.translation(times, step, body)
-        self.eat_name("theta")
-        self.eat("=")
-        angle = self.eat_number()
-        self.eat(",")
-        self.eat_name("axis")
-        self.eat("=")
-        axis = Axis(self.eat_name("X", "Y", "Z").text)
-        self.eat(")")
-        body = self.block_body()
-        return ForStmt.rotation(times, angle, axis, body)
-
-    def block_body(self) -> tuple:
-        t = self.eat("{")
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise DslSyntaxError(f"loops nested deeper than {MAX_NESTING}", t.line, t.col)
-        body = self.program()
-        self.eat("}")
-        self.depth -= 1
-        return tuple(body)
+    def loop(self, k, depth) -> tuple:
+        mode, times = self.read(k, _FOR)
+        k += len(_FOR.slots)
+        if mode is LoopMode.TRANSLATION:
+            step = self.read(k, _TRANS)
+            k += len(_TRANS.slots)
+        else:
+            angle, axis = self.read(k, _ROT)
+            k += len(_ROT.slots)
+        if depth == MAX_NESTING:  # token k - 1 is the "{" that opens the body
+            self.fail(k - 1, message=f"loops nested deeper than {MAX_NESTING}")
+        body, k = self.statements(k, depth + 1)
+        if mode is LoopMode.TRANSLATION:
+            return ForStmt.translation(times, step, body), k + 1
+        return ForStmt.rotation(times, angle, axis, body), k + 1
 
 
 def parse_text(src: str, *, validate: bool = True, limits: Limits = DEFAULT_LIMITS) -> Program:
     """Parse source text; optionally reject programs that break the value
     rules of ``limits``."""
-    p = _Parser(_lex(src))
-    program = Program(tuple(p.program(top=True)))
+    program = Program(_Parser(src).statements(0, 0)[0])
     if validate:
         report = validate_program(program, limits)
         if not report.ok:

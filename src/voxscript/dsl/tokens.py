@@ -33,6 +33,7 @@ from .ast import (
     Semantics,
     ShapeKind,
     canon_number,
+    canon_numbers,
     format_number,
     parse_number,
     validate_program,
@@ -83,17 +84,39 @@ class TokenStep(NamedTuple):
 
 @dataclass(frozen=True)
 class TokenProgram:
+    """Steps of ``(id, args)``. An id is a non-negative integer and each arg
+    a finite number, never a bool; anything else raises TokenError. Args
+    are stored canonical (integral floats as ints)."""
+
     steps: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "steps",
-            tuple(TokenStep(int(i), tuple(canon_number(a) for a in args)) for i, args in self.steps),
-        )
+        steps = tuple(_step(idx, step) for idx, step in enumerate(self.steps))
+        object.__setattr__(self, "steps", steps)
 
     def __len__(self):
         return len(self.steps)
+
+
+def _is_number(v) -> bool:
+    """An int of any size or a finite float, but not a bool."""
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
+
+
+def _step(idx, step) -> TokenStep:
+    try:
+        sid, args = step
+        args = tuple(args)
+    except (TypeError, ValueError):
+        raise TokenError(idx, "a step must be an (id, args) pair") from None
+    if not (isinstance(sid, int) and not isinstance(sid, bool) and sid >= 0):
+        raise TokenError(idx, f"id must be a non-negative integer, got {sid!r}")
+    canon = canon_numbers(args)
+    # a tuple of plain ints comes back as it is, and needs no check
+    if canon is not args and not all(map(_is_number, args)):
+        raise TokenError(idx, f"args must be finite numbers, got {args!r}")
+    return TokenStep(int(sid), canon)
 
 
 def _row(*values) -> tuple:
@@ -246,12 +269,6 @@ def token_program_to_json(t: TokenProgram) -> dict:
     }
 
 
-def _is_number(v) -> bool:
-    """An int of any size or a finite float, but not a bool."""
-    return (isinstance(v, int) and not isinstance(v, bool)
-            or isinstance(v, float) and math.isfinite(v))
-
-
 def token_program_from_json(obj: dict) -> TokenProgram:
     """Inverse of :func:`token_program_to_json`. Anything but an object
     whose steps are ``[id, [7 args]]``, with a non-negative integer id and
@@ -259,15 +276,8 @@ def token_program_from_json(obj: dict) -> TokenProgram:
     steps = obj.get("steps", []) if isinstance(obj, dict) else None
     if not isinstance(steps, list):
         raise TokenError(0, "expected an object whose 'steps' is a list")
-    out = []
     for idx, entry in enumerate(steps):
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)
                 and len(entry[1]) == N_ARG_SLOTS):
             raise TokenError(idx, f"each step must be [id, [{N_ARG_SLOTS} args]]")
-        sid, args = entry
-        if not (isinstance(sid, int) and not isinstance(sid, bool) and sid >= 0):
-            raise TokenError(idx, f"id must be a non-negative integer, got {sid!r}")
-        if not all(_is_number(a) for a in args):
-            raise TokenError(idx, f"args must be finite numbers, got {args!r}")
-        out.append(TokenStep(sid, tuple(canon_number(a) for a in args)))
-    return TokenProgram(tuple(out))
+    return TokenProgram(tuple(steps))

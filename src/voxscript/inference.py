@@ -49,8 +49,8 @@ import numpy as np
 from scipy import ndimage
 
 from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
-                      Semantics, ShapeKind)
-from .errors import InputError, ShapeMismatchError
+                      Semantics, ShapeKind, validate_program)
+from .errors import InputError, InvalidProgramError, ShapeMismatchError
 from .executor import SHAPES, _rotate_point, as_grid, draw_extents, execute_block, tilt_runs
 from .metrics import BCE_EPS, LossWeights, iou
 
@@ -676,11 +676,16 @@ def refine_block(b, target, current, config: SearchConfig = SearchConfig()):
     and keeps ``b``'s part label.
 
     ``b`` must be a block a candidate row can hold: a draw, or a
-    translation or a rotation about Y over one draw. A loop with several
-    bodies or a nested loop, or a rotation about X or Z, raises InputError.
+    translation or a rotation about Y over one draw. A block that does not
+    validate under ``Limits.for_dims(target.shape)`` raises
+    InvalidProgramError; a loop with several bodies or a nested loop, or a
+    rotation about X or Z, raises InputError.
     """
-    row = _row_of(b)
     rnd = _round_state(target, current)
+    report = validate_program(Program((b,)), Limits.for_dims(rnd.residual.shape))
+    if not report.ok:
+        raise InvalidProgramError(report)
+    row = _row_of(b)
     a, bad = _row_counts(rnd, row)
     s0 = _score_from_counts(a, bad, rnd.i0, rnd.u0, config)
     row, _ = _refine(row, s0, rnd, config, _Budget(config.budget), {})

@@ -127,8 +127,8 @@ def test_fit_off_default_grid_writes_decodable_outputs(tmp_path, capsys):
 
 
 def test_program_commands_validate_for_dims(tmp_path, capsys):
-    """parse, exec and tokenize accept a program fitted off the default grid
-    when given its dims, and reject it without them."""
+    """parse, exec, tokenize and detokenize accept a program fitted off the
+    default grid when given its dims, and reject it without them."""
     grid = np.zeros((48, 48, 48), dtype=bool)
     grid[36:44, 36:44, 36:44] = True
     target = tmp_path / "t.binvox"
@@ -144,8 +144,12 @@ def test_program_commands_validate_for_dims(tmp_path, capsys):
     assert (recon == grid).all()
     assert cli.main(dims + ["tokenize", str(sp), "-o", str(tmp_path / "r.tok")]) == 0
     assert (tmp_path / "r.tok").read_text() == (tmp_path / "o.tok").read_text()
+    assert cli.main(dims + ["detokenize", str(tmp_path / "o.tok")]) == 0
+    assert capsys.readouterr().out == sp.read_text()
     for command in (["parse"], ["tokenize"], ["exec", "-o", str(tmp_path / "d.binvox")]):
         assert cli.main(command[:1] + [str(sp)] + command[1:]) == 1
+    assert "outside [0, 31]" in capsys.readouterr().err
+    assert cli.main(["detokenize", str(tmp_path / "o.tok")]) == 1
     assert "outside [0, 31]" in capsys.readouterr().err
 
 
@@ -288,3 +292,17 @@ def test_bad_token_file_exits_1(tmp_path):
     tok = tmp_path / "bad.tok"
     tok.write_text("99 0 0 0 0 0 0 0\n")
     assert cli.main(["detokenize", str(tok)]) == 1
+
+
+def test_detokenize_refuses_rows_of_an_invalid_program(tmp_path, capsys):
+    """Rows that decode to a program parse would reject exit 1 with its first
+    violation and print nothing."""
+    tok = tmp_path / "loop.tok"
+    tok.write_text("73 1 0 0 0 0 0 0\n1 40 0 1 2 2 2 0\n75 0 0 0 0 0 0 0\n")
+    assert cli.main(["detokenize", str(tok)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "stmt[0]: times must be an integer >= 2, got 1" in err
+    assert cli.main(["--json-errors", "detokenize", str(tok)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InvalidProgramError"

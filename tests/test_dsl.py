@@ -1,8 +1,10 @@
 """AST construction, canonicalization, and program validation."""
+import numpy as np
 import pytest
 
 from voxscript.dsl import (Axis, DEFAULT_LIMITS, DrawStmt, ForStmt, GEOMETRY_ARITY,
                            Limits, LoopMode, Program, Semantics, ShapeKind, validate_program)
+from voxscript.dsl.ast import canon_number
 
 from randprog import random_program
 
@@ -33,6 +35,18 @@ def test_draw_canonicalizes_numbers():
     assert d.position == (8, 20, 8)
     assert all(isinstance(v, int) for v in d.position)
     assert d.geometry == (2, 16, 16)
+
+
+@pytest.mark.parametrize("values", [
+    (8, 20, 8), (8, 20, 8.0), [8, 20, 8], [8.0, 20, 8.5], (True, 2, 3),
+    (np.int64(4), 2, 3), (4, 2, np.float64(3.0)), (), (1e300, -0.0, 2.5),
+])
+def test_draw_canonicalizes_each_number_alone(values):
+    d = DrawStmt(Semantics.LEG, ShapeKind.LINE, values, values)
+    want = tuple(canon_number(v) for v in values)
+    for got in (d.position, d.geometry):
+        assert type(got) is tuple
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
 
 
 def test_cuboid_zero_tilt_dropped():

@@ -4,7 +4,7 @@ Inputs are arbitrary text or bytes, and valid encodings with a few edits
 applied, so both the lexers and the checks past them are reached.
 """
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from voxscript.binvox import read_binvox, write_binvox
 from voxscript.dsl import (VACANT_ID, detokenize, format_token_lines, parse_text,
@@ -12,6 +12,7 @@ from voxscript.dsl import (VACANT_ID, detokenize, format_token_lines, parse_text
 from voxscript.errors import InputError
 
 from randprog import random_program
+from reference_text import reference_parse_text
 
 DSL_CHARS = "drawforTansRotCubCylLineLegTopPGiuthetaxisYXZ=(){},-.0123456789 \n"
 DSL_PIECES = ("-.", "-", ".", "(", ")", "{", "}", ",", "=", "draw", "for", "9" * 5000)
@@ -87,3 +88,44 @@ def test_decoded_tokens_reencode_to_input(src):
 @given(binvox_files)
 def test_read_binvox_raises_only_input_errors(data):
     decodes_or_raises_input_error(read_binvox, data)
+
+
+def parse_outcome(parse, src, **kwargs):
+    """The program ``parse`` returns, or what identifies the error it raises."""
+    try:
+        return parse(src, **kwargs)
+    except InputError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None),
+                getattr(exc, "expected", None))
+
+
+def nested(n, inner="draw(Top, Cub, P=(0,0,0), G=(1,1,1))"):
+    return "for(Trans, i=2, u=(0,0,0)) {" * n + inner + "}" * n
+
+
+# characters where Python's notions of letters, digits and whitespace part:
+# "²" and "½" are word characters but no letter or decimal digit, "٣" is a
+# decimal digit but not an ASCII one, and neither space below is " \t\r\n"
+UNICODE_EDGES = ("²", "½", "٣", "Ⅻ", "\xa0", "　", "_", "\t", "\r", "\n")
+TEXT_PIECES = DSL_PIECES + UNICODE_EDGES + ("5.", "1.2.3", "-5", "}", "{" * 3, "draw(", ";")
+reference_texts = st.one_of(
+    texts,
+    st.text(max_size=80),
+    st.text(alphabet=DSL_CHARS + "".join(UNICODE_EDGES), max_size=120),
+    edited(programs.map(print_text),
+           st.sampled_from(TEXT_PIECES) | st.text(alphabet=DSL_CHARS, max_size=3)),
+    st.builds(nested, st.sampled_from((1, 3, 63, 64, 65, 2000)),
+              st.sampled_from(("draw(Top, Cub, P=(0,0,0), G=(1,1,1))", "", "²", "draw(Top,",
+                               "draw(Top, Cub, P=(0,0,0), G=(1,1," + "9" * 5000 + "))"))),
+)
+
+
+@settings(max_examples=1000)
+@given(reference_texts)
+@example(nested(65) + "²")
+@example(nested(2000, ""))
+@example("draw(Top, Cub, P=(0,0,0), G=(1,1,1)) 5. draw(")
+def test_parse_text_matches_reference_parser(src):
+    for kwargs in ({}, {"validate": False}):
+        assert (parse_outcome(parse_text, src, **kwargs)
+                == parse_outcome(reference_parse_text, src, **kwargs))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, LoopMode, Program, Semantics,
                            ShapeKind, validate_program)
-from voxscript.errors import InputError, ShapeMismatchError
+from voxscript.errors import InputError, InvalidProgramError, ShapeMismatchError
 from voxscript.executor import SHAPES, execute_block, execute_program
 from voxscript.dsl.text import print_text
 from voxscript.inference import (_PERIOD_MIN_OVERLAP, _SEED_DIRS, FitResult, LossKind,
@@ -418,6 +418,18 @@ def test_refine_block_refuses_blocks_no_row_holds(block):
     with pytest.raises(InputError):
         _row_of(block)
     with pytest.raises(InputError):
+        refine_block(block, target, np.zeros_like(target))
+
+
+@pytest.mark.parametrize("block", [
+    ForStmt(LoopMode.TRANSLATION, 2, (cuboid(),)),  # no step
+    DrawStmt(Semantics.TOP, ShapeKind.CUBOID, (8, "4", 8), (2, 16, 16)),
+    ForStmt.translation(1, (9, 0, 0), (cuboid(),)),
+    cuboid((40, 0, 0)),  # off the 32^3 grid
+], ids=["loop-without-step", "string-coordinate", "times-1", "position-off-grid"])
+def test_refine_block_refuses_invalid_blocks(block):
+    target = render(cuboid())
+    with pytest.raises(InvalidProgramError):
         refine_block(block, target, np.zeros_like(target))
 
 

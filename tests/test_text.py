@@ -1,4 +1,7 @@
 """Text grammar: canonical printing, parsing, and error reporting."""
+import re
+import sys
+
 import pytest
 
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Program, Semantics, ShapeKind,
@@ -176,3 +179,56 @@ def test_negative_numbers():
 def test_empty_source_is_empty_program():
     assert parse_text("") == Program(())
     assert print_text(Program(())) == ""
+
+
+SEMANTIC_NAMES = ("Leg", "Top", "Layer", "Support", "Base", "Sideboard", "HBar", "VBoard",
+                  "Locker", "Back", "BackSup", "Beam")
+NEST = "for(Trans, i=2, u=(0,0,0)) {"
+DRAW = "draw(Top, Cub, P=(0,0,0), G=(1,1,1))"
+
+# (source, message, line, col, expected), as the character-walk lexer
+# reported them; positions count tabs and "\r" as one column each
+SYNTAX_ERRORS = [
+    ("draw(Top, Cub, P=(8,20,8) G=(2,16,16))", "unexpected 'G'", 1, 27, (",",)),
+    (DRAW + ";", "unexpected character ';'", 1, 37, ()),
+    ("draw(Shelf, Cub, P=(0,0,0), G=(1,1,1))", "unexpected 'Shelf'", 1, 6, SEMANTIC_NAMES),
+    ("draw(Top, Sphere, P=(0,0,0), G=(1,1))", "unexpected 'Sphere'", 1, 11,
+     ("Cub", "Cyl", "Cir", "Sqr", "Rect", "Line")),
+    ("draw(Leg, Cyl, P=(0,0,0), G=(1,1,1))", "Cyl takes 2 geometry arguments, got 3", 1, 6, ()),
+    ("draw(Top, Cub, P=(0,0,2.5), G=(1,1,1))", "unexpected '2.5'", 1, 23, ("integer",)),
+    ("draw(Top, Cub, P=(0,0,0), G=(1,1,-.))", "malformed number '-.'", 1, 34, ()),
+    ("draw(Top, Cub, P=(0,0,0), G=(1,1,5.))", "malformed number '5.'", 1, 34, ()),
+    ("draw(Top, Cub, P=(0,0,0), G=(1.2.3,1,1))", "unexpected character '.'", 1, 33, ()),
+    (DRAW + "\n}\n", "unexpected '}'", 2, 1, ("draw", "for")),
+    ("for(Trans, i=2, u=(0,0,1)) {\n  " + DRAW + "\n", "unexpected end of input", 3, 1,
+     ("draw", "for", "}")),
+    ("for(Rot, i=2, theta=90, axis=W) {\n}\n", "unexpected 'W'", 1, 30, ("X", "Y", "Z")),
+    ("for(Spin, i=2) {}", "unexpected 'Spin'", 1, 5, ("Trans", "Rot")),
+    ("draw(Top, Cub,\tP=(0,0,0),\r\n\tG=(1,1,1))\r\n\tdraw(Top, Cub, P=(0,0,²), G=(1,1,1))\n",
+     "unexpected character '²'", 3, 24, ()),
+    ("\tfor(Trans, i=2, u=(0,0,1)) {\r\n\t\t" + DRAW + " )\n}\n", "unexpected ')'", 2, 40,
+     ("draw", "for", "}")),
+    (DRAW + "\n\r\t  draw(Top, Cub, P=(0,0,0), G=(1,1,1)\xa0)", "unexpected character '\\xa0'",
+     2, 40, ()),
+    (DRAW + "\n  draw(Top, Cub, P=(0,0,0), G=(1,1,-5 ٣))", "unexpected character '٣'", 2, 39, ()),
+    (NEST * 65 + DRAW + "}" * 65, "loops nested deeper than 64", 1, 1820, ()),
+    # a lexical error anywhere wins over a parse error before it
+    ((NEST + "\n") * 65 + DRAW + "}" * 65 + "\n½", "unexpected character '½'", 67, 1, ()),
+]
+
+
+@pytest.mark.parametrize("src,message,line,col,expected", SYNTAX_ERRORS)
+def test_syntax_errors_pinned(src, message, line, col, expected):
+    with pytest.raises(DslSyntaxError) as exc:
+        parse_text(src, validate=False)
+    hint = f"; expected one of: {', '.join(expected)}" if expected else ""
+    assert str(exc.value) == f"line {line}, col {col}: {message}{hint}"
+    assert (exc.value.line, exc.value.col, exc.value.expected) == (line, col, expected)
+
+
+def test_regex_word_classes_match_the_grammar():
+    """The lexer's name pattern relies on \\w matching exactly what
+    str.isalnum() or "_" accepts, and on no letter being a decimal digit."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\w", chars)) == {c for c in chars if c.isalnum() or c == "_"}
+    assert {c for c in chars if c.isalpha()} <= set(re.findall(r"[^\W\d]", chars))

@@ -205,6 +205,26 @@ GOOD_STEP = [1, [0, 0, 0, 1, 1, 1, 0]]
 
 
 @pytest.mark.parametrize("bad", [
+    TokenStep(True, (0,) * 7), TokenStep("2", (0,) * 7), TokenStep(1.7, (0,) * 7),
+    TokenStep(1.0, (0,) * 7), TokenStep(-1, (0,) * 7), TokenStep(None, (0,) * 7),
+    TokenStep(1, (0, 0, 0, "a", 1, 1, 0)), TokenStep(1, (0, 0, 0, 1, 1, True, 0)),
+    TokenStep(1, (0, 0, 0, 1, 1, float("nan"), 0)), TokenStep(1, (0, 0, 0, 1, 1, None, 0)),
+    TokenStep(1, None), (1,), 5,
+])
+def test_token_program_refuses_malformed_steps(bad):
+    with pytest.raises(TokenError) as exc:
+        TokenProgram((TokenStep(*GOOD_STEP), bad))
+    assert exc.value.step == 1
+
+
+def test_token_program_keeps_args_canonical():
+    t = TokenProgram(([74, [4, 90.0, 1, 0, 0, 0, 0]], (1, [0, 0, 0, 1, 1, 1, 2.5])))
+    assert t.steps == (TokenStep(74, (4, 90, 1, 0, 0, 0, 0)),
+                       TokenStep(1, (0, 0, 0, 1, 1, 1, 2.5)))
+    assert type(t.steps[0].args[1]) is int
+
+
+@pytest.mark.parametrize("bad", [
     5, [1], [[1], [0] * 7], [1, 5], [1, [0] * 6], [1, [0] * 8], [1, [0] * 7, 0],
     [1.7, [0] * 7], [1.0, [0] * 7], [True, [0] * 7], ["2", [0] * 7], [None, [0] * 7],
     [-1, [0] * 7], [1, [0, 0, 0, 1, 1, 1, "0"]], [1, [0, 0, 0, 1, 1, True, 0]],
