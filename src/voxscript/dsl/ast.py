@@ -171,7 +171,7 @@ class ForStmt:
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(self.body))
         if self.step is not None:
-            object.__setattr__(self, "step", tuple(canon_number(c) for c in self.step))
+            object.__setattr__(self, "step", canon_numbers(self.step))
         if self.angle is not None:
             object.__setattr__(self, "angle", canon_number(self.angle))
 
@@ -232,6 +232,9 @@ class ValidationReport:
     violations: tuple
 
 
+_VALID = ValidationReport(ok=True, violations=())
+
+
 def expanded_size(stmt: Statement) -> int:
     """Number of primitives the statement produces once loops are unrolled."""
     if isinstance(stmt, DrawStmt):
@@ -251,94 +254,92 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_coord_triple(values, lo, hi, what, path, out):
-    if len(values) != 3:
-        out.append(Violation(path, f"{what} must have 3 components, got {len(values)}"))
-        return
-    for i, v in enumerate(values):
-        if not _is_int(v):
-            out.append(Violation(path, f"{what}[{i}] must be an integer, got {v!r}"))
+def _int_faults(values, names, lo, hi, bad):
+    for v, name in zip(values, names):
+        if not (v.__class__ is int or _is_int(v)):  # a plain int skips the call
+            bad.append(f"{name} must be an integer, got {v!r}")
         elif not lo <= v <= hi:
-            out.append(Violation(path, f"{what}[{i}] = {v} outside [{lo}, {hi}]"))
+            bad.append(f"{name} = {v} outside [{lo}, {hi}]")
 
 
-def _check_extent(v, name, path, out, limits):
-    if not _is_int(v):
-        out.append(Violation(path, f"{name} must be an integer, got {v!r}"))
-    elif not 1 <= v <= limits.max_extent:
-        out.append(Violation(path, f"{name} = {v} outside [1, {limits.max_extent}]"))
+_TRIPLE_NAMES = {what: tuple(f"{what}[{i}]" for i in range(3)) for what in ("position", "endpoint")}
 
 
-def _check_draw(d: DrawStmt, path, out, limits):
+def _triple_faults(values, what, hi, bad):
+    if len(values) != 3:
+        bad.append(f"{what} must have 3 components, got {len(values)}")
+    else:
+        _int_faults(values, _TRIPLE_NAMES[what], 0, hi, bad)
+
+
+def _draw_faults(d: DrawStmt, limits, bad):
     if not isinstance(d.semantics, Semantics):
-        out.append(Violation(path, f"unknown semantics {d.semantics!r}"))
+        bad.append(f"unknown semantics {d.semantics!r}")
     if not isinstance(d.shape, ShapeKind):
-        out.append(Violation(path, f"unknown shape kind {d.shape!r}"))
+        bad.append(f"unknown shape kind {d.shape!r}")
         return
-    _check_coord_triple(d.position, 0, limits.max_coord, "position", path, out)
+    _triple_faults(d.position, "position", limits.max_coord, bad)
     lo, hi = GEOMETRY_ARITY[d.shape]
-    n = len(d.geometry)
-    if not lo <= n <= hi:
-        want = str(lo) if lo == hi else f"{lo} or {hi}"
-        out.append(Violation(path, f"{d.shape.value} takes {want} geometry entries, got {n}"))
-        return
     g = d.geometry
-    if d.shape is ShapeKind.LINE:
-        _check_coord_triple(g, 0, limits.max_coord, "endpoint", path, out)
-    elif d.shape in (ShapeKind.CYLINDER, ShapeKind.CIRCLE, ShapeKind.SQUARE):
-        _check_extent(g[0], "t", path, out, limits)
-        _check_extent(g[1], "r", path, out, limits)
-    else:  # CUBOID, RECTANGLE
-        for v, name in zip(g[:3], ("t", "r1", "r2")):
-            _check_extent(v, name, path, out, limits)
-        if n == 4:
+    if not lo <= len(g) <= hi:
+        want = str(lo) if lo == hi else f"{lo} or {hi}"
+        bad.append(f"{d.shape.value} takes {want} geometry entries, got {len(g)}")
+    elif d.shape is ShapeKind.LINE:
+        _triple_faults(g, "endpoint", limits.max_coord, bad)
+    else:  # (t, r) for a Cyl, Cir or Sqr; (t, r1, r2[, ang]) for a Cub or Rect
+        _int_faults(g, ("t", "r") if hi == 2 else ("t", "r1", "r2"), 1, limits.max_extent, bad)
+        if len(g) == 4:
             ang = g[3]
             if not isinstance(ang, (int, float)) or isinstance(ang, bool):
-                out.append(Violation(path, f"ang must be a number, got {ang!r}"))
+                bad.append(f"ang must be a number, got {ang!r}")
             elif not -limits.max_tilt <= ang <= limits.max_tilt:
-                out.append(Violation(path, f"ang = {ang} outside [-{limits.max_tilt}, {limits.max_tilt}]"))
+                bad.append(f"ang = {ang} outside [-{limits.max_tilt}, {limits.max_tilt}]")
 
 
-def _check_for(f: ForStmt, path, depth, out, limits):
-    if not _is_int(f.times) or f.times < 2:
-        out.append(Violation(path, f"times must be an integer >= 2, got {f.times!r}"))
+def _loop_faults(f: ForStmt, depth, limits, bad):
+    counted = _is_int(f.times) and f.times >= 2
+    if not counted:
+        bad.append(f"times must be an integer >= 2, got {f.times!r}")
     if f.mode is LoopMode.TRANSLATION:
         if f.step is None:
-            out.append(Violation(path, "translation loop missing step u"))
-        else:
-            if len(f.step) != 3 or not all(_is_int(c) for c in f.step):
-                out.append(Violation(path, f"step u must be an integer triple, got {f.step!r}"))
+            bad.append("translation loop missing step u")
+        elif len(f.step) != 3 or not all(map(_is_int, f.step)):
+            bad.append(f"step u must be an integer triple, got {f.step!r}")
         if f.angle is not None or f.axis is not None:
-            out.append(Violation(path, "translation loop must not carry angle/axis"))
+            bad.append("translation loop must not carry angle/axis")
     elif f.mode is LoopMode.ROTATION:
         if f.angle is None or not isinstance(f.angle, (int, float)) or isinstance(f.angle, bool):
-            out.append(Violation(path, f"rotation loop needs a numeric angle, got {f.angle!r}"))
+            bad.append(f"rotation loop needs a numeric angle, got {f.angle!r}")
         if not isinstance(f.axis, Axis):
-            out.append(Violation(path, f"rotation loop needs an axis, got {f.axis!r}"))
+            bad.append(f"rotation loop needs an axis, got {f.axis!r}")
         if f.step is not None:
-            out.append(Violation(path, "rotation loop must not carry step u"))
+            bad.append("rotation loop must not carry step u")
     else:
-        out.append(Violation(path, f"unknown loop mode {f.mode!r}"))
-    if depth + 1 > limits.max_for_depth:
-        out.append(Violation(path, f"loop nesting deeper than {limits.max_for_depth}"))
+        bad.append(f"unknown loop mode {f.mode!r}")
+    if depth > limits.max_for_depth:
+        bad.append(f"loop nesting deeper than {limits.max_for_depth}")
     if not f.body:
-        out.append(Violation(path, "loop body is empty"))
-        return
-    if _is_int(f.times) and f.times >= 2 and expanded_size(f) > limits.max_expanded:
-        out.append(Violation(
-            path, f"loop expands to {expanded_size(f)} primitives (budget {limits.max_expanded})"
-        ))
-    for j, s in enumerate(f.body):
-        _check_stmt(s, f"{path}.body[{j}]", depth + 1, out, limits)
+        bad.append("loop body is empty")
+    elif counted and expanded_size(f) > limits.max_expanded:
+        bad.append(f"loop expands to {expanded_size(f)} primitives (budget {limits.max_expanded})")
 
 
-def _check_stmt(s, path, depth, out, limits):
-    if isinstance(s, DrawStmt):
-        _check_draw(s, path, out, limits)
-    elif isinstance(s, ForStmt):
-        _check_for(s, path, depth, out, limits)
-    else:
-        out.append(Violation(path, f"not a statement: {s!r}"))
+def _check_body(statements, where, out, limits):
+    """Record the faults of each statement, at its index trail, then of its body's."""
+    for j, s in enumerate(statements):
+        at = (*where, j)
+        bad: list = []
+        if isinstance(s, DrawStmt):
+            _draw_faults(s, limits, bad)
+        elif isinstance(s, ForStmt):
+            _loop_faults(s, len(at), limits, bad)
+        else:
+            bad.append(f"not a statement: {s!r}")
+        if bad:  # only a statement with a fault formats its path
+            path = f"stmt[{at[0]}]" + "".join(f".body[{k}]" for k in at[1:])
+            out.extend(Violation(path, message) for message in bad)
+        if isinstance(s, ForStmt):
+            _check_body(s.body, at, out, limits)
 
 
 def validate_program(p: Program, limits: Limits = DEFAULT_LIMITS) -> ValidationReport:
@@ -348,6 +349,5 @@ def validate_program(p: Program, limits: Limits = DEFAULT_LIMITS) -> ValidationR
         out.append(Violation(
             "stmt", f"{len(p.statements)} top-level statements (limit {limits.max_top_level})"
         ))
-    for i, s in enumerate(p.statements):
-        _check_stmt(s, f"stmt[{i}]", 0, out, limits)
-    return ValidationReport(ok=not out, violations=tuple(out))
+    _check_body(p.statements, (), out, limits)
+    return ValidationReport(ok=False, violations=tuple(out)) if out else _VALID

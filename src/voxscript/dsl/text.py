@@ -202,12 +202,12 @@ def parse_text(src: str, *, validate: bool = True, limits: Limits = DEFAULT_LIMI
 def _print_stmt(s, depth, out):
     pad = "  " * depth
     if isinstance(s, DrawStmt):
-        pos = ",".join(format_number(v) for v in s.position)
-        geom = ",".join(format_number(v) for v in s.geometry)
+        pos = ",".join(map(format_number, s.position))
+        geom = ",".join(map(format_number, s.geometry))
         out.append(f"{pad}draw({s.semantics.value}, {s.shape.value}, P=({pos}), G=({geom}))")
         return
     if s.step is not None:
-        u = ",".join(format_number(v) for v in s.step)
+        u = ",".join(map(format_number, s.step))
         head = f"{pad}for(Trans, i={s.times}, u=({u})) {{"
     else:
         head = f"{pad}for(Rot, i={s.times}, theta={format_number(s.angle)}, axis={s.axis.value}) {{"

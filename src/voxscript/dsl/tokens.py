@@ -32,6 +32,7 @@ from .ast import (
     Program,
     Semantics,
     ShapeKind,
+    _INT_TYPE,
     canon_number,
     canon_numbers,
     format_number,
@@ -40,6 +41,7 @@ from .ast import (
 )
 
 N_ARG_SLOTS = 7
+_INT_ROW = " ".join(["%d"] * (1 + N_ARG_SLOTS)) + "\n"  # %d writes an int as format_number does
 
 _SEMANTICS = tuple(Semantics)
 _SHAPES = tuple(ShapeKind)
@@ -105,6 +107,9 @@ def _is_number(v) -> bool:
 
 
 def _step(idx, step) -> TokenStep:
+    if (step.__class__ is TokenStep and step.id.__class__ is int and step.id >= 0
+            and step.args.__class__ is tuple and _INT_TYPE.issuperset(map(type, step.args))):
+        return step  # already a valid step with canonical args: the codec's own rows
     try:
         sid, args = step
         args = tuple(args)
@@ -112,16 +117,13 @@ def _step(idx, step) -> TokenStep:
         raise TokenError(idx, "a step must be an (id, args) pair") from None
     if not (isinstance(sid, int) and not isinstance(sid, bool) and sid >= 0):
         raise TokenError(idx, f"id must be a non-negative integer, got {sid!r}")
-    canon = canon_numbers(args)
-    # a tuple of plain ints comes back as it is, and needs no check
-    if canon is not args and not all(map(_is_number, args)):
+    if not all(map(_is_number, args)):
         raise TokenError(idx, f"args must be finite numbers, got {args!r}")
-    return TokenStep(int(sid), canon)
+    return TokenStep(int(sid), canon_numbers(args))
 
 
 def _row(*values) -> tuple:
-    vals = tuple(canon_number(v) for v in values)
-    return vals + (0,) * (N_ARG_SLOTS - len(vals))
+    return canon_numbers(values) + (0,) * (N_ARG_SLOTS - len(values))
 
 
 def tokenize(p: Program, limits: Limits = DEFAULT_LIMITS) -> TokenProgram:
@@ -137,7 +139,7 @@ def encode_steps(statements):
     """Yield the pre-order steps of ``statements`` without validating them."""
     for stmt in statements:
         if isinstance(stmt, DrawStmt):
-            yield TokenStep(draw_token_id(stmt.semantics, stmt.shape),
+            yield TokenStep(_DRAW_ID[stmt.semantics, stmt.shape],
                             _row(*stmt.position, *stmt.geometry))
             continue
         if stmt.mode is LoopMode.TRANSLATION:
@@ -149,14 +151,13 @@ def encode_steps(statements):
 
 
 def _int_arg(v, step_index, what):
-    v = canon_number(v)
-    if not isinstance(v, int):
+    if not isinstance(v, int):  # args are canonical: an integral number is an int
         raise TokenError(step_index, f"{what} must be an integer, got {v!r}")
     return v
 
 
 def _require_unused_zero(args, used, step_index, what):
-    if any(a != 0 for a in args[used:]):
+    if any(args[used:]):
         raise TokenError(step_index, f"{what} uses {used} argument slots;"
                                      " the slots after them must be 0")
 
@@ -182,8 +183,9 @@ def detokenize(t: TokenProgram) -> Program:
             _require_unused_zero(args, _CONTROL_SLOTS[sid], idx, _NAMES[sid])
         if sid in _DRAW_BY_ID:
             sem, shape = _DRAW_BY_ID[sid]
-            for a in args[:3]:
-                _int_arg(a, idx, "position")
+            if not _INT_TYPE.issuperset(map(type, args[:3])):
+                for a in args[:3]:
+                    _int_arg(a, idx, "position")
             lo, hi = GEOMETRY_ARITY[shape]
             _require_unused_zero(args, 3 + hi, idx, shape.value)
             # the optional last geometry entry (a Cub tilt) is absent when 0
@@ -217,22 +219,20 @@ def detokenize(t: TokenProgram) -> Program:
 
 
 def format_token_lines(t: TokenProgram) -> str:
-    """One step per line: ``id a1 .. a7`` in decimal."""
-    lines = [" ".join([str(s.id)] + [format_number(a) for a in s.args]) for s in t.steps]
-    return "".join(line + "\n" for line in lines)
+    """One step per line: ``id a1 .. a7``, each number as format_number writes it."""
+    return "".join(_INT_ROW % (sid, *args)
+                   if len(args) == N_ARG_SLOTS and _INT_TYPE.issuperset(map(type, args))
+                   else " ".join(map(format_number, (sid, *args))) + "\n" for sid, args in t.steps)
 
 
 # Token rows hold only ASCII digits, minus signs, points and whitespace.
 _NON_TOKEN_CHAR = re.compile(r"[^0-9.\-\s]")
+# Canonical text -> value of the small ints rows mostly hold (ids, coordinates,
+# extents, steps, tilts, angles): a row of them needs no other check.
+_SMALL_INTS = {str(i): i for i in range(-64, 129)}
 
 
 def _parse_number(text, lineno):
-    # int() also takes "_", "+" and non-ASCII digits, which the row's
-    # character check has refused; what it refuses here gets the strict parse
-    try:
-        return int(text)
-    except ValueError:
-        pass
     try:
         return canon_number(parse_number(text))
     except ValueError:
@@ -240,22 +240,30 @@ def _parse_number(text, lineno):
 
 
 def parse_token_lines(src: str) -> TokenProgram:
-    """Rows of ``id a1 .. a7`` as format_token_lines writes them; a field that
-    is not an ASCII decimal raises TokenError."""
+    """Rows of ``id a1 .. a7``, each number written as format_token_lines writes it:
+    ``01``, ``-0`` or ``1.0`` raise TokenError (step = line index). Whitespace is free."""
     steps = []
     for lineno, line in enumerate(src.splitlines()):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 1 + N_ARG_SLOTS:
             raise TokenError(lineno, f"expected {1 + N_ARG_SLOTS} fields, got {len(fields)}")
-        bad = _NON_TOKEN_CHAR.search(line)
-        if bad:
-            raise TokenError(lineno, f"unexpected character {bad.group()!r}")
-        sid = _parse_number(fields[0], lineno)
-        if not isinstance(sid, int) or sid < 0:
+        try:
+            sid, *args = map(_SMALL_INTS.__getitem__, fields)
+        except KeyError:  # a larger int, a float or a fault: parse field by field
+            bad = _NON_TOKEN_CHAR.search(line)
+            if bad:
+                raise TokenError(lineno, f"unexpected character {bad.group()!r}")
+            sid, args = _parse_number(fields[0], lineno), None
+        if not (isinstance(sid, int) and sid >= 0):
             raise TokenError(lineno, f"id must be a non-negative integer, got {fields[0]!r}")
-        steps.append(TokenStep(sid, tuple(_parse_number(f, lineno) for f in fields[1:])))
+        if args is None:
+            args = [_parse_number(f, lineno) for f in fields[1:]]
+            for field, text in zip(fields, map(format_number, (sid, *args))):
+                if field != text:
+                    raise TokenError(lineno, f"{field!r} must be written {text!r}")
+        steps.append(TokenStep(sid, tuple(args)))
     return TokenProgram(tuple(steps))
 
 

@@ -291,8 +291,12 @@ def execute_block(b, dims=DEFAULT_DIMS) -> np.ndarray:
 
 
 def execute_program(p: Program, dims=DEFAULT_DIMS) -> np.ndarray:
-    """Union of all block grids; the empty program gives the empty grid."""
+    """Union of all blocks, drawn into one grid; the empty program gives the empty grid."""
     grid = empty_grid(dims)
     for b in p.statements:
-        grid |= execute_block(b, dims)
+        if isinstance(b, DrawStmt):
+            _render(grid, b.shape, b.position, b.geometry)
+        else:
+            for d, pos, geom in _unroll(b, dims, DEFAULT_LIMITS):
+                _render(grid, d.shape, pos, geom)
     return grid

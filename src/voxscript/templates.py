@@ -454,14 +454,14 @@ def sample(t: Template, rng) -> tuple:
     """Draw one feasible parameter assignment and build its program.
 
     Parameters are drawn uniformly (inclusive ranges) in sorted name
-    order so the stream of random draws is reproducible.
+    order so the stream of random draws is reproducible. One generator call
+    draws an attempt's parameters, consuming the stream as one per parameter would.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    names = sorted(t.ranges)
+    lows, highs = [t.ranges[name][0] for name in names], [t.ranges[name][1] for name in names]
     for _ in range(MAX_SAMPLE_ATTEMPTS):
-        params = {
-            name: int(rng.integers(lo, hi + 1))
-            for name, (lo, hi) in sorted(t.ranges.items())
-        }
+        params = dict(zip(names, rng.integers(lows, highs, endpoint=True).tolist()))
         if not t.constraints(params):
             continue
         program = t.build(params)

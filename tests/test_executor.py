@@ -366,12 +366,13 @@ def test_execute_block_budget_error():
 
 
 def test_execute_program_block_composition():
-    for seed in range(60):
+    for seed in range(150):
         p = random_program(seed)
-        expect = empty_grid()
-        for stmt in p.statements:
-            expect |= execute_block(stmt)
-        assert (execute_program(p) == expect).all()
+        for dims in (DEFAULT_DIMS, (20, 40, 12)):
+            expect = empty_grid(dims)
+            for stmt in p.statements:
+                expect |= execute_block(stmt, dims)
+            assert (execute_program(p, dims) == expect).all()
 
 
 def test_execute_empty_program():

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from voxscript.analysis import Connectivity, connected_components, stability_report
-from voxscript.dsl import ForStmt, parse_text, validate_program
+from voxscript.dsl import (DrawStmt, ForStmt, Program, Semantics, ShapeKind, parse_text,
+                           validate_program)
 from voxscript.dsl.tokens import parse_token_lines, detokenize
 from voxscript.binvox import read_binvox
 from voxscript.errors import BinvoxError, TemplateInfeasibleError
 from voxscript.executor import execute_program
-from voxscript.templates import (Category, Template, builtin_templates,
+from voxscript.templates import (MAX_SAMPLE_ATTEMPTS, Category, Template, builtin_templates,
                                  generate_dataset, sample)
 
 
@@ -158,6 +159,44 @@ def test_generate_dataset_deterministic(tmp_path):
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
     generate_dataset(tmp_path / "c", tables=3, chairs=3, seed=43)
     assert tree_digest(tmp_path / "a") != tree_digest(tmp_path / "c")
+
+
+# sha256 of the generate_dataset(seed=7, tables=10, chairs=10) tree. Sampling,
+# the codecs and the executor keep every byte of it; a change meant to alter
+# the dataset pins a new digest.
+SEED7_TREE_DIGEST = "f3433d70f97cac1561efa52823268c85040a844ceee338ae1b550797bfd3d709"
+
+
+def test_generate_dataset_pinned(tmp_path):
+    generate_dataset(tmp_path / "ds", tables=10, chairs=10, seed=7)
+    assert tree_digest(tmp_path / "ds") == SEED7_TREE_DIGEST
+
+
+def scalar_sample(t, rng):
+    """sample as one rng.integers call per parameter, in sorted name order."""
+    for _ in range(MAX_SAMPLE_ATTEMPTS):
+        params = {name: int(rng.integers(lo, hi + 1)) for name, (lo, hi) in sorted(t.ranges.items())}
+        if t.constraints(params):
+            program = t.build(params)
+            if validate_program(program).ok:
+                return program, params
+
+
+ONE_BOX = Program((DrawStmt(Semantics.TOP, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1)),))
+
+
+@pytest.mark.parametrize("t", builtin_templates() + [
+    Template("fixed", Category.TABLE, {}, lambda p: ONE_BOX),
+    Template("wide", Category.TABLE, {"b": (0, 10 ** 12), "a": (3, 3), "c": (-5, 5)},
+             lambda p: ONE_BOX, lambda p: p["c"] > 0),
+], ids=lambda t: t.id)
+def test_sample_draws_as_one_call_per_parameter_would(t):
+    for seed in range(60):
+        a, b = np.random.default_rng([seed, 7]), np.random.default_rng([seed, 7])
+        program, params = sample(t, a)
+        assert (program, params) == scalar_sample(t, b)
+        assert all(type(v) is int for v in params.values())
+        assert a.integers(2 ** 62) == b.integers(2 ** 62)  # the generators stay in step
 
 
 def test_generate_dataset_empty(tmp_path):

@@ -166,6 +166,28 @@ def test_line_format_refuses_numbers_other_than_ascii_decimals(row):
         parse_token_lines(row + "\n")
 
 
+@pytest.mark.parametrize("row", ["1.0 0 0 0 1 1 1 0", "1 0 0 0 1.0 1 1 0", "1 -0 0 0 1 1 1 0",
+                                 "1 00 0 0 1 1 1 0", "01 0 0 0 1 1 1 0", "1 0 0 0 1 1 1 -00",
+                                 "1 0 0 0 1 1 1 0400", "1 0 0 0 1 1 1 0" + "9" * 30,
+                                 "74 2 90.0 1 0 0 0 0", "74 2 51.50 1 0 0 0 0",
+                                 "74 2 051.5 1 0 0 0 0", "74 2 -0.0 1 0 0 0 0"])
+def test_line_format_refuses_numbers_not_written_canonically(row):
+    with pytest.raises(TokenError) as exc:
+        parse_token_lines("1 0 0 0 1 1 1 0\n" + row + "\n")
+    assert exc.value.step == 1 and "must be written" in str(exc.value)
+
+
+def test_line_format_takes_any_whitespace_and_large_numbers():
+    text = "74 2 51.5 1 0 0 0 0\n1 0 0 0 1 1 1 400\n1 0 0 0 1 1 1 -361\n75 0 0 0 0 0 0 0\n"
+    loose = "\n \t\n" + "".join(" \t" + "  ".join(line.split()) + " \r\n\n"
+                                 for line in text.splitlines())
+    t = parse_token_lines(loose)
+    assert t == parse_token_lines(text) and format_token_lines(t) == text
+    assert t.steps[1].args[6] == 400 and t.steps[2].args[6] == -361
+    big = "1 0 0 0 1 1 1 " + "9" * 40
+    assert parse_token_lines(big).steps[0].args[6] == int("9" * 40)
+
+
 def test_line_format_shape():
     t = tokenize(random_program(1))
     for line in format_token_lines(t).strip().splitlines():
