@@ -19,8 +19,7 @@ from .errors import (AlignmentError, BinvoxError, BudgetError, CardinalityError,
                      EmptyShapeError, InputError, InvalidProgramError, ResourceError,
                      ShapeMismatchError, TemplateInfeasibleError, TokenError,
                      VoxScriptError)
-from .executor import (DEFAULT_DIMS, empty_grid, execute_block, execute_program,
-                       render_draw, unroll_for)
+from .executor import DEFAULT_DIMS, empty_grid, execute_block, execute_program, unroll_for
 from .inference import (FitResult, LossKind, SearchConfig, fit_program,
                         propose_candidates, refine_block, score_block)
 from .metrics import (BCE_EPS, LossWeights, chamfer, emd, generator_loss, iou,

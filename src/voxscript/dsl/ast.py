@@ -235,11 +235,21 @@ class ValidationReport:
 _VALID = ValidationReport(ok=True, violations=())
 
 
-def expanded_size(stmt: Statement) -> int:
-    """Number of primitives the statement produces once loops are unrolled."""
+def expanded_size(stmt: Statement):
+    """Number of primitives the statement produces once loops are unrolled,
+    or None where that is undefined: a loop's times is not an int or a
+    float, or a body holds something that is not a statement."""
     if isinstance(stmt, DrawStmt):
         return 1
-    return stmt.times * sum(expanded_size(s) for s in stmt.body)
+    if not isinstance(stmt, ForStmt) or not isinstance(stmt.times, (int, float)):
+        return None
+    total = 0
+    for s in stmt.body:
+        n = expanded_size(s)
+        if n is None:
+            return None
+        total += n
+    return stmt.times * total
 
 
 def for_depth(stmt: Statement) -> int:
@@ -320,8 +330,10 @@ def _loop_faults(f: ForStmt, depth, limits, bad):
         bad.append(f"loop nesting deeper than {limits.max_for_depth}")
     if not f.body:
         bad.append("loop body is empty")
-    elif counted and expanded_size(f) > limits.max_expanded:
-        bad.append(f"loop expands to {expanded_size(f)} primitives (budget {limits.max_expanded})")
+    elif counted:
+        size = expanded_size(f)
+        if size is not None and size > limits.max_expanded:
+            bad.append(f"loop expands to {size} primitives (budget {limits.max_expanded})")
 
 
 def _check_body(statements, where, out, limits):

@@ -87,8 +87,9 @@ class TokenStep(NamedTuple):
 @dataclass(frozen=True)
 class TokenProgram:
     """Steps of ``(id, args)``. An id is a non-negative integer and each arg
-    a finite number, never a bool; anything else raises TokenError. Args
-    are stored canonical (integral floats as ints)."""
+    a finite number, never a bool or an int too long for ``str()``; anything
+    else raises TokenError. Args are stored canonical (integral floats as
+    ints). A ``TokenStep`` of plain ints, as the codec builds, is taken as is."""
 
     steps: tuple = ()
 
@@ -115,6 +116,10 @@ def _step(idx, step) -> TokenStep:
         args = tuple(args)
     except (TypeError, ValueError):
         raise TokenError(idx, "a step must be an (id, args) pair") from None
+    try:
+        repr(args), repr(sid)  # as the messages below do
+    except ValueError:  # str() writes an int of at most sys.get_int_max_str_digits() digits
+        raise TokenError(idx, "an int has more digits than str() writes") from None
     if not (isinstance(sid, int) and not isinstance(sid, bool) and sid >= 0):
         raise TokenError(idx, f"id must be a non-negative integer, got {sid!r}")
     if not all(map(_is_number, args)):
@@ -186,10 +191,9 @@ def detokenize(t: TokenProgram) -> Program:
             if not _INT_TYPE.issuperset(map(type, args[:3])):
                 for a in args[:3]:
                     _int_arg(a, idx, "position")
-            lo, hi = GEOMETRY_ARITY[shape]
+            hi = GEOMETRY_ARITY[shape][1]
             _require_unused_zero(args, 3 + hi, idx, shape.value)
-            # the optional last geometry entry (a Cub tilt) is absent when 0
-            stmt = DrawStmt(sem, shape, args[:3], args[3:3 + (hi if args[2 + hi] != 0 else lo)])
+            stmt = DrawStmt(sem, shape, args[:3], args[3:3 + hi])  # which drops a zero Cub tilt
         elif sid == FOR_TRANSLATION_ID or sid == FOR_ROTATION_ID:
             if len(open_loops) == MAX_NESTING:
                 raise TokenError(idx, f"loops nested deeper than {MAX_NESTING}")

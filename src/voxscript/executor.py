@@ -3,6 +3,9 @@
 Grids are numpy bool arrays indexed (x, y, z) with y up; voxel i is the
 unit cube centered at integer coordinate i. Everything clips silently at
 the grid bounds and composes by union, so statement order never matters.
+Draw geometry is defined here once: the fit search counts box draws from
+``draw_boxes``, which also draws a tilted Cub, and bounds draws with
+``draw_extents``.
 """
 from __future__ import annotations
 
@@ -53,7 +56,7 @@ def as_grid(g) -> np.ndarray:
     return g
 
 
-def _fill_box(grid, x0, x1, y0, y1, z0, z1):
+def _fill_box(grid, x0, y0, z0, x1, y1, z1):
     dx, dy, dz = grid.shape
     if x0 < 0:
         x0 = 0
@@ -122,7 +125,30 @@ def _line_points(p0, p1, dims):
     return np.rint(p0[None, :] + ts * (p1 - p0)[None, :]).astype(int)
 
 
-def tilt_runs(ang, k0, k1) -> list:
+def _render(grid: np.ndarray, shape, position, geometry) -> None:
+    px, py, pz = position
+    if shape is ShapeKind.CUBOID or shape is ShapeKind.RECTANGLE:
+        if len(geometry) == 3:
+            t, r1, r2 = geometry
+            _fill_box(grid, px, py, pz, px + r1, py + t, pz + r2)
+        else:
+            for box in draw_boxes(shape, position, geometry, grid.shape[1]):
+                _fill_box(grid, *box)
+    elif shape is ShapeKind.CYLINDER or shape is ShapeKind.CIRCLE:
+        t, r = geometry
+        _fill_disk_column(grid, px, py, pz, t, r)
+    elif shape is ShapeKind.SQUARE:
+        t, r = geometry
+        _fill_box(grid, px - r, py, pz - r, px + r + 1, py + t, pz + r + 1)
+    else:  # line
+        dx, dy, dz = grid.shape
+        pts = _line_points(position, geometry, grid.shape)
+        keep = ((pts >= 0) & (pts < np.array([dx, dy, dz]))).all(axis=1)
+        pts = pts[keep]
+        grid[pts[:, 0], pts[:, 1], pts[:, 2]] = True
+
+
+def _tilt_runs(ang, k0, k1) -> list:
     """Rows k0..k1-1 of a Cuboid tilted by ``ang`` degrees as [first row,
     end row, x shift] runs of equal shift; row k shifts by round(k * tan(ang))."""
     slope = math.tan(math.radians(ang))
@@ -137,28 +163,27 @@ def tilt_runs(ang, k0, k1) -> list:
     return runs
 
 
-def _render(grid: np.ndarray, shape, position, geometry) -> None:
-    px, py, pz = position
-    if shape is ShapeKind.CUBOID or shape is ShapeKind.RECTANGLE:
-        t, r1, r2 = geometry[:3]
-        if len(geometry) == 3 or geometry[3] == 0:
-            _fill_box(grid, px, px + r1, py, py + t, pz, pz + r2)
-        else:
-            # only the rows inside the grid: the cost stays bounded by dims
-            for k0, k1, shift in tilt_runs(geometry[3], max(0, -py), min(t, grid.shape[1] - py)):
-                _fill_box(grid, px + shift, px + r1 + shift, py + k0, py + k1, pz, pz + r2)
-    elif shape is ShapeKind.CYLINDER or shape is ShapeKind.CIRCLE:
-        t, r = geometry
-        _fill_disk_column(grid, px, py, pz, t, r)
-    elif shape is ShapeKind.SQUARE:
-        t, r = geometry
-        _fill_box(grid, px - r, px + r + 1, py, py + t, pz - r, pz + r + 1)
-    else:  # line
-        dx, dy, dz = grid.shape
-        pts = _line_points(position, geometry, grid.shape)
-        keep = ((pts >= 0) & (pts < np.array([dx, dy, dz]))).all(axis=1)
-        pts = pts[keep]
-        grid[pts[:, 0], pts[:, 1], pts[:, 2]] = True
+def draw_boxes(shape, pos, geom, dy):
+    """The disjoint boxes (x0, y0, z0, x1, y1, z1) whose union a draw sets,
+    or None for a line or a cylinder: one box for an untilted Cub or Rect or
+    a Sqr, one per run of equal shift for a tilted Cub. Given the grid's
+    height ``dy``, tilted rows are clipped to the grid, so the work stays
+    bounded by it; given None they are not, and a tilt of several runs
+    gives None. Boxes are not clipped otherwise."""
+    x, y, z = pos
+    if shape is ShapeKind.SQUARE:
+        t, r = geom[:2]
+        return ((x - r, y, z - r, x + r + 1, y + t, z + r + 1),)
+    if shape is not ShapeKind.CUBOID and shape is not ShapeKind.RECTANGLE:
+        return None
+    t, r1, r2 = geom[:3]
+    tilt = geom[3] if len(geom) > 3 else 0
+    if tilt and dy is not None:
+        return tuple((x + s, y + k0, z, x + r1 + s, y + k1, z + r2)
+                     for k0, k1, s in _tilt_runs(tilt, max(0, -y), min(t, dy - y)))
+    if tilt and t > 0 and _tilt_runs(tilt, t - 1, t)[0][2]:
+        return None  # shifts are monotone from 0 at row 0, so the last row's decides
+    return ((x, y, z, x + r1, y + t, z + r2),)
 
 
 # A draw's shape code, where shapes are handled as arrays, is its index here.
@@ -167,6 +192,9 @@ _LINE_CODE = SHAPES.index(ShapeKind.LINE)
 # Per shape code: drawn as a column of half-width r about its position, geometry (t, r)?
 _IS_COLUMN = np.array([s in (ShapeKind.CYLINDER, ShapeKind.CIRCLE, ShapeKind.SQUARE)
                        for s in SHAPES])
+# Per shape code: are an untilted draw's voxels one box?
+_IS_BOX = np.array([s in (ShapeKind.CUBOID, ShapeKind.RECTANGLE, ShapeKind.SQUARE)
+                    for s in SHAPES])
 
 
 def draw_extents(shape, pos, geom) -> tuple:
@@ -177,7 +205,7 @@ def draw_extents(shape, pos, geom) -> tuple:
     Returns ``lo`` and ``hi`` (hi exclusive) as (n, 3) arrays and, per
     draw, an upper bound on the voxels it sets; degenerate geometry gives 0.
     A tilted Cuboid's box is widened by its last row's shift, computed as
-    ``_render`` computes it; shifts are monotone in the row.
+    ``draw_boxes`` computes it; shifts are monotone in the row.
     """
     line = shape == _LINE_CODE
     column = _IS_COLUMN[shape]
@@ -199,13 +227,6 @@ def draw_extents(shape, pos, geom) -> tuple:
     hi = np.where(line[:, None], np.maximum(pos, end) + 1, hi)
     volume = np.where(line, np.abs(pos - end).max(axis=1) + 1, volume)
     return lo, hi, volume
-
-
-def render_draw(d: DrawStmt, dims=DEFAULT_DIMS) -> np.ndarray:
-    """Rasterize one primitive; out-of-bounds voxels are dropped."""
-    grid = empty_grid(dims)
-    _render(grid, d.shape, d.position, d.geometry)
-    return grid
 
 
 def _rotate_pair(a, b, ca, cb, cos_t, sin_t):
@@ -279,14 +300,19 @@ def unroll_for(f: ForStmt, dims=DEFAULT_DIMS, limits=DEFAULT_LIMITS) -> list:
             for d, pos, geom in _unroll(f, dims, limits)]
 
 
-def execute_block(b, dims=DEFAULT_DIMS) -> np.ndarray:
-    """Run one top-level statement to a grid (loops union their draws)."""
-    grid = empty_grid(dims)
-    if isinstance(b, DrawStmt):
-        _render(grid, b.shape, b.position, b.geometry)
+def _draw(grid, block, dims) -> None:
+    """Draw one top-level statement into ``grid`` (loops union their copies)."""
+    if isinstance(block, DrawStmt):
+        _render(grid, block.shape, block.position, block.geometry)
     else:
-        for d, pos, geom in _unroll(b, dims, DEFAULT_LIMITS):
+        for d, pos, geom in _unroll(block, dims, DEFAULT_LIMITS):
             _render(grid, d.shape, pos, geom)
+
+
+def execute_block(b, dims=DEFAULT_DIMS) -> np.ndarray:
+    """Run one top-level statement to a grid."""
+    grid = empty_grid(dims)
+    _draw(grid, b, dims)
     return grid
 
 
@@ -294,9 +320,5 @@ def execute_program(p: Program, dims=DEFAULT_DIMS) -> np.ndarray:
     """Union of all blocks, drawn into one grid; the empty program gives the empty grid."""
     grid = empty_grid(dims)
     for b in p.statements:
-        if isinstance(b, DrawStmt):
-            _render(grid, b.shape, b.position, b.geometry)
-        else:
-            for d, pos, geom in _unroll(b, dims, DEFAULT_LIMITS):
-                _render(grid, d.shape, pos, geom)
+        _draw(grid, b, dims)
     return grid

@@ -16,16 +16,17 @@ candidates are scored, and while the budget lasts the beam is exactly the
 one that scoring every candidate would give.
 
 A candidate whose voxels are a union of boxes is counted from the table,
-not executed. An untilted ``Cub`` or ``Rect``, or a ``Sqr``, is one box; a
-tilted ``Cub`` is one box per run of rows with equal shift. Copies
-i < j < k of a box meet only inside copy j, so a translation loop over one
-covers each copy's count minus each consecutive pair's overlap, exactly,
-for any step; over a tilted ``Cub`` this holds run by run while the step
-keeps y. A rotation about Y counts its copies, each the draw moved to its
-rotated anchor, when their clipped bounding boxes are disjoint. Executed
-and their grids counted: lines, cylinders, rotations whose copies
-overlap, and translations moving a multi-run tilt in y. The beam's
-single-box rows are counted all at once, in the pass that bounds them.
+not executed, from the executor's own ``draw_boxes``: an untilted
+``Cub`` or ``Rect``, or a ``Sqr``, is one box; a tilted ``Cub`` is one
+box per run of rows with equal shift. Copies i < j < k of a box meet
+only inside copy j, so a translation loop over one covers each copy's
+count minus each consecutive pair's overlap, exactly, for any step; over
+a tilted ``Cub`` this holds run by run while the step keeps y. A
+rotation about Y counts its copies, each the draw moved to its rotated
+anchor, when their clipped bounding boxes are disjoint. Executed and
+their grids counted: lines, cylinders, rotations whose copies overlap,
+and translations moving a multi-run tilt in y. The beam's single-box
+rows are counted all at once, in the pass that bounds them.
 
 Statements are built only where the executor needs them. A round's
 candidates are the rows of one int64 array (see ``propose_candidates``)
@@ -51,7 +52,8 @@ from scipy import ndimage
 from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
                       Semantics, ShapeKind, validate_program)
 from .errors import InputError, InvalidProgramError, ShapeMismatchError
-from .executor import SHAPES, _rotate_point, as_grid, draw_extents, execute_block, tilt_runs
+from .executor import (_IS_BOX, SHAPES, _rotate_point, as_grid, draw_boxes, draw_extents,
+                       execute_block)
 from .metrics import BCE_EPS, LossWeights, iou
 
 _WRAP_TIMES = (2, 3, 4, 5)
@@ -70,9 +72,6 @@ _MODE, _TIMES, _STEP, _SHAPE, _POS, _GEOM, _ROW_LEN = 0, 1, slice(2, 5), 5, slic
 _DRAW, _TRANS, _ROT = 0, 1, 2
 _CUBOID, _CYLINDER, _LINE = (SHAPES.index(k) for k in
                              (ShapeKind.CUBOID, ShapeKind.CYLINDER, ShapeKind.LINE))
-# Per shape code: are an untilted draw's voxels one box?
-_IS_BOX = np.array([k in (ShapeKind.CUBOID, ShapeKind.RECTANGLE, ShapeKind.SQUARE)
-                    for k in SHAPES])
 
 
 class LossKind(enum.Enum):
@@ -216,8 +215,7 @@ def _make_block(row, dims, semantics=None):
     draw labelled ``semantics``, or from its geometry when that is None."""
     mode, times, ux, uy, uz, code, x, y, z, *geom = row
     shape = SHAPES[code]
-    lo, hi = GEOMETRY_ARITY[shape]
-    geom = tuple(geom[:hi] if geom[hi - 1] else geom[:lo])
+    geom = tuple(geom[:GEOMETRY_ARITY[shape][1]])  # DrawStmt drops a zero Cub tilt
     if semantics is None:
         semantics = _label_semantics(shape, (x, y, z), geom, dims)
     draw = DrawStmt(semantics, shape, (x, y, z), geom)
@@ -448,28 +446,6 @@ def _box_sum(sums, dims, x0, y0, z0, x1, y1, z1) -> int:
             + sums[x0, y0, z1] + sums[x0, y1, z0] + sums[x1, y0, z0] - sums[x0, y0, z0])
 
 
-def _draw_boxes(shape, pos, geom, dy):
-    """The disjoint boxes (x0, y0, z0, x1, y1, z1) whose union a draw sets,
-    or None for a line or a cylinder: one box for an untilted Cub or Rect or
-    a Sqr, one per run of equal shift for a tilted Cub. Given the grid's
-    height ``dy``, tilted rows are clipped to the grid as ``_render`` clips
-    them; given None they are not, and a tilt of several runs gives None."""
-    x, y, z = pos
-    if shape is ShapeKind.SQUARE:
-        t, r = geom[:2]
-        return ((x - r, y, z - r, x + r + 1, y + t, z + r + 1),)
-    if shape is not ShapeKind.CUBOID and shape is not ShapeKind.RECTANGLE:
-        return None
-    t, r1, r2 = geom[:3]
-    tilt = geom[3] if len(geom) > 3 else 0
-    if tilt and dy is not None:
-        return tuple((x + s, y + k0, z, x + r1 + s, y + k1, z + r2)
-                     for k0, k1, s in tilt_runs(tilt, max(0, -y), min(t, dy - y)))
-    if tilt and t > 0 and tilt_runs(tilt, t - 1, t)[0][2]:
-        return None  # shifts are monotone from 0 at row 0, so the last row's decides
-    return ((x, y, z, x + r1, y + t, z + r2),)
-
-
 def _chain_sum(sums, dims, box, times, step) -> int:
     """The packed counts of ``times`` copies of ``box``, copy k moved by k * step.
 
@@ -497,7 +473,7 @@ def _block_counts(rnd: _Round, row):
     it must be executed (see the module docstring)."""
     mode, times, ux, uy, uz, code, x, y, z, *geom = row
     sums, dims = rnd.sums, rnd.residual.shape
-    boxes = _draw_boxes(SHAPES[code], (x, y, z), geom, None if mode == _TRANS and uy else dims[1])
+    boxes = draw_boxes(SHAPES[code], (x, y, z), geom, None if mode == _TRANS and uy else dims[1])
     if boxes is None:
         return None
     total = 0

@@ -42,10 +42,6 @@ class LossWeights:
             raise ValueError("w0 and w1 must not both be zero")
 
 
-def _as_grid(g) -> np.ndarray:
-    return np.asarray(g, dtype=bool)
-
-
 def _check_same_dims(a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"grid dims differ: {a.shape} vs {b.shape}")
@@ -53,8 +49,8 @@ def _check_same_dims(a, b):
 
 def iou(a, b) -> float:
     """Intersection over union of occupancy; two empty grids count as 1.0."""
-    a = _as_grid(a)
-    b = _as_grid(b)
+    a = as_grid(a)
+    b = as_grid(b)
     _check_same_dims(a, b)
     union = np.logical_or(a, b).sum()
     if union == 0:
@@ -65,20 +61,9 @@ def iou(a, b) -> float:
 def surface_mask(g) -> np.ndarray:
     """Occupied voxels with at least one vacant 6-neighbor (or a grid face)."""
     g = as_grid(g)
-    interior = np.ones(g.shape, dtype=bool)
-    for axis in range(3):
-        lo = np.roll(g, 1, axis)
-        hi = np.roll(g, -1, axis)
-        # rolled-in values wrap; faces must count as vacant neighbors
-        lo = lo.copy()
-        hi = hi.copy()
-        sel_lo = [slice(None)] * 3
-        sel_lo[axis] = 0
-        lo[tuple(sel_lo)] = False
-        sel_hi = [slice(None)] * 3
-        sel_hi[axis] = -1
-        hi[tuple(sel_hi)] = False
-        interior &= lo & hi
+    p = np.pad(g, 1)  # vacant past every face
+    interior = (p[:-2, 1:-1, 1:-1] & p[2:, 1:-1, 1:-1] & p[1:-1, :-2, 1:-1]
+                & p[1:-1, 2:, 1:-1] & p[1:-1, 1:-1, :-2] & p[1:-1, 1:-1, 2:])
     return g & ~interior
 
 
@@ -131,7 +116,7 @@ def weighted_bce(pred, target, w: LossWeights = LossWeights()) -> float:
     predictions cost the clamping floor instead of infinity.
     """
     pred = np.asarray(pred, dtype=float)
-    target = _as_grid(target)
+    target = as_grid(target)
     _check_same_dims(pred, target)
     p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
     y = target.astype(float)

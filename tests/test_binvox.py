@@ -237,6 +237,11 @@ def test_obj_empty():
     assert "\nv " not in text and "\nf " not in text
 
 
+@pytest.mark.parametrize("dims", [(0, 3, 3), (3, 3, 0)])
+def test_obj_zero_size_grid(dims):
+    assert export_obj(np.zeros(dims, dtype=bool)) == "# voxel surface mesh: 0 cubes\n"
+
+
 def test_obj_single_voxel():
     g = np.zeros((4, 4, 4), dtype=bool)
     g[1, 2, 3] = True

@@ -121,6 +121,21 @@ def test_validate_expansion_budget():
     assert any("expan" in v.message.lower() for v in report.violations)
 
 
+@pytest.mark.parametrize("inner, message", [
+    ("x", "not a statement: 'x'"),
+    (ForStmt.translation("7", (1, 0, 0), (leg(),)), "times must be an integer >= 2, got '7'"),
+    (ForStmt.translation(None, (1, 0, 0), (leg(),)), "times must be an integer >= 2, got None"),
+])
+def test_validate_reports_malformed_loop_bodies(inner, message):
+    """A loop whose expanded size is undefined below it is reported, not raised on."""
+    for outer in (ForStmt.translation(2, (0, 0, 0), (inner,)),
+                  ForStmt.rotation(3, 30, Axis.Y, (leg(), ForStmt.translation(2, (1, 0, 0),
+                                                                              (inner,))))):
+        report = validate_program(Program((outer,)))
+        assert not report.ok
+        assert [v.message for v in report.violations] == [message]
+
+
 def test_violation_paths_nested():
     bad = leg(pos=(0, -1, 0))
     f = ForStmt.translation(2, (0, 0, 1), (leg(), bad))

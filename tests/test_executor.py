@@ -1,5 +1,6 @@
 """Executor: primitive rasterization against brute-force oracles, loop
 unrolling, and composition identities."""
+import itertools
 import math
 import time
 
@@ -11,8 +12,8 @@ from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, Program, Semantics,
                            ShapeKind)
 from voxscript.errors import BudgetError, InputError
 from voxscript.executor import (_STENCIL_MAX_RADIUS, DEFAULT_DIMS, MAX_GRID_VOXELS, SHAPES,
-                                _fill_disk_column, _rotate_point, draw_extents, empty_grid,
-                                execute_block, execute_program, render_draw, unroll_for)
+                                _fill_disk_column, _rotate_point, draw_boxes, draw_extents,
+                                empty_grid, execute_block, execute_program, unroll_for)
 
 from randprog import random_program
 
@@ -64,25 +65,25 @@ def brute_fill(d: DrawStmt, dims=DEFAULT_DIMS):
 
 def test_cuboid_288_voxels():
     d = DrawStmt(Semantics.TOP, ShapeKind.CUBOID, (8, 20, 8), (2, 12, 12))
-    assert int(render_draw(d).sum()) == 2 * 12 * 12
+    assert int(execute_block(d).sum()) == 2 * 12 * 12
 
 
 def test_cylinder_r0_single_voxel():
     d = DrawStmt(SEM, ShapeKind.CYLINDER, (16, 0, 16), (1, 0))
-    g = render_draw(d)
+    g = execute_block(d)
     assert int(g.sum()) == 1 and bool(g[16, 0, 16])
 
 
 def test_axis_aligned_line_six_voxels():
     d = DrawStmt(SEM, ShapeKind.LINE, (0, 0, 0), (0, 0, 5))
-    g = render_draw(d)
+    g = execute_block(d)
     assert int(g.sum()) == 6
     assert g[0, 0, :6].all()
 
 
 def test_square_footprint():
     d = DrawStmt(SEM, ShapeKind.SQUARE, (16, 3, 16), (2, 4))
-    g = render_draw(d)
+    g = execute_block(d)
     assert int(g.sum()) == 2 * 9 * 9
     assert bool(g[12, 3, 12]) and bool(g[20, 4, 20]) and not bool(g[11, 3, 16])
 
@@ -103,7 +104,7 @@ def test_primitives_match_brute_force_oracle():
             if shape is ShapeKind.CUBOID and rng.random() < 0.5:
                 geom = geom + (int(rng.integers(-45, 46)),)
         d = DrawStmt(SEM, shape, pos, geom)
-        assert (render_draw(d) == brute_fill(d)).all(), d
+        assert (execute_block(d) == brute_fill(d)).all(), d
 
 
 @pytest.mark.parametrize("dims", [(32, 32, 32), (20, 12, 40)])
@@ -115,14 +116,14 @@ def test_long_lines_and_tall_tilts_match_brute_force_oracle(dims):
         p0 = tuple(int(v) for v in rng.integers(-150, 190, 3))
         p1 = tuple(int(v) for v in rng.integers(-150, 190, 3))
         d = DrawStmt(SEM, ShapeKind.LINE, p0, p1)
-        assert (render_draw(d, dims) == brute_fill(d, dims)).all(), d
+        assert (execute_block(d, dims) == brute_fill(d, dims)).all(), d
     hits = 0
     for _ in range(150):
         pos = tuple(int(v) for v in rng.integers((-20, -100, -4), (30, 30, 30)))
         geom = (int(rng.integers(1, 120)), int(rng.integers(1, 12)), int(rng.integers(1, 12)),
                 int(rng.choice([-1, 1])) * int(rng.integers(1, 46)))
         d = DrawStmt(SEM, ShapeKind.CUBOID, pos, geom)
-        g = render_draw(d, dims)
+        g = execute_block(d, dims)
         hits += bool(g.any())
         assert (g == brute_fill(d, dims)).all(), d
     assert hits > 20
@@ -133,15 +134,15 @@ def test_every_integer_tilt_matches_brute_force_oracle(pos):
     """Row shifts are rounded with round(); the oracle uses np.rint."""
     for ang in range(-45, 46):
         d = DrawStmt(SEM, ShapeKind.CUBOID, pos, (36, 3, 5, ang))
-        assert (render_draw(d) == brute_fill(d)).all(), ang
+        assert (execute_block(d) == brute_fill(d)).all(), ang
 
 
 def test_huge_line_renders_in_bounded_time():
     far = 10 ** 12
     start = time.perf_counter()
-    g = render_draw(DrawStmt(SEM, ShapeKind.LINE, (0, 0, 0), (far, 0, 0)))
+    g = execute_block(DrawStmt(SEM, ShapeKind.LINE, (0, 0, 0), (far, 0, 0)))
     # a diagonal crossing the grid from far outside on both ends
-    h = render_draw(DrawStmt(SEM, ShapeKind.LINE, (-far, -far + 16, 5), (far, far + 16, 5)))
+    h = execute_block(DrawStmt(SEM, ShapeKind.LINE, (-far, -far + 16, 5), (far, far + 16, 5)))
     assert time.perf_counter() - start < 1.0
     assert g[:, 0, 0].all() and int(g.sum()) == 32
     expect = empty_grid()
@@ -154,15 +155,78 @@ def test_tall_tilted_cuboid_renders_in_bounded_time():
     # the rows that land at y = 0..5 sit near x = 4
     px = 4 - int(np.rint(tall * slope))
     start = time.perf_counter()
-    g = render_draw(DrawStmt(SEM, ShapeKind.CUBOID, (4, 0, 4), (tall, 3, 5, 10)))
-    below = render_draw(DrawStmt(SEM, ShapeKind.CUBOID, (px, -tall, 4), (tall + 6, 3, 5, 10)))
+    g = execute_block(DrawStmt(SEM, ShapeKind.CUBOID, (4, 0, 4), (tall, 3, 5, 10)))
+    below = execute_block(DrawStmt(SEM, ShapeKind.CUBOID, (px, -tall, 4), (tall + 6, 3, 5, 10)))
     assert time.perf_counter() - start < 1.0
-    assert (g == render_draw(DrawStmt(SEM, ShapeKind.CUBOID, (4, 0, 4), (32, 3, 5, 10)))).all()
+    assert (g == execute_block(DrawStmt(SEM, ShapeKind.CUBOID, (4, 0, 4), (32, 3, 5, 10)))).all()
     expect = empty_grid()
     for y in range(6):
         x = px + int(np.rint((tall + y) * slope))
         expect[max(x, 0):x + 3, y, 4:9] = True
     assert expect.any() and (below == expect).all()
+
+
+def random_box_draw(rng, dims):
+    """A Cub (tilted half the time), Rect or Sqr, from below the grid to above
+    it in y and partly outside it in x and z."""
+    shape = (ShapeKind.CUBOID, ShapeKind.RECTANGLE, ShapeKind.SQUARE)[int(rng.integers(3))]
+    pos = tuple(int(v) for v in rng.integers((-8, -60, -8), np.add(dims, 8)))
+    if shape is ShapeKind.SQUARE:
+        geom = (int(rng.integers(1, 70)), int(rng.integers(0, 8)))
+    else:
+        geom = (int(rng.integers(1, 70)), int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+        if shape is ShapeKind.CUBOID and rng.random() < 0.5:
+            geom += (int(rng.choice([-1, 1])) * int(rng.integers(1, 46)),)
+    return DrawStmt(SEM, shape, pos, geom)
+
+
+def overlap(a, b):
+    return all(a[i] < b[i + 3] and b[i] < a[i + 3] for i in range(3))
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 32), (20, 12, 40), (9, 50, 7)])
+def test_draw_boxes_are_disjoint_and_fill_the_draw(dims):
+    """Given the grid height, a box draw's boxes are pairwise disjoint and
+    their union, clipped to the grid, is the draw's voxels."""
+    rng = np.random.default_rng(sum(dims))
+    runs = 0
+    for _ in range(300):
+        d = random_box_draw(rng, dims)
+        boxes = draw_boxes(d.shape, d.position, d.geometry, dims[1])
+        assert not any(overlap(a, b) for a, b in itertools.combinations(boxes, 2)), d
+        got = np.zeros(dims, dtype=bool)
+        for x0, y0, z0, x1, y1, z1 in boxes:
+            got[max(x0, 0):max(x1, 0), max(y0, 0):max(y1, 0), max(z0, 0):max(z1, 0)] = True
+        assert (got == brute_fill(d, dims)).all(), d
+        runs += len(boxes) > 1
+    assert runs > 20
+
+
+def test_draw_boxes_without_the_grid_height():
+    """With no height, a draw of one run gives its unclipped box and a tilt
+    of several runs gives None, as do lines and cylinders."""
+    for pos in ((4, 0, 4), (4, -40, 4), (4, 50, 4)):
+        x, y, z = pos
+        assert draw_boxes(ShapeKind.CUBOID, pos, (6, 3, 5), None) == ((x, y, z, x + 3, y + 6, z + 5),)
+        # rows 0..2 of a 10 degree tilt all shift by 0; row 3 shifts by 1
+        assert draw_boxes(ShapeKind.CUBOID, pos, (3, 3, 5, 10), None) == (
+            (x, y, z, x + 3, y + 3, z + 5),)
+        assert draw_boxes(ShapeKind.CUBOID, pos, (4, 3, 5, 10), None) is None
+        assert draw_boxes(ShapeKind.CUBOID, pos, (4, 3, 5, -10), None) is None
+        assert draw_boxes(ShapeKind.SQUARE, pos, (6, 2), None) == (
+            (x - 2, y, z - 2, x + 3, y + 6, z + 3),)
+        assert draw_boxes(ShapeKind.CYLINDER, pos, (6, 2), None) is None
+        assert draw_boxes(ShapeKind.LINE, pos, (9, 9, 9), None) is None
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        d = random_box_draw(rng, DEFAULT_DIMS)
+        if d.shape is not ShapeKind.CUBOID:
+            continue
+        (x, y, z), (t, r1, r2, *tilt) = d.position, d.geometry
+        slope = math.tan(math.radians(tilt[0])) if tilt else 0
+        shifted = any(np.rint(k * slope) for k in range(t))
+        expect = None if shifted else ((x, y, z, x + r1, y + t, z + r2),)
+        assert draw_boxes(d.shape, d.position, d.geometry, None) == expect, d
 
 
 def disk_column_formula(grid, px, py, pz, t, r):
@@ -203,7 +267,7 @@ def test_disk_column_stencils_match_formula(dims):
 
 def test_clipping_fully_outside_is_empty():
     d = DrawStmt(SEM, ShapeKind.CUBOID, (40, 40, 40), (3, 3, 3))
-    assert not render_draw(d).any()
+    assert not execute_block(d).any()
 
 
 def test_unroll_single_iteration_identity():
@@ -329,7 +393,7 @@ def test_execute_block_union_of_unroll():
             if isinstance(stmt, ForStmt):
                 expect = empty_grid()
                 for d in unroll_for(stmt):
-                    expect |= render_draw(d)
+                    expect |= execute_block(d)
                 assert (execute_block(stmt) == expect).all()
 
 
@@ -351,9 +415,10 @@ def test_execute_block_union_of_unroll():
 ], ids=["rot-line-y", "rot-line-z", "trans-tilted-cuboid", "rot-tilted-cuboid",
         "nested-3-deep", "trans-partly-out-of-bounds"])
 def test_execute_block_union_of_render_draw(loop):
+    """A loop draws the union of its unrolled draws, each executed alone."""
     expect = empty_grid()
     for d in unroll_for(loop):
-        expect |= render_draw(d)
+        expect |= execute_block(d)
     assert expect.any()
     assert (execute_block(loop) == expect).all()
 
@@ -459,7 +524,7 @@ def test_draw_extents_match_scalar_reference(draws):
 def test_bad_dims_raise_input_error(dims):
     draw = DrawStmt(SEM, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1))
     for make in (empty_grid, lambda d: execute_program(Program((draw,)), d),
-                 lambda d: execute_block(draw, d), lambda d: render_draw(draw, d)):
+                 lambda d: execute_block(draw, d)):
         with pytest.raises(InputError):
             make(dims)
 

@@ -69,6 +69,44 @@ def test_surface_mask_grid_faces_are_surface():
     assert int(m.sum()) == 4 ** 3 - 2 ** 3
 
 
+def surface_oracle(g):
+    """Per voxel: occupied, with a 6-neighbour that is vacant or off the grid."""
+    m = np.zeros(g.shape, dtype=bool)
+    for p in itertools.product(*map(range, g.shape)):
+        if g[p]:
+            for axis, step in itertools.product(range(3), (-1, 1)):
+                q = list(p)
+                q[axis] += step
+                if not 0 <= q[axis] < g.shape[axis] or not g[tuple(q)]:
+                    m[p] = True
+    return m
+
+
+@pytest.mark.parametrize("dims", [(6, 6, 6), (1, 5, 7), (9, 2, 4), (3, 1, 1)])
+def test_surface_mask_matches_neighbour_oracle(dims):
+    rng = np.random.default_rng(sum(dims))
+    for density in (0.2, 0.6, 0.9, 1.0):
+        g = rng.random(dims) < density
+        assert (surface_mask(g) == surface_oracle(g)).all()
+
+
+@pytest.mark.parametrize("dims", [(0, 3, 3), (3, 0, 3), (3, 3, 0), (0, 0, 0)])
+def test_surface_of_a_zero_size_grid_is_empty(dims):
+    g = np.zeros(dims, dtype=bool)
+    assert surface_mask(g).shape == dims and not surface_mask(g).any()
+    with pytest.raises(EmptyShapeError):
+        surface_points(g)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4,), (2, 2, 2, 2)])
+def test_iou_and_bce_refuse_non_3d_grids(shape):
+    g = np.zeros(shape, dtype=bool)
+    with pytest.raises(ShapeMismatchError):
+        iou(g, g)
+    with pytest.raises(ShapeMismatchError):
+        weighted_bce(g.astype(float), g)
+
+
 def test_surface_points_single_voxel():
     g = np.zeros((32, 32, 32), dtype=bool)
     g[10, 11, 12] = True

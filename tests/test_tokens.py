@@ -1,5 +1,6 @@
 """Token codec: id layout, encode/decode, line and JSON containers."""
 import json
+import sys
 
 import pytest
 
@@ -257,6 +258,27 @@ def test_json_refuses_malformed_steps(bad):
     with pytest.raises(TokenError) as exc:
         token_program_from_json({"steps": [GOOD_STEP, bad]})
     assert exc.value.step == 1
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="str() writes ints of any length")
+def test_readers_refuse_an_int_too_long_to_write():
+    """str() writes an int of at most sys.get_int_max_str_digits() digits, so
+    every reader refuses a longer one with a TokenError at its step, and
+    format_token_lines writes whatever a reader took."""
+    limit = sys.get_int_max_str_digits()
+    for huge in (10 ** 5000, -10 ** limit, 10 ** limit):
+        for bad in ([huge, [0] * 7], [1, [0, 0, 0, 1, 1, huge, 0]]):
+            for read in (lambda step: TokenProgram((GOOD_STEP, step)),
+                         lambda step: token_program_from_json({"steps": [GOOD_STEP, step]})):
+                with pytest.raises(TokenError) as exc:
+                    read(bad)
+                assert exc.value.step == 1
+    with pytest.raises(TokenError) as exc:
+        parse_token_lines("1 0 0 0 1 1 1 0\n1 0 0 0 1 1 1" + "0" * limit + " 0\n")
+    assert exc.value.step == 1
+    longest = 10 ** limit - 1
+    t = token_program_from_json({"steps": [GOOD_STEP, [longest, [0, 0, 0, 1, 1, -longest, 0]]]})
+    assert parse_token_lines(format_token_lines(t)) == t
 
 
 @pytest.mark.parametrize("obj", [[GOOD_STEP], "steps", None, {"steps": 5}, {"steps": "ab"},
