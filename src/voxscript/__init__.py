@@ -20,7 +20,7 @@ from .errors import (AlignmentError, BinvoxError, BudgetError, CardinalityError,
                      ShapeMismatchError, TemplateInfeasibleError, TokenError,
                      VoxScriptError)
 from .executor import DEFAULT_DIMS, empty_grid, execute_block, execute_program, unroll_for
-from .inference import (FitResult, LossKind, SearchConfig, fit_program,
+from .inference import (FitResult, SearchConfig, fit_program,
                         propose_candidates, refine_block, score_block)
 from .metrics import (BCE_EPS, LossWeights, chamfer, emd, generator_loss, iou,
                       surface_mask, surface_points, weighted_bce)

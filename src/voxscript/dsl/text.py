@@ -217,9 +217,39 @@ def _print_stmt(s, depth, out):
     out.append(f"{pad}}}")
 
 
+def _unwritable(statements, where=()):
+    """The path of the first statement, in print order, holding an int too
+    long for ``str()``, or None."""
+    for j, s in enumerate(statements):
+        at = (*where, j)
+        if isinstance(s, DrawStmt):
+            values = (*s.position, *s.geometry)
+        elif isinstance(s, ForStmt):
+            values = (s.times, *(s.step or ()), s.angle)
+        else:
+            continue
+        for v in values:
+            try:
+                str(v)
+            except ValueError:
+                return f"stmt[{at[0]}]" + "".join(f".body[{k}]" for k in at[1:])
+        if isinstance(s, ForStmt):
+            path = _unwritable(s.body, at)
+            if path is not None:
+                return path
+    return None
+
+
 def print_text(p: Program) -> str:
-    """Canonical text form; empty program prints as empty text."""
+    """Canonical text form; empty program prints as empty text. An int too
+    long for ``str()`` raises DslSemanticError at its statement's path."""
     out: list[str] = []
-    for s in p.statements:
-        _print_stmt(s, 0, out)
+    try:
+        for s in p.statements:
+            _print_stmt(s, 0, out)
+    except ValueError:  # str() writes an int of at most sys.get_int_max_str_digits() digits
+        path = _unwritable(p.statements)
+        if path is None:
+            raise
+        raise DslSemanticError(path, "an int has more digits than str() writes") from None
     return "".join(line + "\n" for line in out)

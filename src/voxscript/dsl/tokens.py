@@ -223,10 +223,20 @@ def detokenize(t: TokenProgram) -> Program:
 
 
 def format_token_lines(t: TokenProgram) -> str:
-    """One step per line: ``id a1 .. a7``, each number as format_number writes it."""
-    return "".join(_INT_ROW % (sid, *args)
-                   if len(args) == N_ARG_SLOTS and _INT_TYPE.issuperset(map(type, args))
-                   else " ".join(map(format_number, (sid, *args))) + "\n" for sid, args in t.steps)
+    """One step per line: ``id a1 .. a7``, each number as format_number writes it.
+    An int too long for ``str()`` raises TokenError at its step."""
+    try:
+        return "".join(_INT_ROW % (sid, *args)
+                       if len(args) == N_ARG_SLOTS and _INT_TYPE.issuperset(map(type, args))
+                       else " ".join(map(format_number, (sid, *args))) + "\n"
+                       for sid, args in t.steps)
+    except ValueError:  # str() writes an int of at most sys.get_int_max_str_digits() digits
+        for idx, (sid, args) in enumerate(t.steps):
+            try:
+                " ".join(map(format_number, (sid, *args)))
+            except ValueError:
+                raise TokenError(idx, "an int has more digits than str() writes") from None
+        raise
 
 
 # Token rows hold only ASCII digits, minus signs, points and whitespace.

@@ -24,8 +24,9 @@ from .dsl.ast import (
     Program,
     ShapeKind,
     expanded_size,
+    validate_program,
 )
-from .errors import BudgetError, InputError, ShapeMismatchError
+from .errors import BudgetError, InputError, InvalidProgramError, ShapeMismatchError
 
 DEFAULT_DIMS = (32, 32, 32)
 # Largest grid built from outside input (binvox dims, --dims): 16 MiB of bools.
@@ -255,13 +256,16 @@ def _unroll(f: ForStmt, dims, limits) -> list:
     """A loop's copies as (draw, position, geometry) records.
 
     ``draw`` is the body statement a copy came from; position and geometry
-    are where the copy lands, so no statement is built per copy.
+    are where the copy lands, so no statement is built per copy. A loop
+    that cannot be unrolled, whose times somewhere is not an int or whose
+    body holds a non-statement, raises InvalidProgramError with the loop's
+    report, its paths starting at the loop as ``stmt[0]``.
     """
-    if expanded_size(f) > limits.max_expanded:
-        raise BudgetError(
-            f"loop expands to {expanded_size(f)} draws,"
-            f" over the limit of {limits.max_expanded}"
-        )
+    size = expanded_size(f)
+    if not isinstance(size, int):
+        raise InvalidProgramError(validate_program(Program((f,)), limits))
+    if size > limits.max_expanded:
+        raise BudgetError(f"loop expands to {size} draws, over the limit of {limits.max_expanded}")
     body: list = []
     for s in f.body:
         if isinstance(s, DrawStmt):

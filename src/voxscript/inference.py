@@ -42,8 +42,8 @@ reach is scored once.
 from __future__ import annotations
 
 import bisect
-import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +54,7 @@ from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode,
 from .errors import InputError, InvalidProgramError, ShapeMismatchError
 from .executor import (_IS_BOX, SHAPES, _rotate_point, as_grid, draw_boxes, draw_extents,
                        execute_block)
-from .metrics import BCE_EPS, LossWeights, iou
+from .metrics import iou
 
 _WRAP_TIMES = (2, 3, 4, 5)
 # A pattern repeated twice overlaps itself by exactly half its mass when
@@ -65,6 +65,8 @@ _WRAP_BODIES_PER_COMPONENT = 3
 # Translation-wrapper bodies may be anchored anywhere inside the first
 # period along the detected axis, not just at a component's first seed.
 _WRAP_MAX_SLAB_BODIES = 32
+_SEED_STRIDE = 2  # edge of the lattice cells that each give one seed
+_REFINE_SWEEPS = 3  # coordinate-descent sweeps per refinement, at most
 _SCORE_EPS = 1e-12
 
 # Candidate row layout (see propose_candidates)
@@ -74,30 +76,25 @@ _CUBOID, _CYLINDER, _LINE = (SHAPES.index(k) for k in
                              (ShapeKind.CUBOID, ShapeKind.CYLINDER, ShapeKind.LINE))
 
 
-class LossKind(enum.Enum):
-    IOU_GAIN = "IoUGain"
-    WEIGHTED_BCE = "WeightedBCE"
-
-
 @dataclass(frozen=True)
 class SearchConfig:
+    """The search's settings: blocks accepted at most, beam entries refined
+    per round, the least IoU gain a block must add, and the candidates
+    scored per fit before it stops. A count that is not an int >= 1, or a
+    ``min_gain`` that is not a finite number > 0, raises InputError."""
     max_blocks: int = 10
     beam_width: int = 8
     min_gain: float = 0.002
-    refine_rounds: int = 3
-    candidate_grid_stride: int = 2
-    loss: LossKind = LossKind.IOU_GAIN
-    weights: LossWeights = field(default_factory=LossWeights)
     budget: int = 200_000
 
     def __post_init__(self):
-        for name in ("max_blocks", "beam_width", "refine_rounds", "candidate_grid_stride"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not self.min_gain > 0:
-            raise ValueError("min_gain must be > 0")
-        if not self.budget > 0:
-            raise ValueError("budget must be > 0")
+        for name in ("max_blocks", "beam_width", "budget"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise InputError(f"{name} must be an int >= 1, got {v!r}")
+        v = self.min_gain
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < math.inf:
+            raise InputError(f"min_gain must be a finite number > 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -339,7 +336,7 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
     # One seed point per stride cell: the cell's first occupied voxel.
     # Snapping (rather than testing the lattice corner itself) keeps thin
     # structures at off-lattice coordinates reachable.
-    seeds = _lattice_seeds(res, lo, hi, config.candidate_grid_stride)
+    seeds = _lattice_seeds(res, lo, hi, _SEED_STRIDE)
     seeded, seed_of = _seed_draws(res, seeds)
     # the bounding-box cuboid and the end-to-end lines, exact for any single
     # rendered segment. Two scan orders, since the extreme voxel under one
@@ -558,25 +555,20 @@ def _cover_bounds(rows, table) -> tuple:
     return bounds, counts
 
 
-def _score_from_counts(a, b, i0, u0, config: SearchConfig) -> float:
-    if config.loss is LossKind.IOU_GAIN:
-        before = i0 / u0 if u0 else 1.0
-        after = (i0 + a) / (u0 + b) if (u0 + b) else 1.0
-        return after - before
-    w = config.weights
-    return (w.w1 * a - w.w0 * b) * float(np.log((1.0 - BCE_EPS) / BCE_EPS))
+def _score_from_counts(a, b, i0, u0) -> float:
+    """The IoU gain of covering ``a`` residual voxels and ``b`` empty ones,
+    from ``i0`` voxels of intersection and ``u0`` of union."""
+    before = i0 / u0 if u0 else 1.0
+    after = (i0 + a) / (u0 + b) if (u0 + b) else 1.0
+    return after - before
 
 
-def score_block(b, target, current, config: SearchConfig = SearchConfig()) -> float:
-    """Improvement from adding block b to the reconstruction.
-
-    IoUGain: change in IoU against the target. WeightedBCE: decrease in
-    the weighted cross-entropy treating occupancy as a hard {eps, 1-eps}
-    prediction. Positive is better under both.
-    """
+def score_block(b, target, current) -> float:
+    """Improvement from adding block b to the reconstruction: the change in
+    IoU against the target, positive when it helps."""
     rnd = _round_state(target, current)
     a, bad = _counts(execute_block(b, rnd.residual.shape), rnd.residual, rnd.false_free)
-    return _score_from_counts(a, bad, rnd.i0, rnd.u0, config)
+    return _score_from_counts(a, bad, rnd.i0, rnd.u0)
 
 
 # ------------------------------------------------------------- refinement
@@ -606,7 +598,7 @@ def _slots(row, dims, limits) -> list:
     return out
 
 
-def _refine(row, score, rnd: _Round, config, budget, cache) -> tuple:
+def _refine(row, score, rnd: _Round, budget, cache) -> tuple:
     """Coordinate descent over a candidate row (a tuple); returns (row,
     score). Never scores worse.
 
@@ -621,11 +613,11 @@ def _refine(row, score, rnd: _Round, config, budget, cache) -> tuple:
             if not budget.spend():
                 return None
             a, bad = _row_counts(rnd, nb)
-            s = cache[nb] = _score_from_counts(a, bad, rnd.i0, rnd.u0, config)
+            s = cache[nb] = _score_from_counts(a, bad, rnd.i0, rnd.u0)
         return s
 
     slots = _slots(row, dims, Limits.for_dims(dims))
-    for _ in range(config.refine_rounds):
+    for _ in range(_REFINE_SWEEPS):
         improved = False
         for c, delta, lo, hi in slots:
             for direction in (delta, -delta):
@@ -663,8 +655,8 @@ def refine_block(b, target, current, config: SearchConfig = SearchConfig()):
         raise InvalidProgramError(report)
     row = _row_of(b)
     a, bad = _row_counts(rnd, row)
-    s0 = _score_from_counts(a, bad, rnd.i0, rnd.u0, config)
-    row, _ = _refine(row, s0, rnd, config, _Budget(config.budget), {})
+    s0 = _score_from_counts(a, bad, rnd.i0, rnd.u0)
+    row, _ = _refine(row, s0, rnd, _Budget(config.budget), {})
     draw = b if isinstance(b, DrawStmt) else b.body[0]
     return _make_block(row, rnd.residual.shape, draw.semantics)
 
@@ -674,8 +666,8 @@ def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
     ordered by (-score, index), scoring as few as that allows.
 
     Candidates are visited by descending cover bound, ties in index order.
-    A score can never exceed the score of its bound (both losses rise with
-    covered voxels and fall with false ones), so the visit stops at the
+    A score can never exceed the score of its bound (the IoU gain rises
+    with covered voxels and falls with false ones), so the visit stops at the
     first bound whose score is strictly below the beam's last score. A tie
     is still scored, since the index breaks it.
     """
@@ -685,7 +677,7 @@ def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
     beam: list = []  # (-score, index)
     for idx, bound, packed in zip(order.tolist(), bounds[order].tolist(), counts[order].tolist()):
         if (len(beam) == config.beam_width
-                and _score_from_counts(bound, 0, i0, u0, config) < -beam[-1][0]):
+                and _score_from_counts(bound, 0, i0, u0) < -beam[-1][0]):
             break
         if not budget.spend():
             break
@@ -693,7 +685,7 @@ def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
             a, b = packed & _LOW_BITS, packed >> 32
         else:
             a, b = _row_counts(rnd, tuple(rows[idx].tolist()))
-        bisect.insort(beam, (-_score_from_counts(a, b, i0, u0, config), idx))
+        bisect.insort(beam, (-_score_from_counts(a, b, i0, u0), idx))
         del beam[config.beam_width:]
     return [(-neg, idx, tuple(rows[idx].tolist())) for neg, idx in beam]
 
@@ -703,11 +695,13 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
 
     The program validates under ``Limits.for_dims(target.shape)``: it has
     at most that many top-level statements, and refinement keeps every
-    coordinate and extent inside the grid.
+    coordinate and extent inside the grid. The fit checks this before it
+    returns and raises InvalidProgramError should it ever fail.
     """
     target = as_grid(target)
     dims = target.shape
-    max_blocks = min(config.max_blocks, Limits.for_dims(dims).max_top_level)
+    limits = Limits.for_dims(dims)
+    max_blocks = min(config.max_blocks, limits.max_top_level)
     budget = _Budget(config.budget)
     current = np.zeros(dims, dtype=bool)
     accepted: list = []
@@ -728,7 +722,7 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
         refined = []
         cache: dict = {}  # candidate row -> score, shared by this round's refinements
         for s0, idx, row in beam:
-            row, rs = _refine(row, s0, rnd, config, budget, cache)
+            row, rs = _refine(row, s0, rnd, budget, cache)
             refined.append((rs, idx, row))
         refined.sort(key=lambda t: (-t[0], t[1]))
         best_score, _, best_row = refined[0]
@@ -739,8 +733,12 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
         current |= execute_block(best_block, dims)
         accepted.append(best_block)
         trace.append((best_block, iou(current, target)))
+    program = Program(tuple(accepted))
+    report = validate_program(program, limits)
+    if not report.ok:
+        raise InvalidProgramError(report)
     return FitResult(
-        program=Program(tuple(accepted)),
+        program=program,
         score_trace=tuple(trace),
         final_iou=iou(current, target),
         executor_calls=budget.calls,

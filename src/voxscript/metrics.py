@@ -5,6 +5,7 @@ to the unit cube, so values are comparable across grid resolutions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import (
     CardinalityError,
     DistributionError,
     EmptyShapeError,
+    InputError,
     ShapeMismatchError,
 )
 from .executor import as_grid
@@ -26,7 +28,9 @@ BCE_EPS = 1e-7
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Balance terms: w0/w1 for vacant/occupied voxels, wp/wa for id/args."""
+    """Balance terms: w0/w1 for vacant/occupied voxels, wp/wa for id/args.
+    Each is a finite number >= 0, not a bool, and w0 and w1 are not both
+    zero; anything else raises InputError."""
 
     w0: float = 1.0
     w1: float = 1.0
@@ -36,10 +40,10 @@ class LossWeights:
     def __post_init__(self):
         for name in ("w0", "w1", "wp", "wa"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or v < 0:
-                raise ValueError(f"{name} must be a non-negative number, got {v!r}")
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < math.inf:
+                raise InputError(f"{name} must be a finite number >= 0, got {v!r}")
         if self.w0 == 0 and self.w1 == 0:
-            raise ValueError("w0 and w1 must not both be zero")
+            raise InputError("w0 and w1 must not both be zero")
 
 
 def _check_same_dims(a, b):

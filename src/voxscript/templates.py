@@ -474,15 +474,15 @@ def _record_seed(seed: int, index: int) -> int:
     return (int(seed) ^ index) & 0xFFFFFFFFFFFFFFFF
 
 
-def generate_dataset(out_dir, tables=0, chairs=0, seed=0, weights=None,
-                     dims=DEFAULT_DIMS) -> dict:
+def generate_dataset(out_dir, tables=0, chairs=0, seed=0, dims=DEFAULT_DIMS) -> dict:
     """Write a reproducible dataset and return its manifest.
 
     Files land in programs/, tokens/, and voxels/ under ``out_dir``, one
     trio per record, plus manifest.json. Record i draws from its own
     generator seeded with seed XOR i, so records are independent of each
-    other and of generation order. ``dims`` that no binvox file can hold
-    raise BinvoxError before any directory is created.
+    other and of generation order; each picks a template of its category
+    uniformly. ``dims`` that no binvox file can hold raise BinvoxError
+    before any directory is created.
     """
     check_dims(dims)
     out = Path(out_dir)
@@ -491,8 +491,8 @@ def generate_dataset(out_dir, tables=0, chairs=0, seed=0, weights=None,
         Category.TABLE: [t for t in all_templates if t.category is Category.TABLE],
         Category.CHAIR: [t for t in all_templates if t.category is Category.CHAIR],
     }
-    if weights is None:
-        weights = {t.id: 1.0 for t in all_templates}
+    # a uniform p, since rng.choice draws differently without one
+    uniform = {c: np.ones(len(f)) / len(f) for c, f in families.items()}
     plan = [Category.TABLE] * int(tables) + [Category.CHAIR] * int(chairs)
     records = []
     if plan:
@@ -503,10 +503,7 @@ def generate_dataset(out_dir, tables=0, chairs=0, seed=0, weights=None,
     for index, category in enumerate(plan):
         rng = np.random.default_rng(_record_seed(seed, index))
         family = families[category]
-        w = np.array([float(weights.get(t.id, 0.0)) for t in family])
-        if w.sum() <= 0:
-            w = np.ones(len(family))
-        template = family[int(rng.choice(len(family), p=w / w.sum()))]
+        template = family[int(rng.choice(len(family), p=uniform[category]))]
         program, params = sample(template, rng)
         name = f"{index:06d}"
         grid = execute_program(program, dims)
@@ -527,7 +524,7 @@ def generate_dataset(out_dir, tables=0, chairs=0, seed=0, weights=None,
         "seed": int(seed),
         "dims": list(dims),
         "counts": {"Table": int(tables), "Chair": int(chairs)},
-        "weights": {k: float(v) for k, v in sorted(weights.items())},
+        "weights": dict.fromkeys(sorted(t.id for t in all_templates), 1.0),
         "records": records,
     }
     (out / "manifest.json").write_text(

@@ -109,6 +109,28 @@ def test_fit_writes_program_tokens_grid_trace(tmp_path, capsys):
     assert all("block" in s and "iou" in s for s in trace["score_trace"])
 
 
+TWO_BOXES = PROG + "draw(Leg, Cub, P=(2,0,2), G=(10,3,3))\n"
+
+
+@pytest.mark.parametrize("flags, blocks, stop_reason", [
+    (["--max-blocks", "1"], 1, "max_blocks"),
+    (["--min-gain", "2"], 0, "min_gain"),  # an IoU gain never exceeds 1
+    (["--beam", "1"], 2, "residual_empty"),
+])
+def test_fit_search_flags_reach_the_search(tmp_path, capsys, flags, blocks, stop_reason):
+    target = tmp_path / "t.binvox"
+    target.write_bytes(write_binvox(execute_program(parse_text(TWO_BOXES))))
+    out = tmp_path / "fit.sp"
+    assert cli.main(["fit", str(target), "-o", str(out)] + flags) == 0
+    trace = json.loads((tmp_path / "fit.json").read_text())
+    assert trace["stop_reason"] == stop_reason
+    assert len(trace["score_trace"]) == blocks
+    fitted = parse_text(out.read_text())
+    assert len(fitted.statements) == blocks and validate_program(fitted).ok
+    assert cli.main(["exec", str(out), "-o", str(tmp_path / "again.binvox")]) == 0
+    assert (tmp_path / "again.binvox").read_bytes() == (tmp_path / "fit.binvox").read_bytes()
+
+
 def test_fit_off_default_grid_writes_decodable_outputs(tmp_path, capsys):
     grid = np.zeros((48, 48, 48), dtype=bool)
     grid[36:44, 36:44, 36:44] = True

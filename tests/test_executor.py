@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, Program, Semantics,
                            ShapeKind)
-from voxscript.errors import BudgetError, InputError
+from voxscript.errors import BudgetError, InputError, InvalidProgramError
 from voxscript.executor import (_STENCIL_MAX_RADIUS, DEFAULT_DIMS, MAX_GRID_VOXELS, SHAPES,
                                 _fill_disk_column, _rotate_point, draw_boxes, draw_extents,
                                 empty_grid, execute_block, execute_program, unroll_for)
@@ -428,6 +428,26 @@ def test_execute_block_budget_error():
     f = ForStmt.translation(40, (1, 0, 0), (ForStmt.translation(40, (0, 1, 0), (d,)),))
     with pytest.raises(BudgetError):
         execute_block(f)
+
+
+MALFORMED_LOOPS = [
+    ForStmt.translation(2, (0, 0, 0), ("x",)),
+    ForStmt.translation("3", (1, 0, 0), (DrawStmt(SEM, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1)),)),
+    ForStmt.translation(2.5, (1, 0, 0), (DrawStmt(SEM, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1)),)),
+    ForStmt.translation(2, (0, 5, 0), (ForStmt.rotation(2.5, 90, Axis.Y, (
+        DrawStmt(SEM, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1)),)),)),
+]
+
+
+@pytest.mark.parametrize("loop", MALFORMED_LOOPS, ids=["non-statement", "str-times",
+                                                        "float-times", "nested-float-times"])
+@pytest.mark.parametrize("run", [execute_block, lambda f: execute_program(Program((f,))),
+                                 unroll_for], ids=["execute_block", "execute_program",
+                                                   "unroll_for"])
+def test_malformed_loops_raise_invalid_program_error(loop, run):
+    with pytest.raises(InvalidProgramError) as exc:
+        run(loop)
+    assert not exc.value.report.ok
 
 
 def test_execute_program_block_composition():

@@ -7,7 +7,7 @@ import pytest
 
 from voxscript.dsl import TokenProgram, TokenStep
 from voxscript.errors import (AlignmentError, CardinalityError, DistributionError,
-                              EmptyShapeError, ShapeMismatchError)
+                              EmptyShapeError, InputError, ShapeMismatchError)
 from voxscript.metrics import (BCE_EPS, LossWeights, chamfer, emd, generator_loss,
                                iou, surface_mask, surface_points, weighted_bce)
 
@@ -249,10 +249,13 @@ def test_bce_minimized_at_target():
 
 
 def test_loss_weights_validation():
-    with pytest.raises(ValueError):
-        LossWeights(w0=-1.0)
-    with pytest.raises(ValueError):
+    for name in ("w0", "w1", "wp", "wa"):
+        for bad in (-1.0, float("nan"), float("inf"), True, "1", None):
+            with pytest.raises(InputError, match=name):
+                LossWeights(**{name: bad})
+    with pytest.raises(InputError):
         LossWeights(w0=0.0, w1=0.0)
+    assert LossWeights(w0=0, w1=2, wp=0.0, wa=3).w1 == 2
 
 
 # -------------------------------------------------------- generator loss

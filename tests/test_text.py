@@ -156,6 +156,28 @@ def test_semantic_error_on_invalid_program():
     assert exc.value.path == "stmt[0]"
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="str() writes ints of any length")
+def test_print_refuses_an_int_too_long_to_write():
+    """str() writes an int of at most sys.get_int_max_str_digits() digits, so
+    print_text refuses a longer one at its statement's path."""
+    huge = 10 ** sys.get_int_max_str_digits()
+    ok = DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (1, 0, 0), (1, 1, 1))
+    cases = [
+        (DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (huge, 0, 0), (1, 1, 1)), "stmt[1]"),
+        (DrawStmt(Semantics.LEG, ShapeKind.LINE, (0, 0, 0), (0, -huge, 0)), "stmt[1]"),
+        (ForStmt.translation(huge, (1, 0, 0), (ok,)), "stmt[1]"),
+        (ForStmt.translation(2, (0, 0, -huge), (ok,)), "stmt[1]"),
+        (ForStmt.rotation(2, huge, Axis.Y, (ok,)), "stmt[1]"),
+        (ForStmt.translation(2, (1, 0, 0), (ok, ForStmt.rotation(2, 90, Axis.X, (
+            DrawStmt(Semantics.TOP, ShapeKind.CYLINDER, (0, 0, 0), (1, huge)),)))),
+         "stmt[1].body[1].body[0]"),
+    ]
+    for stmt, path in cases:
+        with pytest.raises(DslSemanticError) as exc:
+            print_text(Program((ok, stmt, ok)))
+        assert exc.value.path == path
+
+
 def test_validate_flag_skips_semantics():
     p = parse_text("draw(Top, Cub, P=(99,0,0), G=(2,2,2))", validate=False)
     assert p.statements[0].position == (99, 0, 0)

@@ -281,6 +281,19 @@ def test_readers_refuse_an_int_too_long_to_write():
     assert parse_token_lines(format_token_lines(t)) == t
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="str() writes ints of any length")
+def test_format_refuses_an_int_too_long_to_write():
+    """A TokenStep of plain ints is taken unchecked, so format_token_lines
+    refuses an int too long for str() itself, with a TokenError at its step."""
+    huge = 10 ** sys.get_int_max_str_digits()
+    for bad in (TokenStep(1, (0, 0, 0, 1, 1, huge, 0)), TokenStep(huge, (0,) * 7),
+                TokenStep(1, (0, 0, 0, 1, 1, -huge))):
+        t = TokenProgram((TokenStep(1, (0, 0, 0, 1, 1, 1, 0)), bad))
+        with pytest.raises(TokenError) as exc:
+            format_token_lines(t)
+        assert exc.value.step == 1
+
+
 @pytest.mark.parametrize("obj", [[GOOD_STEP], "steps", None, {"steps": 5}, {"steps": "ab"},
                                  {"steps": {"0": GOOD_STEP}}])
 def test_json_refuses_malformed_containers(obj):
