@@ -20,9 +20,12 @@ from .dsl.ast import (
     DEFAULT_LIMITS,
     DrawStmt,
     ForStmt,
+    Limits,
     LoopMode,
     Program,
     ShapeKind,
+    ValidationReport,
+    Violation,
     expanded_size,
     validate_program,
 )
@@ -86,20 +89,24 @@ def _disc_stencil(r) -> np.ndarray:
 
 def _fill_disk_column(grid, px, py, pz, t, r):
     dx, dy, dz = grid.shape
-    y0, y1 = max(py, 0), min(py + t, dy)
-    if y0 >= y1:
+    y0 = py if py > 0 else 0
+    y1 = py + t if py + t < dy else dy
+    x0 = px - r if px > r else 0
+    x1 = px + r + 1 if px + r < dx else dx
+    z0 = pz - r if pz > r else 0
+    z1 = pz + r + 1 if pz + r < dz else dz
+    if y0 >= y1 or x0 >= x1 or z0 >= z1:
         return
-    x0, x1 = max(px - r, 0), min(px + r + 1, dx)
-    z0, z1 = max(pz - r, 0), min(pz + r + 1, dz)
-    if x0 >= x1 or z0 >= z1:
-        return
-    if r <= _STENCIL_MAX_RADIUS:
-        mask = _disc_stencil(r)[x0 - px + r:x1 - px + r, :, z0 - pz + r:z1 - pz + r]
-    else:
+    if r > _STENCIL_MAX_RADIUS:
         xs = np.arange(x0, x1)
         zs = np.arange(z0, z1)
         mask = ((xs[:, None] - px) ** 2 + (zs[None, :] - pz) ** 2 <= r * r)[:, None, :]
-    grid[x0:x1, y0:y1, z0:z1] |= mask
+    elif x1 - x0 == z1 - z0 == 2 * r + 1:  # the whole disc
+        mask = _disc_stencil(r)
+    else:
+        mask = _disc_stencil(r)[x0 - px + r:x1 - px + r, :, z0 - pz + r:z1 - pz + r]
+    view = grid[x0:x1, y0:y1, z0:z1]
+    view |= mask
 
 
 def _line_points(p0, p1, dims):
@@ -126,14 +133,20 @@ def _line_points(p0, p1, dims):
     return np.rint(p0[None, :] + ts * (p1 - p0)[None, :]).astype(int)
 
 
-def _render(grid: np.ndarray, shape, position, geometry) -> None:
-    px, py, pz = position
+def _render(grid: np.ndarray, shape, position, geometry, origin=(0, 0, 0)) -> None:
+    """Draw one draw into ``grid``, a window whose voxel 0 sits at ``origin``
+    of the whole grid (the whole grid by default). The window must hold every
+    voxel the draw sets inside the whole grid, since it clips only to its own
+    bounds. A line is rasterised in grid coordinates and then moved, since
+    rint's halves-to-even rounding does not commute with an odd shift."""
+    (x, y, z), (ox, oy, oz) = position, origin
+    px, py, pz = x - ox, y - oy, z - oz
     if shape is ShapeKind.CUBOID or shape is ShapeKind.RECTANGLE:
         if len(geometry) == 3:
             t, r1, r2 = geometry
             _fill_box(grid, px, py, pz, px + r1, py + t, pz + r2)
         else:
-            for box in draw_boxes(shape, position, geometry, grid.shape[1]):
+            for box in draw_boxes(shape, (px, py, pz), geometry, grid.shape[1]):
                 _fill_box(grid, *box)
     elif shape is ShapeKind.CYLINDER or shape is ShapeKind.CIRCLE:
         t, r = geometry
@@ -142,9 +155,9 @@ def _render(grid: np.ndarray, shape, position, geometry) -> None:
         t, r = geometry
         _fill_box(grid, px - r, py, pz - r, px + r + 1, py + t, pz + r + 1)
     else:  # line
-        dx, dy, dz = grid.shape
-        pts = _line_points(position, geometry, grid.shape)
-        keep = ((pts >= 0) & (pts < np.array([dx, dy, dz]))).all(axis=1)
+        far = (ox + grid.shape[0], oy + grid.shape[1], oz + grid.shape[2])
+        pts = _line_points(position, geometry, far) - origin
+        keep = ((pts >= 0) & (pts < grid.shape)).all(axis=1)
         pts = pts[keep]
         grid[pts[:, 0], pts[:, 1], pts[:, 2]] = True
 
@@ -252,14 +265,42 @@ def _rotate_point(pt, angle_deg, axis, dims):
     return round(x), round(y), round(z)
 
 
-def _unroll(f: ForStmt, dims, limits) -> list:
-    """A loop's copies as (draw, position, geometry) records.
+def _copies(body, times, mode, step, angle, axis, dims) -> list:
+    """``times`` copies of ``body``'s (shape, position, geometry, semantics)
+    records, copy 0 first.
 
-    ``draw`` is the body statement a copy came from; position and geometry
-    are where the copy lands, so no statement is built per copy. A loop
-    that cannot be unrolled, whose times somewhere is not an int or whose
-    body holds a non-statement, raises InvalidProgramError with the loop's
-    report, its paths starting at the loop as ``stmt[0]``.
+    Copy k translates by k * step, or rotates the original coordinates by
+    k * angle about the grid-centre ``axis`` (so orbits never accumulate
+    snap error). A line's end point moves as its start point does.
+    """
+    out = list(body) if times > 0 else []
+    if mode is LoopMode.TRANSLATION:
+        ux, uy, uz = step
+        for k in range(1, times):
+            ox, oy, oz = k * ux, k * uy, k * uz
+            for shape, (x, y, z), geom, sem in body:
+                if shape is ShapeKind.LINE:
+                    gx, gy, gz = geom
+                    geom = (gx + ox, gy + oy, gz + oz)
+                out.append((shape, (x + ox, y + oy, z + oz), geom, sem))
+    elif angle == 0:
+        out *= times
+    else:
+        for k in range(1, times):
+            ang = k * angle
+            for shape, pos, geom, sem in body:
+                if shape is ShapeKind.LINE:
+                    geom = _rotate_point(geom, ang, axis, dims)
+                out.append((shape, _rotate_point(pos, ang, axis, dims), geom, sem))
+    return out
+
+
+def _unroll(f: ForStmt, dims, limits) -> list:
+    """A loop's copies as (shape, position, geometry, semantics) records, so
+    no statement is built per copy. A loop that cannot be unrolled, whose
+    times somewhere is not an int or whose body holds a non-statement,
+    raises InvalidProgramError with the loop's report, its paths starting
+    at the loop as ``stmt[0]``.
     """
     size = expanded_size(f)
     if not isinstance(size, int):
@@ -269,39 +310,73 @@ def _unroll(f: ForStmt, dims, limits) -> list:
     body: list = []
     for s in f.body:
         if isinstance(s, DrawStmt):
-            body.append((s, s.position, s.geometry))
+            body.append((s.shape, s.position, s.geometry, s.semantics))
         else:
             body.extend(_unroll(s, dims, limits))
-    out: list = []
-    for k in range(f.times):
-        if k == 0 or (f.mode is LoopMode.ROTATION and f.angle == 0):
-            out.extend(body)
-        elif f.mode is LoopMode.TRANSLATION:
-            ux, uy, uz = f.step
-            ox, oy, oz = k * ux, k * uy, k * uz
-            for d, (x, y, z), geom in body:
-                if d.shape is ShapeKind.LINE:
-                    gx, gy, gz = geom
-                    geom = (gx + ox, gy + oy, gz + oz)
-                out.append((d, (x + ox, y + oy, z + oz), geom))
-        else:
-            ang = k * f.angle
-            for d, pos, geom in body:
-                if d.shape is ShapeKind.LINE:
-                    geom = _rotate_point(geom, ang, f.axis, dims)
-                out.append((d, _rotate_point(pos, ang, f.axis, dims), geom))
-    return out
+    return _copies(body, f.times, f.mode, f.step, f.angle, f.axis, dims)
+
+
+def _extent(shape, pos, geom) -> tuple:
+    """The unclipped box (x0, y0, z0, x1, y1, z1) holding every voxel one
+    draw sets: the scalar form of ``draw_extents``."""
+    x, y, z = pos
+    if shape is ShapeKind.LINE:
+        ex, ey, ez = geom
+        return min(x, ex), min(y, ey), min(z, ez), max(x, ex) + 1, max(y, ey) + 1, max(z, ez) + 1
+    t, r1 = geom[0], geom[1]
+    if shape is not ShapeKind.CUBOID and shape is not ShapeKind.RECTANGLE:
+        return x - r1, y, z - r1, x + r1 + 1, y + t, z + r1 + 1
+    shift = _tilt_runs(geom[3], t - 1, t)[0][2] if len(geom) > 3 and geom[3] and t > 0 else 0
+    return x + min(shift, 0), y, z, x + r1 + max(shift, 0), y + t, z + geom[2]
+
+
+def _window(copies, dims):
+    """Stamp ``copies``, (shape, position, geometry, semantics) records, into
+    one zeroed window: the box that holds them all, clipped to the grid of
+    ``dims``. Returns the box as slices and the window, or None when the box
+    is empty."""
+    if not copies:
+        return None
+    x0s, y0s, z0s, x1s, y1s, z1s = zip(*[_extent(s, p, g) for s, p, g, _ in copies])
+    x0, y0, z0 = max(min(x0s), 0), max(min(y0s), 0), max(min(z0s), 0)
+    x1, y1, z1 = min(max(x1s), dims[0]), min(max(y1s), dims[1]), min(max(z1s), dims[2])
+    if x0 >= x1 or y0 >= y1 or z0 >= z1:
+        return None
+    window = np.zeros((x1 - x0, y1 - y0, z1 - z0), dtype=bool)
+    origin = (x0, y0, z0)
+    for shape, pos, geom, _ in copies:
+        _render(window, shape, pos, geom, origin)
+    return (slice(x0, x1), slice(y0, y1), slice(z0, z1)), window
+
+
+def _invalid(program, limits, exc) -> InvalidProgramError:
+    """The error for ``program`` after drawing it raised ``exc``: its
+    validation report, or ``exc`` itself, re-raised, if it validates."""
+    report = validate_program(program, limits)
+    if report.ok:
+        raise exc
+    return InvalidProgramError(report)
+
+
+_DRAW_ERRORS = (AttributeError, IndexError, TypeError, ValueError)
 
 
 def unroll_for(f: ForStmt, dims=DEFAULT_DIMS, limits=DEFAULT_LIMITS) -> list:
     """Expand a loop into plain draws, innermost loops first.
 
     Iteration k translates by k*u, or rotates the original coordinates by
-    k*angle about the grid-center axis (so orbits never accumulate snap
-    error). Line endpoints move with their start points.
+    k*angle about the grid-center axis; line endpoints move with their start
+    points (see ``_copies``). A draw, or a loop that fails to unroll, raises
+    InvalidProgramError.
     """
-    return [DrawStmt(d.semantics, d.shape, pos, geom)
-            for d, pos, geom in _unroll(f, dims, limits)]
+    try:
+        return [DrawStmt(sem, shape, pos, geom)
+                for shape, pos, geom, sem in _unroll(f, dims, limits)]
+    except _DRAW_ERRORS as exc:
+        if isinstance(f, ForStmt):
+            raise _invalid(Program((f,)), limits, exc) from exc
+        report = ValidationReport(False, (Violation("stmt[0]", f"not a loop: {f!r}"),))
+        raise InvalidProgramError(report) from exc
 
 
 def _draw(grid, block, dims) -> None:
@@ -309,20 +384,29 @@ def _draw(grid, block, dims) -> None:
     if isinstance(block, DrawStmt):
         _render(grid, block.shape, block.position, block.geometry)
     else:
-        for d, pos, geom in _unroll(block, dims, DEFAULT_LIMITS):
-            _render(grid, d.shape, pos, geom)
+        for shape, pos, geom, _ in _unroll(block, dims, DEFAULT_LIMITS):
+            _render(grid, shape, pos, geom)
 
 
 def execute_block(b, dims=DEFAULT_DIMS) -> np.ndarray:
-    """Run one top-level statement to a grid."""
+    """Run one top-level statement to a grid. A statement that fails to draw
+    raises InvalidProgramError with its report under ``Limits.for_dims``."""
     grid = empty_grid(dims)
-    _draw(grid, b, dims)
+    try:
+        _draw(grid, b, dims)
+    except _DRAW_ERRORS as exc:
+        raise _invalid(Program((b,)), Limits.for_dims(dims), exc) from exc
     return grid
 
 
 def execute_program(p: Program, dims=DEFAULT_DIMS) -> np.ndarray:
-    """Union of all blocks, drawn into one grid; the empty program gives the empty grid."""
+    """Union of all blocks, drawn into one grid; the empty program gives the
+    empty grid. A program that fails to draw raises InvalidProgramError
+    with its report under ``Limits.for_dims``."""
     grid = empty_grid(dims)
-    for b in p.statements:
-        _draw(grid, b, dims)
+    try:
+        for b in p.statements:
+            _draw(grid, b, dims)
+    except _DRAW_ERRORS as exc:
+        raise _invalid(p, Limits.for_dims(dims), exc) from exc
     return grid

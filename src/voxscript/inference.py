@@ -23,15 +23,20 @@ only inside copy j, so a translation loop over one covers each copy's
 count minus each consecutive pair's overlap, exactly, for any step; over
 a tilted ``Cub`` this holds run by run while the step keeps y. A
 rotation about Y counts its copies, each the draw moved to its rotated
-anchor, when their clipped bounding boxes are disjoint. Executed and
-their grids counted: lines, cylinders, rotations whose copies overlap,
-and translations moving a multi-run tilt in y. The beam's single-box
-rows are counted all at once, in the pass that bounds them.
+anchor, when their clipped bounding boxes are disjoint. Every other
+candidate (lines, cylinders, rotations whose copies overlap, and
+translations moving a multi-run tilt in y) is counted in its own window:
+the executor expands the row's copies by the rule that unrolls loops,
+stamps them into one zeroed window the size of their union box clipped to
+the grid, and the window is summed against the round's packed grid there.
+The beam's single-box rows are counted all at once, in the pass that
+bounds them.
 
-Statements are built only where the executor needs them. A round's
-candidates are the rows of one int64 array (see ``propose_candidates``)
-and are bounded and ordered as columns; a row becomes a labelled
-statement only when it is executed or accepted.
+No statement is built to count a candidate. A round's candidates are the
+rows of one int64 array (see ``propose_candidates``) and are bounded and
+ordered as columns; a row becomes a labelled statement only when it is
+accepted.
+
 Refinement is coordinate descent over a block's candidate row: a
 neighbour is the row with one column moved, each column bounded by the
 grid dims and ``Limits.for_dims``. Neighbours are scored through one cache
@@ -52,7 +57,7 @@ from scipy import ndimage
 from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
                       Semantics, ShapeKind, validate_program)
 from .errors import InputError, InvalidProgramError, ShapeMismatchError
-from .executor import (_IS_BOX, SHAPES, _rotate_point, as_grid, draw_boxes, draw_extents,
+from .executor import (_IS_BOX, SHAPES, _copies, _window, as_grid, draw_boxes, draw_extents,
                        execute_block)
 from .metrics import iou
 
@@ -72,6 +77,7 @@ _SCORE_EPS = 1e-12
 # Candidate row layout (see propose_candidates)
 _MODE, _TIMES, _STEP, _SHAPE, _POS, _GEOM, _ROW_LEN = 0, 1, slice(2, 5), 5, slice(6, 9), 9, 13
 _DRAW, _TRANS, _ROT = 0, 1, 2
+_LOOP_MODES = (None, LoopMode.TRANSLATION, LoopMode.ROTATION)  # per row mode
 _CUBOID, _CYLINDER, _LINE = (SHAPES.index(k) for k in
                              (ShapeKind.CUBOID, ShapeKind.CYLINDER, ShapeKind.LINE))
 
@@ -102,7 +108,7 @@ class FitResult:
     program: Program
     score_trace: tuple  # (accepted block, iou after accepting it)
     final_iou: float
-    # candidates scored, executed or counted from the round's table; bound-skipped
+    # candidates scored, from the round's table or a window; bound-skipped
     # candidates and cache hits are not counted
     executor_calls: int
     budget_exhausted: bool
@@ -239,8 +245,9 @@ def _row_of(block) -> tuple:
     return head + (SHAPES.index(draw.shape), *draw.position, *(draw.geometry + (0,) * 4)[:4])
 
 
-def _periodic_steps(res) -> list:
-    """Per axis, the smallest shift under which the grid best overlaps itself.
+def _periodic_steps(res, occ) -> list:
+    """Per axis, the smallest shift under which the grid best overlaps
+    itself, given its occupied voxels ``occ`` as ``np.argwhere`` lists them.
 
     Entry (i, j) of the Gram matrix of the slices along an axis counts the
     voxels slices i and j share, so the overlap under shift k is the sum of
@@ -249,7 +256,7 @@ def _periodic_steps(res) -> list:
     box's extent every overlap is 0.
     """
     found = []
-    counts = [np.count_nonzero(res, axis=other) for other in ((1, 2), (0, 2), (0, 1))]
+    counts = [np.bincount(occ[:, axis], minlength=n) for axis, n in enumerate(res.shape)]
     occupied = [np.flatnonzero(c) for c in counts]
     if not len(occupied[0]):
         return found
@@ -331,7 +338,7 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
     # labelled inside the occupied box, which keeps the raster order of components
     labels, _ = ndimage.label(res[tuple(slice(a, b + 1) for a, b in zip(lo, hi))],
                               structure=np.ones((3, 3, 3), dtype=bool))
-    steps = _periodic_steps(res)
+    steps = _periodic_steps(res, occ)
 
     # One seed point per stride cell: the cell's first occupied voxel.
     # Snapping (rather than testing the lattice corner itself) keeps thin
@@ -339,11 +346,12 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
     seeds = _lattice_seeds(res, lo, hi, _SEED_STRIDE)
     seeded, seed_of = _seed_draws(res, seeds)
     # the bounding-box cuboid and the end-to-end lines, exact for any single
-    # rendered segment. Two scan orders, since the extreme voxel under one
-    # order can be off by one when several voxels tie on the leading axis.
-    occ_t = np.argwhere(res.transpose(2, 1, 0))[:, ::-1]
-    head = np.array([(_CUBOID, *lo, *(hi - lo + 1)[[1, 0, 2]], 0),
-                     (_LINE, *occ[0], *occ[-1], 0), (_LINE, *occ_t[0], *occ_t[-1], 0)])
+    # rendered segment. Two scan orders, x-major as ``occ`` lists voxels and
+    # z-major, since the extreme voxel under one order can be off by one when
+    # several voxels tie on the leading axis.
+    z_major = (occ[:, 2] * res.shape[1] + occ[:, 1]) * res.shape[0] + occ[:, 0]
+    head = np.array([(_CUBOID, *lo, *(hi - lo + 1)[[1, 0, 2]], 0), (_LINE, *occ[0], *occ[-1], 0),
+                     (_LINE, *occ[z_major.argmin()], *occ[z_major.argmax()], 0)])
     found = np.concatenate((head, seeded))
     # each draw's first copy: the stable sort keeps equal rows in index order
     order = np.lexsort(found.T)
@@ -395,12 +403,14 @@ _LOW_BITS = (1 << 32) - 1
 class _Round(NamedTuple):
     """What a round scores against: the target voxels still missing, the
     empty voxels a block would wrongly fill, the intersection and union
-    counts so far, and the summed-volume table of the first two (``table``,
-    with ``sums`` a memoryview of it for scalar lookups)."""
+    counts so far, both grids packed into one int64 grid (``packed``), and
+    its summed-volume table (``table``, with ``sums`` a memoryview of it for
+    scalar lookups)."""
     residual: np.ndarray
     false_free: np.ndarray
     i0: int
     u0: int
+    packed: np.ndarray
     table: np.ndarray
     sums: memoryview
 
@@ -411,14 +421,15 @@ def _round_state(target, current) -> _Round:
     if target.shape != current.shape:
         raise ShapeMismatchError(f"grid dims differ: {target.shape} vs {current.shape}")
     residual, false_free = target & ~current, ~target & ~current
+    packed = false_free.astype(np.int64)
+    packed <<= 32
+    packed += residual
     table = np.zeros(tuple(n + 1 for n in residual.shape), dtype=np.int64)
-    table[1:, 1:, 1:] = false_free
-    table <<= 32
-    table[1:, 1:, 1:] += residual
+    table[1:, 1:, 1:] = packed
     for axis in range(3):
         np.cumsum(table, axis, out=table)
     return _Round(residual, false_free, int(np.count_nonzero(current & target)),
-                  int(np.count_nonzero(current | target)), table, memoryview(table))
+                  int(np.count_nonzero(current | target)), packed, table, memoryview(table))
 
 
 def _box_sum(sums, dims, x0, y0, z0, x1, y1, z1) -> int:
@@ -455,19 +466,29 @@ def _chain_sum(sums, dims, box, times, step) -> int:
     # copies k and k + 1 overlap in copy k cut short by the step on each axis
     ox0, oy0, oz0 = x0 + max(ux, 0), y0 + max(uy, 0), z0 + max(uz, 0)
     ox1, oy1, oz1 = x1 + min(ux, 0), y1 + min(uy, 0), z1 + min(uz, 0)
+    overlap = ox0 < ox1 and oy0 < oy1 and oz0 < oz1
     total = 0
     for k in range(times):
         dx, dy, dz = k * ux, k * uy, k * uz
         total += _box_sum(sums, dims, x0 + dx, y0 + dy, z0 + dz, x1 + dx, y1 + dy, z1 + dz)
-        if k + 1 < times:
+        if overlap and k + 1 < times:
             total -= _box_sum(sums, dims, ox0 + dx, oy0 + dy, oz0 + dz,
                               ox1 + dx, oy1 + dy, oz1 + dz)
     return total
 
 
+def _row_copies(row, dims) -> list:
+    """The copies of a candidate row's draw as the executor's ``_copies``
+    records, built from the row's numbers alone."""
+    shape = SHAPES[row[_SHAPE]]
+    body = ((shape, row[_POS], row[_GEOM:_GEOM + GEOMETRY_ARITY[shape][1]], None),)
+    return _copies(body, row[_TIMES], _LOOP_MODES[row[_MODE]], row[_STEP], row[_STEP.start],
+                   Axis.Y, dims)
+
+
 def _block_counts(rnd: _Round, row):
     """(a, b) of a candidate row, counted from the round's table; None when
-    it must be executed (see the module docstring)."""
+    its voxels are not a union of boxes there (see the module docstring)."""
     mode, times, ux, uy, uz, code, x, y, z, *geom = row
     sums, dims = rnd.sums, rnd.residual.shape
     boxes = draw_boxes(SHAPES[code], (x, y, z), geom, None if mode == _TRANS and uy else dims[1])
@@ -483,8 +504,7 @@ def _block_counts(rnd: _Round, row):
     x0s, _, z0s, x1s, _, z1s = zip(*boxes)
     bx0, bz0, bx1, bz1 = min(x0s), min(z0s), max(x1s), max(z1s)
     kept: list = []  # clipped (x0, z0, x1, z1) of the copies so far, which share their rows
-    for ax, _, az in {(x, y, z) if k == 0 or ux == 0 else
-                      _rotate_point((x, y, z), k * ux, Axis.Y, dims) for k in range(times)}:
+    for ax, _, az in {pos for _, pos, _, _ in _row_copies(row, dims)}:
         dx, dz = ax - x, az - z
         cx0, cz0 = max(bx0 + dx, 0), max(bz0 + dz, 0)
         cx1, cz1 = min(bx1 + dx, dims[0]), min(bz1 + dz, dims[2])
@@ -498,12 +518,21 @@ def _block_counts(rnd: _Round, row):
     return total & _LOW_BITS, total >> 32
 
 
+def _window_counts(rnd: _Round, copies) -> tuple:
+    """(a, b) of a candidate row's copies, stamped into one window the size
+    of their clipped union box and summed against the round's packed grid."""
+    drawn = _window(copies, rnd.residual.shape)
+    if drawn is None:
+        return 0, 0
+    box, window = drawn
+    total = int(np.add.reduce(rnd.packed[box], axis=None, where=window))
+    return total & _LOW_BITS, total >> 32
+
+
 def _row_counts(rnd: _Round, row) -> tuple:
-    """(a, b) of a candidate row, from the round's table where it can be,
-    else from executing the row's block."""
-    dims = rnd.residual.shape
-    return (_block_counts(rnd, row)
-            or _counts(execute_block(_make_block(row, dims), dims), rnd.residual, rnd.false_free))
+    """(a, b) of a candidate row: from the round's table where its voxels
+    are a union of boxes, else from its copies' window."""
+    return _block_counts(rnd, row) or _window_counts(rnd, _row_copies(row, rnd.residual.shape))
 
 
 def _table_sums(table, dims, lo, hi) -> np.ndarray:

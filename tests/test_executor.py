@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, Program, Semantics,
-                           ShapeKind)
+                           ShapeKind, validate_program)
+from voxscript import executor
 from voxscript.errors import BudgetError, InputError, InvalidProgramError
 from voxscript.executor import (_STENCIL_MAX_RADIUS, DEFAULT_DIMS, MAX_GRID_VOXELS, SHAPES,
-                                _fill_disk_column, _rotate_point, draw_boxes, draw_extents,
-                                empty_grid, execute_block, execute_program, unroll_for)
+                                _extent, _fill_disk_column, _rotate_point, draw_boxes,
+                                draw_extents, empty_grid, execute_block, execute_program,
+                                unroll_for)
 
 from randprog import random_program
 
@@ -450,6 +452,46 @@ def test_malformed_loops_raise_invalid_program_error(loop, run):
     assert not exc.value.report.ok
 
 
+CUB = DrawStmt(SEM, ShapeKind.CUBOID, (2, 0, 2), (3, 4, 5))
+# statements that only fail once drawn: a two-entry step, a Cub with two
+# geometry entries, a rotation by a string angle and a loop of no known mode
+UNDRAWABLE = [
+    ForStmt.translation(2, (0, 0), (CUB,)),
+    DrawStmt(SEM, ShapeKind.CUBOID, (2, 0, 2), (3, 4)),
+    ForStmt.rotation(2, "9", Axis.Y, (CUB,)),
+    ForStmt("spin", 2, (CUB,)),
+]
+
+
+@pytest.mark.parametrize("stmt", UNDRAWABLE,
+                         ids=["two-entry-step", "two-entry-cub", "str-angle", "unknown-mode"])
+@pytest.mark.parametrize("run", [execute_block, lambda s: execute_program(Program((s,)))],
+                         ids=["execute_block", "execute_program"])
+def test_undrawable_statements_raise_invalid_program_error(stmt, run):
+    with pytest.raises(InvalidProgramError) as exc:
+        run(stmt)
+    assert exc.value.report == validate_program(Program((stmt,)), Limits.for_dims(DEFAULT_DIMS))
+
+
+def test_unroll_for_refuses_a_draw():
+    with pytest.raises(InvalidProgramError) as exc:
+        unroll_for(CUB)
+    assert [v.path for v in exc.value.report.violations] == ["stmt[0]"]
+
+
+def test_valid_program_failing_to_draw_keeps_its_error(monkeypatch):
+    """A program that validates but still fails inside the draw is a bug in
+    the executor, not bad input, so its error is not relabelled."""
+    def fail(*args):
+        raise ValueError("drawing failed")
+
+    monkeypatch.setattr(executor, "_copies", fail)
+    loop = ForStmt.translation(2, (1, 0, 0), (CUB,))
+    for run in (execute_block, lambda s: execute_program(Program((s,))), unroll_for):
+        with pytest.raises(ValueError, match="drawing failed"):
+            run(loop)
+
+
 def test_execute_program_block_composition():
     for seed in range(150):
         p = random_program(seed)
@@ -534,6 +576,7 @@ def test_draw_extents_match_scalar_reference(draws):
     assert lo.tolist() == [list(e[0]) for e in expect]
     assert hi.tolist() == [list(e[1]) for e in expect]
     assert volume.tolist() == [e[2] for e in expect]
+    assert [_extent(*d) for d in draws] == [e[0] + e[1] for e in expect]
 
 
 @pytest.mark.parametrize("dims", [
