@@ -101,8 +101,6 @@ def _fill_disk_column(grid, px, py, pz, t, r):
         xs = np.arange(x0, x1)
         zs = np.arange(z0, z1)
         mask = ((xs[:, None] - px) ** 2 + (zs[None, :] - pz) ** 2 <= r * r)[:, None, :]
-    elif x1 - x0 == z1 - z0 == 2 * r + 1:  # the whole disc
-        mask = _disc_stencil(r)
     else:
         mask = _disc_stencil(r)[x0 - px + r:x1 - px + r, :, z0 - pz + r:z1 - pz + r]
     view = grid[x0:x1, y0:y1, z0:z1]
@@ -177,6 +175,13 @@ def _tilt_runs(ang, k0, k1) -> list:
     return runs
 
 
+def _last_shift(ang, t) -> int:
+    """The x shift of the last of ``t`` rows of a Cuboid tilted by ``ang``
+    degrees, 0 when it has none; shifts are monotone from 0 at row 0, so it
+    is the extreme one."""
+    return _tilt_runs(ang, t - 1, t)[0][2] if ang and t > 0 else 0
+
+
 def draw_boxes(shape, pos, geom, dy):
     """The disjoint boxes (x0, y0, z0, x1, y1, z1) whose union a draw sets,
     or None for a line or a cylinder: one box for an untilted Cub or Rect or
@@ -195,8 +200,8 @@ def draw_boxes(shape, pos, geom, dy):
     if tilt and dy is not None:
         return tuple((x + s, y + k0, z, x + r1 + s, y + k1, z + r2)
                      for k0, k1, s in _tilt_runs(tilt, max(0, -y), min(t, dy - y)))
-    if tilt and t > 0 and _tilt_runs(tilt, t - 1, t)[0][2]:
-        return None  # shifts are monotone from 0 at row 0, so the last row's decides
+    if _last_shift(tilt, t):
+        return None
     return ((x, y, z, x + r1, y + t, z + r2),)
 
 
@@ -218,8 +223,7 @@ def draw_extents(shape, pos, geom) -> tuple:
 
     Returns ``lo`` and ``hi`` (hi exclusive) as (n, 3) arrays and, per
     draw, an upper bound on the voxels it sets; degenerate geometry gives 0.
-    A tilted Cuboid's box is widened by its last row's shift, computed as
-    ``draw_boxes`` computes it; shifts are monotone in the row.
+    A tilted Cuboid's box is widened by its last row's shift, ``_last_shift``.
     """
     line = shape == _LINE_CODE
     column = _IS_COLUMN[shape]
@@ -228,8 +232,7 @@ def draw_extents(shape, pos, geom) -> tuple:
     shift = np.zeros(len(geom), dtype=np.int64)
     tilted = ~line & ~column & (ang != 0) & (t > 0)
     if tilted.any():
-        slope = np.array([math.tan(math.radians(v)) for v in ang[tilted].tolist()])
-        shift[tilted] = np.rint((t[tilted] - 1) * slope)
+        shift[tilted] = [_last_shift(a, n) for a, n in zip(ang[tilted].tolist(), t[tilted].tolist())]
     # x and z spans from the position: [0, r1) and [0, r2) for a box, [-r, r] for a column
     off = np.where(column, -r1, 0)
     wx = np.where(column, 2 * r1 + 1, r1)
@@ -316,30 +319,34 @@ def _unroll(f: ForStmt, dims, limits) -> list:
     return _copies(body, f.times, f.mode, f.step, f.angle, f.axis, dims)
 
 
-def _extent(shape, pos, geom) -> tuple:
-    """The unclipped box (x0, y0, z0, x1, y1, z1) holding every voxel one
-    draw sets: the scalar form of ``draw_extents``."""
-    x, y, z = pos
-    if shape is ShapeKind.LINE:
-        ex, ey, ez = geom
-        return min(x, ex), min(y, ey), min(z, ez), max(x, ex) + 1, max(y, ey) + 1, max(z, ez) + 1
+def _extent(shape, geom) -> tuple:
+    """The box (x0, y0, z0, x1, y1, z1) holding every voxel a draw that is
+    not a line sets, relative to its position: the scalar form of
+    ``draw_extents``."""
     t, r1 = geom[0], geom[1]
     if shape is not ShapeKind.CUBOID and shape is not ShapeKind.RECTANGLE:
-        return x - r1, y, z - r1, x + r1 + 1, y + t, z + r1 + 1
-    shift = _tilt_runs(geom[3], t - 1, t)[0][2] if len(geom) > 3 and geom[3] and t > 0 else 0
-    return x + min(shift, 0), y, z, x + r1 + max(shift, 0), y + t, z + geom[2]
+        return -r1, 0, -r1, r1 + 1, t, r1 + 1
+    shift = _last_shift(geom[3], t) if len(geom) > 3 else 0
+    return min(shift, 0), 0, 0, r1 + max(shift, 0), t, geom[2]
 
 
 def _window(copies, dims):
-    """Stamp ``copies``, (shape, position, geometry, semantics) records, into
-    one zeroed window: the box that holds them all, clipped to the grid of
-    ``dims``. Returns the box as slices and the window, or None when the box
-    is empty."""
+    """Stamp ``copies`` of one draw, (shape, position, geometry, semantics)
+    records as ``_copies`` gives them, into one zeroed window: the box that
+    holds them all, clipped to the grid of ``dims``. Returns the box as
+    slices and the window, or None when the box is empty."""
     if not copies:
         return None
-    x0s, y0s, z0s, x1s, y1s, z1s = zip(*[_extent(s, p, g) for s, p, g, _ in copies])
-    x0, y0, z0 = max(min(x0s), 0), max(min(y0s), 0), max(min(z0s), 0)
-    x1, y1, z1 = min(max(x1s), dims[0]), min(max(y1s), dims[1]), min(max(z1s), dims[2])
+    shape, _, geom, _ = copies[0]
+    if shape is ShapeKind.LINE:  # the box of every end point
+        xs, ys, zs = zip(*[p for _, pos, end, _ in copies for p in (pos, end)])
+        ex0, ey0, ez0, ex1, ey1, ez1 = 0, 0, 0, 1, 1, 1
+    else:  # the draw's box, moved to each copy's position
+        xs, ys, zs = zip(*[pos for _, pos, _, _ in copies])
+        ex0, ey0, ez0, ex1, ey1, ez1 = _extent(shape, geom)
+    x0, y0, z0 = max(min(xs) + ex0, 0), max(min(ys) + ey0, 0), max(min(zs) + ez0, 0)
+    x1, y1, z1 = (min(max(xs) + ex1, dims[0]), min(max(ys) + ey1, dims[1]),
+                  min(max(zs) + ez1, dims[2]))
     if x0 >= x1 or y0 >= y1 or z0 >= z1:
         return None
     window = np.zeros((x1 - x0, y1 - y0, z1 - z0), dtype=bool)

@@ -466,12 +466,11 @@ def _chain_sum(sums, dims, box, times, step) -> int:
     # copies k and k + 1 overlap in copy k cut short by the step on each axis
     ox0, oy0, oz0 = x0 + max(ux, 0), y0 + max(uy, 0), z0 + max(uz, 0)
     ox1, oy1, oz1 = x1 + min(ux, 0), y1 + min(uy, 0), z1 + min(uz, 0)
-    overlap = ox0 < ox1 and oy0 < oy1 and oz0 < oz1
     total = 0
     for k in range(times):
         dx, dy, dz = k * ux, k * uy, k * uz
         total += _box_sum(sums, dims, x0 + dx, y0 + dy, z0 + dz, x1 + dx, y1 + dy, z1 + dz)
-        if overlap and k + 1 < times:
+        if k + 1 < times:
             total -= _box_sum(sums, dims, ox0 + dx, oy0 + dy, oz0 + dz,
                               ox1 + dx, oy1 + dy, oz1 + dz)
     return total
