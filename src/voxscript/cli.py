@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
                      help="report failures as JSON on stderr")
     top.add_argument("--dims", type=_dims, default=DEFAULT_DIMS, metavar="X,Y,Z",
                      help="voxel grid dimensions, which also bound program values"
-                          " (default 32,32,32)")
+                          f" (default {','.join(map(str, DEFAULT_DIMS))})")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="validate a program and echo canonical text")
@@ -104,9 +104,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit a program to a binvox target")
     p.add_argument("target", type=Path)
     p.add_argument("-o", "--out", type=Path, required=True, metavar="out.sp")
-    p.add_argument("--max-blocks", type=_bounded(int, 1), default=None)
-    p.add_argument("--beam", type=_bounded(int, 1), default=None)
-    p.add_argument("--min-gain", type=_bounded(float, 0, strict=True), default=None)
+    p.add_argument("--max-blocks", type=_bounded(int, 1), default=SearchConfig.max_blocks)
+    p.add_argument("--beam", type=_bounded(int, 1), default=SearchConfig.beam_width)
+    p.add_argument("--min-gain", type=_bounded(float, 0, strict=True),
+                   default=SearchConfig.min_gain)
 
     p = sub.add_parser("eval", help="batch-compare predicted and reference grids")
     p.add_argument("--pred", type=Path, required=True, metavar="dir")
@@ -172,15 +173,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_fit(args) -> int:
     grid, _, _ = read_binvox(args.target.read_bytes())
-    overrides = {}
-    if args.max_blocks is not None:
-        overrides["max_blocks"] = args.max_blocks
-    if args.beam is not None:
-        overrides["beam_width"] = args.beam
-    if args.min_gain is not None:
-        overrides["min_gain"] = args.min_gain
-    config = SearchConfig(**overrides)
-    result = fit_program(grid, config)
+    result = fit_program(grid, SearchConfig(max_blocks=args.max_blocks, beam_width=args.beam,
+                                            min_gain=args.min_gain))
 
     # build every output before writing any, so a failure leaves no partial set
     trace = {

@@ -306,6 +306,14 @@ def _draw_faults(d: DrawStmt, limits, bad):
                 bad.append(f"ang = {ang} outside [-{limits.max_tilt}, {limits.max_tilt}]")
 
 
+def _copy_angles_finite(angle, times) -> bool:
+    """Whether each copy k < ``times`` of a rotation turns by a finite float k * ``angle``."""
+    try:
+        return math.isfinite((times - 1) * angle)  # the last copy turns furthest
+    except OverflowError:  # an int past the largest float
+        return False
+
+
 def _loop_faults(f: ForStmt, depth, limits, bad):
     counted = _is_int(f.times) and f.times >= 2
     if not counted:
@@ -320,6 +328,8 @@ def _loop_faults(f: ForStmt, depth, limits, bad):
     elif f.mode is LoopMode.ROTATION:
         if f.angle is None or not isinstance(f.angle, (int, float)) or isinstance(f.angle, bool):
             bad.append(f"rotation loop needs a numeric angle, got {f.angle!r}")
+        elif not _copy_angles_finite(f.angle, f.times if counted else 2):
+            bad.append("rotation angle k * angle must be a finite float for every copy k < times")
         if not isinstance(f.axis, Axis):
             bad.append(f"rotation loop needs an axis, got {f.axis!r}")
         if f.step is not None:

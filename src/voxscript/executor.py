@@ -17,7 +17,6 @@ import numpy as np
 
 from .dsl.ast import (
     Axis,
-    DEFAULT_LIMITS,
     DrawStmt,
     ForStmt,
     Limits,
@@ -298,24 +297,24 @@ def _copies(body, times, mode, step, angle, axis, dims) -> list:
     return out
 
 
-def _unroll(f: ForStmt, dims, limits) -> list:
+def _unroll(f: ForStmt, dims) -> list:
     """A loop's copies as (shape, position, geometry, semantics) records, so
     no statement is built per copy. A loop that cannot be unrolled, whose
     times somewhere is not an int or whose body holds a non-statement,
-    raises InvalidProgramError with the loop's report, its paths starting
-    at the loop as ``stmt[0]``.
+    raises InvalidProgramError with the loop's report under
+    ``Limits.for_dims(dims)``, its paths starting at the loop as ``stmt[0]``.
     """
     size = expanded_size(f)
     if not isinstance(size, int):
-        raise InvalidProgramError(validate_program(Program((f,)), limits))
-    if size > limits.max_expanded:
-        raise BudgetError(f"loop expands to {size} draws, over the limit of {limits.max_expanded}")
+        raise InvalidProgramError(validate_program(Program((f,)), Limits.for_dims(dims)))
+    if size > Limits.max_expanded:  # a budget ``Limits.for_dims`` leaves as it is
+        raise BudgetError(f"loop expands to {size} draws, over the limit of {Limits.max_expanded}")
     body: list = []
     for s in f.body:
         if isinstance(s, DrawStmt):
             body.append((s.shape, s.position, s.geometry, s.semantics))
         else:
-            body.extend(_unroll(s, dims, limits))
+            body.extend(_unroll(s, dims))
     return _copies(body, f.times, f.mode, f.step, f.angle, f.axis, dims)
 
 
@@ -356,32 +355,31 @@ def _window(copies, dims):
     return (slice(x0, x1), slice(y0, y1), slice(z0, z1)), window
 
 
-def _invalid(program, limits, exc) -> InvalidProgramError:
-    """The error for ``program`` after drawing it raised ``exc``: its
-    validation report, or ``exc`` itself, re-raised, if it validates."""
-    report = validate_program(program, limits)
+def _invalid(program, dims, exc) -> InvalidProgramError:
+    """The error for ``program`` once drawing it raised ``exc``: its report
+    under ``Limits.for_dims(dims)``, or ``exc`` re-raised if it validates."""
+    report = validate_program(program, Limits.for_dims(dims))
     if report.ok:
         raise exc
     return InvalidProgramError(report)
 
 
-_DRAW_ERRORS = (AttributeError, IndexError, TypeError, ValueError)
+_DRAW_ERRORS = (AttributeError, IndexError, OverflowError, TypeError, ValueError)
 
 
-def unroll_for(f: ForStmt, dims=DEFAULT_DIMS, limits=DEFAULT_LIMITS) -> list:
+def unroll_for(f: ForStmt, dims=DEFAULT_DIMS) -> list:
     """Expand a loop into plain draws, innermost loops first.
 
     Iteration k translates by k*u, or rotates the original coordinates by
     k*angle about the grid-center axis; line endpoints move with their start
     points (see ``_copies``). A draw, or a loop that fails to unroll, raises
-    InvalidProgramError.
+    InvalidProgramError with its report under ``Limits.for_dims(dims)``.
     """
     try:
-        return [DrawStmt(sem, shape, pos, geom)
-                for shape, pos, geom, sem in _unroll(f, dims, limits)]
+        return [DrawStmt(sem, shape, pos, geom) for shape, pos, geom, sem in _unroll(f, dims)]
     except _DRAW_ERRORS as exc:
         if isinstance(f, ForStmt):
-            raise _invalid(Program((f,)), limits, exc) from exc
+            raise _invalid(Program((f,)), dims, exc) from exc
         report = ValidationReport(False, (Violation("stmt[0]", f"not a loop: {f!r}"),))
         raise InvalidProgramError(report) from exc
 
@@ -391,7 +389,7 @@ def _draw(grid, block, dims) -> None:
     if isinstance(block, DrawStmt):
         _render(grid, block.shape, block.position, block.geometry)
     else:
-        for shape, pos, geom, _ in _unroll(block, dims, DEFAULT_LIMITS):
+        for shape, pos, geom, _ in _unroll(block, dims):
             _render(grid, shape, pos, geom)
 
 
@@ -402,7 +400,7 @@ def execute_block(b, dims=DEFAULT_DIMS) -> np.ndarray:
     try:
         _draw(grid, b, dims)
     except _DRAW_ERRORS as exc:
-        raise _invalid(Program((b,)), Limits.for_dims(dims), exc) from exc
+        raise _invalid(Program((b,)), dims, exc) from exc
     return grid
 
 
@@ -415,5 +413,5 @@ def execute_program(p: Program, dims=DEFAULT_DIMS) -> np.ndarray:
         for b in p.statements:
             _draw(grid, b, dims)
     except _DRAW_ERRORS as exc:
-        raise _invalid(p, Limits.for_dims(dims), exc) from exc
+        raise _invalid(p, dims, exc) from exc
     return grid

@@ -35,7 +35,8 @@ bounds them.
 No statement is built to count a candidate. A round's candidates are the
 rows of one int64 array (see ``propose_candidates``) and are bounded and
 ordered as columns; a row becomes a labelled statement only when it is
-accepted.
+accepted. ``score_block`` and ``refine_block`` go the other way: a valid
+block becomes its row (``_row_of``), scored as the search scores it.
 
 Refinement is coordinate descent over a block's candidate row: a
 neighbour is the row with one column moved, each column bounded by the
@@ -388,12 +389,6 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
     return np.concatenate([draws] + loops)[:cap]
 
 
-def _counts(block_grid, truth_res, false_free):
-    a = int(np.count_nonzero(block_grid & truth_res))
-    b = int(np.count_nonzero(block_grid & false_free))
-    return a, b
-
-
 # A summed-volume table entry packs two counts: residual voxels in the low
 # 32 bits and empty voxels above them. Box sums add and subtract whole
 # entries, so one sum carries both counts while grids hold under 2^31 voxels.
@@ -401,13 +396,12 @@ _LOW_BITS = (1 << 32) - 1
 
 
 class _Round(NamedTuple):
-    """What a round scores against: the target voxels still missing, the
-    empty voxels a block would wrongly fill, the intersection and union
-    counts so far, both grids packed into one int64 grid (``packed``), and
-    its summed-volume table (``table``, with ``sums`` a memoryview of it for
-    scalar lookups)."""
+    """What a round scores against: the target voxels still missing
+    (``residual``), the intersection and union counts so far, the residual
+    and the empty voxels packed into one int64 grid (``packed``), and its
+    summed-volume table (``table``, with ``sums`` a memoryview of it for
+    scalar lookups). Every count of a candidate row is read from these."""
     residual: np.ndarray
-    false_free: np.ndarray
     i0: int
     u0: int
     packed: np.ndarray
@@ -420,15 +414,15 @@ def _round_state(target, current) -> _Round:
     target, current = as_grid(target), as_grid(current)
     if target.shape != current.shape:
         raise ShapeMismatchError(f"grid dims differ: {target.shape} vs {current.shape}")
-    residual, false_free = target & ~current, ~target & ~current
-    packed = false_free.astype(np.int64)
+    residual = target & ~current
+    packed = (~target & ~current).astype(np.int64)
     packed <<= 32
     packed += residual
     table = np.zeros(tuple(n + 1 for n in residual.shape), dtype=np.int64)
     table[1:, 1:, 1:] = packed
     for axis in range(3):
         np.cumsum(table, axis, out=table)
-    return _Round(residual, false_free, int(np.count_nonzero(current & target)),
+    return _Round(residual, int(np.count_nonzero(current & target)),
                   int(np.count_nonzero(current | target)), packed, table, memoryview(table))
 
 
@@ -591,12 +585,22 @@ def _score_from_counts(a, b, i0, u0) -> float:
     return after - before
 
 
+def _scored_row(b, target, current) -> tuple:
+    """The round state for adding block ``b`` to ``current``, ``b``'s
+    candidate row and its score; raises as ``refine_block`` documents."""
+    rnd = _round_state(target, current)
+    report = validate_program(Program((b,)), Limits.for_dims(rnd.residual.shape))
+    if not report.ok:
+        raise InvalidProgramError(report)
+    row = _row_of(b)
+    return rnd, row, _score_from_counts(*_row_counts(rnd, row), rnd.i0, rnd.u0)
+
+
 def score_block(b, target, current) -> float:
     """Improvement from adding block b to the reconstruction: the change in
-    IoU against the target, positive when it helps."""
-    rnd = _round_state(target, current)
-    a, bad = _counts(execute_block(b, rnd.residual.shape), rnd.residual, rnd.false_free)
-    return _score_from_counts(a, bad, rnd.i0, rnd.u0)
+    IoU against the target, positive when it helps. ``b`` is a block
+    ``refine_block`` takes; any other raises as there."""
+    return _scored_row(b, target, current)[2]
 
 
 # ------------------------------------------------------------- refinement
@@ -677,13 +681,7 @@ def refine_block(b, target, current, config: SearchConfig = SearchConfig()):
     InvalidProgramError; a loop with several bodies or a nested loop, or a
     rotation about X or Z, raises InputError.
     """
-    rnd = _round_state(target, current)
-    report = validate_program(Program((b,)), Limits.for_dims(rnd.residual.shape))
-    if not report.ok:
-        raise InvalidProgramError(report)
-    row = _row_of(b)
-    a, bad = _row_counts(rnd, row)
-    s0 = _score_from_counts(a, bad, rnd.i0, rnd.u0)
+    rnd, row, s0 = _scored_row(b, target, current)
     row, _ = _refine(row, s0, rnd, _Budget(config.budget), {})
     draw = b if isinstance(b, DrawStmt) else b.body[0]
     return _make_block(row, rnd.residual.shape, draw.semantics)
@@ -734,8 +732,6 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
     current = np.zeros(dims, dtype=bool)
     accepted: list = []
     trace: list = []
-    if not target.any():
-        return FitResult(Program(()), (), 1.0, 0, False, "residual_empty")
     stop = "max_blocks"
     while len(accepted) < max_blocks:
         if budget.exhausted or not (target & ~current).any():

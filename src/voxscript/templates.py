@@ -3,8 +3,8 @@
 Each template is a named family: integer parameter ranges, a feasibility
 predicate, and a builder that turns one parameter assignment into a
 program. Sampling rejects infeasible assignments and never emits a
-program that fails validation. All builders target the default 32^3 grid
-and keep shapes grounded at y = 0.
+program that fails validation. All builders target the default grid,
+``DEFAULT_DIMS``, a cube of edge ``GRID``, and keep shapes grounded at y = 0.
 """
 from __future__ import annotations
 
@@ -28,10 +28,10 @@ from .dsl.ast import (
 )
 from .dsl.text import print_text
 from .dsl.tokens import format_token_lines, tokenize
-from .errors import TemplateInfeasibleError
+from .errors import InputError, TemplateInfeasibleError
 from .executor import DEFAULT_DIMS, execute_program
 
-GRID = 32
+GRID = DEFAULT_DIMS[0]  # every builder targets a cube of this edge
 MAX_SAMPLE_ATTEMPTS = 100
 
 
@@ -369,7 +369,7 @@ def builtin_templates() -> list:
            "gap": (6, 10), "col_s": (2, 4), "h0": (6, 10),
            "base_r": (4, 7), "base_t": (1, 2)},
           _t_multi_layer,
-          lambda p: (p["h0"] + (p["n_layers"] - 1) * p["gap"] + p["layer_t"] <= 30
+          lambda p: (p["h0"] + (p["n_layers"] - 1) * p["gap"] + p["layer_t"] <= GRID - 2
                      and p["base_r"] >= p["col_s"]),
           "Square layers stacked on a central post over a square base."),
         t("table_hbar", Category.TABLE,
@@ -382,8 +382,8 @@ def builtin_templates() -> list:
           {"body_w": (10, 18), "body_d": (8, 14), "height": (12, 20),
            "over_x": (2, 5), "over_z": (2, 5), "top_t": (2, 3)},
           _t_slab,
-          lambda p: (p["body_d"] + 2 * p["over_x"] <= 30
-                     and p["body_w"] + 2 * p["over_z"] <= 30),
+          lambda p: (p["body_d"] + 2 * p["over_x"] <= GRID - 2
+                     and p["body_w"] + 2 * p["over_z"] <= GRID - 2),
           "Overhanging top on one solid block pedestal."),
         t("table_round_corner", Category.TABLE,
           {"top_r": (10, 14), "top_t": (1, 2), "height": (12, 20),
@@ -399,7 +399,7 @@ def builtin_templates() -> list:
            "seat_h": (8, 12), "leg_s": (2, 3), "inset": (1, 2),
            "back_h": (8, 14), "back_t": (2, 3), "tilt": (-15, 0)},
           _c_basic,
-          lambda p: _c_seat_ok(p) and p["seat_h"] + p["seat_t"] + p["back_h"] <= 31,
+          lambda p: _c_seat_ok(p) and p["seat_h"] + p["seat_t"] + p["back_h"] <= GRID - 1,
           "Four legs, seat slab, full-width back panel with optional tilt."),
         t("chair_bar_back", Category.CHAIR,
           {"seat_w": (12, 18), "seat_d": (12, 16), "seat_t": (2, 3),
@@ -471,7 +471,7 @@ def sample(t: Template, rng) -> tuple:
 
 
 def _record_seed(seed: int, index: int) -> int:
-    return (int(seed) ^ index) & 0xFFFFFFFFFFFFFFFF
+    return (seed ^ index) & 0xFFFFFFFFFFFFFFFF
 
 
 def generate_dataset(out_dir, tables=0, chairs=0, seed=0, dims=DEFAULT_DIMS) -> dict:
@@ -481,25 +481,25 @@ def generate_dataset(out_dir, tables=0, chairs=0, seed=0, dims=DEFAULT_DIMS) -> 
     trio per record, plus manifest.json. Record i draws from its own
     generator seeded with seed XOR i, so records are independent of each
     other and of generation order; each picks a template of its category
-    uniformly. ``dims`` that no binvox file can hold raise BinvoxError
-    before any directory is created.
+    uniformly. Counts that are not ints >= 0, or a seed that is not an
+    int, raise InputError, and ``dims`` that no binvox file can hold
+    BinvoxError, before any directory is created.
     """
+    if (not all(isinstance(v, int) and not isinstance(v, bool) for v in (tables, chairs, seed))
+            or min(tables, chairs) < 0):
+        raise InputError(f"tables and chairs must be ints >= 0 and seed an int, got"
+                         f" tables={tables!r}, chairs={chairs!r}, seed={seed!r}")
     check_dims(dims)
     out = Path(out_dir)
     all_templates = builtin_templates()
-    families = {
-        Category.TABLE: [t for t in all_templates if t.category is Category.TABLE],
-        Category.CHAIR: [t for t in all_templates if t.category is Category.CHAIR],
-    }
+    families = {c: [t for t in all_templates if t.category is c] for c in Category}
     # a uniform p, since rng.choice draws differently without one
     uniform = {c: np.ones(len(f)) / len(f) for c, f in families.items()}
-    plan = [Category.TABLE] * int(tables) + [Category.CHAIR] * int(chairs)
+    plan = [Category.TABLE] * tables + [Category.CHAIR] * chairs
     records = []
-    if plan:
-        for sub in ("programs", "tokens", "voxels"):
-            (out / sub).mkdir(parents=True, exist_ok=True)
-    else:
-        out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
+    for sub in ("programs", "tokens", "voxels") if plan else ():
+        (out / sub).mkdir(exist_ok=True)
     for index, category in enumerate(plan):
         rng = np.random.default_rng(_record_seed(seed, index))
         family = families[category]
@@ -521,9 +521,9 @@ def generate_dataset(out_dir, tables=0, chairs=0, seed=0, dims=DEFAULT_DIMS) -> 
             "voxels": f"voxels/{name}.binvox",
         })
     manifest = {
-        "seed": int(seed),
+        "seed": seed,
         "dims": list(dims),
-        "counts": {"Table": int(tables), "Chair": int(chairs)},
+        "counts": {"Table": tables, "Chair": chairs},
         "weights": dict.fromkeys(sorted(t.id for t in all_templates), 1.0),
         "records": records,
     }

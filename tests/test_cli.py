@@ -260,6 +260,19 @@ def test_semantic_error_exits_1(tmp_path):
     assert cli.main(["parse", str(f)]) == 1
 
 
+def test_rotation_angle_no_copy_can_turn_by_exits_1(tmp_path, capsys):
+    """Copy 2 of this loop turns by 1.8e308 degrees, past the largest float."""
+    f = write_prog(tmp_path, "for(Rot, i=3, theta=9" + "0" * 307 + ", axis=Y) {\n"
+                             "  draw(Leg, Cub, P=(1,0,1), G=(2,2,2))\n}\n")
+    out = tmp_path / "g.binvox"
+    for command in (["parse", str(f)], ["exec", str(f), "-o", str(out)]):
+        assert cli.main(command) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "rotation angle" in err
+    assert not out.exists()
+
+
 def test_json_errors_payload(tmp_path, capsys):
     f = write_prog(tmp_path, "draw(Top, Qub, P=(8,20,8), G=(2,16,16))\n")
     assert cli.main(["--json-errors", "parse", str(f)]) == 1

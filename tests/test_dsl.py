@@ -121,6 +121,29 @@ def test_validate_expansion_budget():
     assert any("expan" in v.message.lower() for v in report.violations)
 
 
+ANGLE_FAULT = "rotation angle k * angle must be a finite float for every copy k < times"
+
+
+@pytest.mark.parametrize("times, angle", [
+    (2, float("nan")), (2, float("inf")), (2, -float("inf")), (1, float("nan")),
+    ("3", float("inf")),
+    (3, 9 * 10 ** 307),  # copy 2 turns by 1.8e308 degrees, past the largest float
+    (3, 1e308), (10 ** 400, 1), (2, 10 ** 400),
+])
+def test_validate_refuses_rotation_angles_no_copy_can_turn_by(times, angle):
+    """A rotation whose angle, or some copy's k * angle, is not a finite float
+    is refused, and checking never raises, even on an int of 401 digits."""
+    f = ForStmt.rotation(times, angle, Axis.Y, (leg(),))
+    assert ANGLE_FAULT in [v.message for v in validate_program(Program((f,))).violations]
+
+
+@pytest.mark.parametrize("times, angle", [(2, 9 * 10 ** 307), (3, 8 * 10 ** 307), (16, -355),
+                                          (5, 72.5), (2, 1e308)])
+def test_validate_takes_rotation_angles_every_copy_can_turn_by(times, angle):
+    f = ForStmt.rotation(times, angle, Axis.Y, (leg(),))
+    assert validate_program(Program((f,))).ok
+
+
 @pytest.mark.parametrize("inner, message", [
     ("x", "not a statement: 'x'"),
     (ForStmt.translation("7", (1, 0, 0), (leg(),)), "times must be an integer >= 2, got '7'"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, Program, Semantics,
-                           ShapeKind, validate_program)
+                           ShapeKind, Violation, validate_program)
 from voxscript import executor
 from voxscript.errors import BudgetError, InputError, InvalidProgramError
 from voxscript.executor import (_STENCIL_MAX_RADIUS, DEFAULT_DIMS, MAX_GRID_VOXELS, SHAPES,
@@ -382,10 +382,12 @@ def test_unroll_nested_inner_first():
 
 def test_unroll_budget_error():
     d = DrawStmt(SEM, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1))
-    f = ForStmt.translation(16, (1, 0, 0),
-                            (ForStmt.translation(16, (0, 1, 0), (d,)),))
-    with pytest.raises(BudgetError):
-        unroll_for(f, limits=Limits(max_expanded=100))
+    # 33 * 32 = 1,056 copies, over the 1,024 that any grid's limits allow
+    f = ForStmt.translation(33, (1, 0, 0),
+                            (ForStmt.translation(32, (0, 1, 0), (d,)),))
+    for dims in (DEFAULT_DIMS, (64, 64, 64)):
+        with pytest.raises(BudgetError):
+            unroll_for(f, dims)
 
 
 def test_execute_block_union_of_unroll():
@@ -471,6 +473,48 @@ def test_undrawable_statements_raise_invalid_program_error(stmt, run):
     with pytest.raises(InvalidProgramError) as exc:
         run(stmt)
     assert exc.value.report == validate_program(Program((stmt,)), Limits.for_dims(DEFAULT_DIMS))
+
+
+def test_malformed_loop_reports_under_the_grids_limits():
+    """On a 64^3 grid a loop at x = 40 is in range, so its report names only
+    the inner times that keeps it from unrolling."""
+    inner = ForStmt.translation("3", (1, 0, 0), (DrawStmt(SEM, ShapeKind.CUBOID, (40, 0, 0),
+                                                          (2, 2, 2)),))
+    loop = ForStmt.translation(2, (0, 0, 5), (inner,))
+    dims = (64, 64, 64)
+    for run in (execute_block, lambda f, d: execute_program(Program((f,)), d), unroll_for):
+        with pytest.raises(InvalidProgramError) as exc:
+            run(loop, dims)
+        assert exc.value.report.violations == (
+            Violation("stmt[0].body[0]", "times must be an integer >= 2, got '3'"),)
+
+
+@pytest.mark.parametrize("loop", [
+    ForStmt.rotation(2, math.nan, Axis.Y, (CUB,)),
+    ForStmt.rotation(2, math.inf, Axis.Y, (CUB,)),
+    ForStmt.rotation(3, 9 * 10 ** 307, Axis.Y, (CUB,)),
+], ids=["nan-angle", "inf-angle", "copy-angle-past-float"])
+@pytest.mark.parametrize("run", [execute_block, lambda s: execute_program(Program((s,))),
+                                 unroll_for], ids=["execute_block", "execute_program",
+                                                   "unroll_for"])
+def test_unturnable_rotations_raise_invalid_program_error(loop, run):
+    with pytest.raises(InvalidProgramError) as exc:
+        run(loop)
+    assert exc.value.report == validate_program(Program((loop,)))
+
+
+def test_line_to_an_infinite_endpoint_raises_invalid_program_error():
+    line = DrawStmt(SEM, ShapeKind.LINE, (1, 1, 1), (math.inf, 2, 2))
+    for run in (execute_block, lambda s: execute_program(Program((s,)))):
+        with pytest.raises(InvalidProgramError) as exc:
+            run(line)
+        assert exc.value.report == validate_program(Program((line,)))
+
+
+def test_rotation_by_the_largest_valid_angle_executes():
+    loop = ForStmt.rotation(3, 8 * 10 ** 307, Axis.Y, (CUB,))
+    assert validate_program(Program((loop,))).ok
+    assert execute_block(loop).any()
 
 
 def test_unroll_for_refuses_a_draw():

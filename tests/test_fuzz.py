@@ -211,6 +211,7 @@ def mutated_program(seed, mutation_seed):
     return Program(tuple(statements))
 
 
+ANGLE_FAULT = "rotation angle k * angle must be a finite float for every copy k < times"
 LIMITS = (Limits(), Limits.for_dims((48, 48, 48)),
           Limits(max_top_level=2, max_expanded=6, max_for_depth=1, max_coord=9, max_extent=4,
                  max_tilt=10.0))
@@ -222,7 +223,9 @@ LIMITS = (Limits(), Limits.for_dims((48, 48, 48)),
 def test_validate_program_matches_reference(p):
     """The same report, except where the reference raises: it sizes a loop
     before checking its body, so a non-statement or a times that is not a
-    number below it escapes as an AttributeError or a TypeError."""
+    number below it escapes as an AttributeError or a TypeError. The one
+    refusal the reference lacks is a rotation angle that some copy cannot
+    turn by, a nan or an infinity among them."""
     for limits in LIMITS:
         report = validate_program(p, limits)
         try:
@@ -230,7 +233,8 @@ def test_validate_program_matches_reference(p):
         except (AttributeError, TypeError):
             assert not report.ok
         else:
-            assert report == expect
+            shared = tuple(v for v in report.violations if v.message != ANGLE_FAULT)
+            assert shared == expect.violations
 
 
 def token_outcome(parse, src):

@@ -11,7 +11,7 @@ from voxscript.errors import InputError, InvalidProgramError, ShapeMismatchError
 from voxscript.executor import SHAPES, execute_block, execute_program
 from voxscript import inference
 from voxscript.dsl.text import print_text
-from voxscript.inference import (_PERIOD_MIN_OVERLAP, _SEED_DIRS, FitResult, SearchConfig, _Budget, _block_counts, _counts, _cover_bounds,
+from voxscript.inference import (_PERIOD_MIN_OVERLAP, _SEED_DIRS, FitResult, SearchConfig, _Budget, _block_counts, _cover_bounds,
                                  _lattice_seeds, _make_block, _periodic_steps, _ranked_beam,
                                  _refine, _round_state, _row_copies, _row_counts, _row_of, _runs,
                                  _score_from_counts, _window_counts, fit_program,
@@ -28,6 +28,26 @@ def cuboid(pos=(8, 4, 8), geom=(5, 6, 7)):
 
 def render(b, dims=(32, 32, 32)):
     return execute_block(b, dims)
+
+
+def executed_counts(block, target, current):
+    """The oracle for the search's counters, by executing ``block`` into a
+    full grid: the target voxels not in ``current`` it covers, and the
+    voxels in neither that it fills."""
+    grid = execute_block(block, target.shape)
+    return (int(np.count_nonzero(grid & target & ~current)),
+            int(np.count_nonzero(grid & ~target & ~current)))
+
+
+def assert_score_block_is_executed_gain(block, target, current):
+    """score_block of a block that validates for the target's grid is the
+    IoU gain of executing it; any other block raises InvalidProgramError."""
+    if not validate_program(Program((block,)), Limits.for_dims(target.shape)).ok:
+        with pytest.raises(InvalidProgramError):
+            score_block(block, target, current)
+        return
+    gain = iou(current | execute_block(block, target.shape), target) - iou(current, target)
+    assert score_block(block, target, current) == gain, block
 
 
 def test_config_validation():
@@ -318,9 +338,11 @@ def test_table_counts_equal_execution(case, density, seed):
     dims, block = case
     rng = np.random.default_rng(seed)
     target = rng.random(dims) < density
-    rnd = _round_state(target, target & (rng.random(dims) < 0.3))
-    exact = _counts(execute_block(block, dims), rnd.residual, rnd.false_free)
+    current = target & (rng.random(dims) < 0.3)
+    rnd = _round_state(target, current)
+    exact = executed_counts(block, target, current)
     assert _block_counts(rnd, _row_of(block)) == exact
+    assert_score_block_is_executed_gain(block, target, current)
 
 
 @st.composite
@@ -358,13 +380,15 @@ def test_tilt_and_rotation_counts_equal_execution(case, density, seed):
     dims, block = case
     rng = np.random.default_rng(seed)
     target = rng.random(dims) < density
-    rnd = _round_state(target, target & (rng.random(dims) < 0.3))
-    exact = _counts(execute_block(block, dims), rnd.residual, rnd.false_free)
+    current = target & (rng.random(dims) < 0.3)
+    rnd = _round_state(target, current)
+    exact = executed_counts(block, target, current)
     from_row = _block_counts(rnd, _row_of(block))
     assert from_row in (exact, None)
     # only rotations with overlapping copies and multi-run tilts moving in y are executed
     if isinstance(block, DrawStmt) or (block.mode is LoopMode.TRANSLATION and not block.step[1]):
         assert from_row == exact
+    assert_score_block_is_executed_gain(block, target, current)
 
 
 @st.composite
@@ -418,11 +442,13 @@ def test_window_counts_equal_execution(case, density, seed):
     dims, block = case
     rng = np.random.default_rng(seed)
     target = rng.random(dims) < density
-    rnd = _round_state(target, target & (rng.random(dims) < 0.3))
+    current = target & (rng.random(dims) < 0.3)
+    rnd = _round_state(target, current)
     row = _row_of(block)
-    exact = _counts(execute_block(_make_block(row, dims), dims), rnd.residual, rnd.false_free)
+    exact = executed_counts(_make_block(row, dims), target, current)
     assert _window_counts(rnd, _row_copies(row, dims)) == exact
     assert _row_counts(rnd, row) == exact
+    assert_score_block_is_executed_gain(block, target, current)
 
 
 @pytest.mark.parametrize("dims", [(32, 32, 32), (16, 64, 16), (7, 5, 9)])
@@ -430,7 +456,8 @@ def test_window_counts_lines_rounding_at_halves(dims):
     """These lines' midpoints lie at halves on their short axes, where rint
     rounds to even: moving a line before rasterising it would move them."""
     target = np.random.default_rng(3).random(dims) < 0.5
-    rnd = _round_state(target, np.zeros(dims, dtype=bool))
+    empty = np.zeros(dims, dtype=bool)
+    rnd = _round_state(target, empty)
     for start in ((1, 1, 1), (2, 3, 1), (3, 0, 4), (0, 1, 3)):
         end = tuple(p + d for p, d in zip(start, (4, 1, 3)))
         for block in (DrawStmt(Semantics.BASE, ShapeKind.LINE, start, end),
@@ -439,7 +466,7 @@ def test_window_counts_lines_rounding_at_halves(dims):
                       ForStmt.rotation(4, 90, Axis.Y, (DrawStmt(Semantics.BASE, ShapeKind.LINE,
                                                                 start, end),))):
             row = _row_of(block)
-            exact = _counts(execute_block(block, dims), rnd.residual, rnd.false_free)
+            exact = executed_counts(block, target, empty)
             assert _window_counts(rnd, _row_copies(row, dims)) == exact, block
 
 
@@ -468,10 +495,10 @@ def test_table_counts_only_boxes():
         ForStmt.translation(3, (9, 4, 0), (steep,)),
     ]
     target = np.random.default_rng(5).random((32, 32, 32)) < 0.5
-    rnd = _round_state(target, np.zeros_like(target))
+    empty = np.zeros_like(target)
+    rnd = _round_state(target, empty)
     for b in counted:
-        exact = _counts(execute_block(b), rnd.residual, rnd.false_free)
-        assert _block_counts(rnd, _row_of(b)) == exact, b
+        assert _block_counts(rnd, _row_of(b)) == executed_counts(b, target, empty), b
     for b in executed:
         assert _block_counts(rnd, _row_of(b)) is None, b
 
@@ -491,8 +518,9 @@ def test_refine_block_refuses_blocks_no_row_holds(block):
     target = render(cuboid())
     with pytest.raises(InputError):
         _row_of(block)
-    with pytest.raises(InputError):
-        refine_block(block, target, np.zeros_like(target))
+    for take in (refine_block, score_block):
+        with pytest.raises(InputError):
+            take(block, target, np.zeros_like(target))
 
 
 @pytest.mark.parametrize("block", [
@@ -503,8 +531,9 @@ def test_refine_block_refuses_blocks_no_row_holds(block):
 ], ids=["loop-without-step", "string-coordinate", "times-1", "position-off-grid"])
 def test_refine_block_refuses_invalid_blocks(block):
     target = render(cuboid())
-    with pytest.raises(InvalidProgramError):
-        refine_block(block, target, np.zeros_like(target))
+    for take in (refine_block, score_block):
+        with pytest.raises(InvalidProgramError):
+            take(block, target, np.zeros_like(target))
 
 
 @settings(max_examples=200)
@@ -515,7 +544,8 @@ def test_cover_bounds_counts_single_box_rows_exactly(dims, density, seed, data):
                                 | draws() | translations | rotations, min_size=1, max_size=8))
     rng = np.random.default_rng(seed)
     target = rng.random(dims) < density
-    rnd = _round_state(target, target & (rng.random(dims) < 0.3))
+    current = target & (rng.random(dims) < 0.3)
+    rnd = _round_state(target, current)
     rows = np.array([_row_of(b) for b in blocks])
     bounds, counts = _cover_bounds(rows, rnd.table)
     for b, row, bound, packed in zip(blocks, rows.tolist(), bounds.tolist(), counts.tolist()):
@@ -524,7 +554,7 @@ def test_cover_bounds_counts_single_box_rows_exactly(dims, density, seed, data):
                 (ShapeKind.CUBOID, ShapeKind.RECTANGLE, ShapeKind.SQUARE)):
             assert packed == -1, b
             continue
-        a, bad = _counts(execute_block(b, dims), rnd.residual, rnd.false_free)
+        a, bad = executed_counts(b, target, current)
         assert packed == a + (bad << 32), b
         # the bound is unchanged: per copy, min(volume, residual in its clipped box)
         times, u = (1, (0, 0, 0)) if b is body else (b.times, b.step)
@@ -564,13 +594,12 @@ def test_ranked_beam_equals_exhaustive_ranking():
     config = SearchConfig()
     skipped = 0
     for tid, target, current in _template_rounds():
-        residual, false_free = target & ~current, ~target & ~current
         i0 = int(np.count_nonzero(current & target))
         u0 = int(np.count_nonzero(current | target))
-        candidates = propose_candidates(residual, config)
+        candidates = propose_candidates(target & ~current, config)
         scored = [
-            (_score_from_counts(*_counts(execute_block(_make_block(c, target.shape)), residual,
-                                         false_free), i0, u0),
+            (_score_from_counts(*executed_counts(_make_block(c, target.shape), target, current),
+                                i0, u0),
              idx, tuple(c)) for idx, c in enumerate(candidates.tolist())]
         scored.sort(key=lambda t: (-t[0], t[1]))
         budget = _Budget(config.budget)
@@ -744,6 +773,15 @@ def test_refine_random_statements_never_worse_and_keep_structure(seed):
         refined = refine_block(s, target, empty)
         assert skeleton(refined) == skeleton(s)
         assert score_block(refined, target, empty) >= score_block(s, target, empty)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_score_block_is_executed_gain_on_random_statements(seed):
+    target = execute_program(random_program(seed))
+    current = target & (np.random.default_rng(seed).random(target.shape) < 0.3)
+    for s in random_program(seed).statements + random_program(seed + 100).statements:
+        if row_holds(s):
+            assert_score_block_is_executed_gain(s, target, current)
 
 
 def test_fit_empty_target():

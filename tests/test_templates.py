@@ -11,7 +11,7 @@ from voxscript.dsl import (DrawStmt, ForStmt, Program, Semantics, ShapeKind, par
                            validate_program)
 from voxscript.dsl.tokens import parse_token_lines, detokenize
 from voxscript.binvox import read_binvox
-from voxscript.errors import BinvoxError, TemplateInfeasibleError
+from voxscript.errors import BinvoxError, InputError, TemplateInfeasibleError
 from voxscript.executor import execute_program
 from voxscript.templates import (MAX_SAMPLE_ATTEMPTS, Category, Template, builtin_templates,
                                  generate_dataset, sample)
@@ -210,6 +210,15 @@ def test_generate_dataset_empty(tmp_path):
 def test_generate_dataset_refuses_dims_binvox_cannot_hold(tmp_path, dims):
     with pytest.raises(BinvoxError):
         generate_dataset(tmp_path / "ds", tables=1, chairs=1, seed=1, dims=dims)
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("kwargs", [{"tables": -1}, {"tables": 1.5}, {"chairs": True},
+                                    {"chairs": "2"}, {"seed": 1.0}, {"seed": False},
+                                    {"seed": None}])
+def test_generate_dataset_refuses_counts_and_seeds_that_are_not_ints(tmp_path, kwargs):
+    with pytest.raises(InputError, match=next(iter(kwargs))):
+        generate_dataset(tmp_path / "ds", **kwargs)
     assert not (tmp_path / "ds").exists()
 
 
