@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import EmptyShapeError
+from .errors import EmptyShapeError, InputError
 from .executor import as_grid
 
 HULL_EPS = 1e-9
@@ -63,9 +63,13 @@ def convex_hull_2d(points) -> list:
     """Monotone-chain hull, counterclockwise, without collinear points.
 
     Degenerate inputs collapse: one distinct point gives a 1-vertex hull,
-    collinear points give the 2 extreme vertices.
+    collinear points give the 2 extreme vertices. Points that are not
+    (x, z) number pairs raise InputError.
     """
-    pts = sorted(set((float(x), float(z)) for x, z in points))
+    try:
+        pts = sorted(set((float(x), float(z)) for x, z in points))
+    except (TypeError, ValueError):
+        raise InputError("hull points must be (x, z) number pairs") from None
     if len(pts) <= 2:
         return pts
 
@@ -101,14 +105,18 @@ def _point_segment_distance(p, a, b) -> float:
 
 
 def point_in_hull(point, hull) -> bool:
-    """Boundary-inclusive test; 1- or 2-vertex hulls allow half-voxel slack."""
+    """Boundary-inclusive test; 1- or 2-vertex hulls allow half-voxel slack.
+    A point that is not an (x, z) number pair raises InputError."""
+    try:
+        px, pz = (float(v) for v in point)
+    except (TypeError, ValueError):
+        raise InputError(f"point must be an (x, z) number pair, got {point!r}") from None
     if len(hull) == 0:
         return False
     if len(hull) == 1:
         return _point_segment_distance(point, hull[0], hull[0]) <= SEGMENT_SLACK
     if len(hull) == 2:
         return _point_segment_distance(point, hull[0], hull[1]) <= SEGMENT_SLACK
-    px, pz = point
     for i in range(len(hull)):
         ax, az = hull[i]
         bx, bz = hull[(i + 1) % len(hull)]

@@ -49,17 +49,24 @@ def write_binvox(g, translate=(0.0, 0.0, 0.0), scale=1.0) -> bytes:
     """Canonical encoding: maximal runs, counts split at 255.
 
     A grid that ``read_binvox`` would refuse, with a zero dimension or more
-    than ``MAX_GRID_VOXELS`` voxels, raises BinvoxError before encoding."""
+    than ``MAX_GRID_VOXELS`` voxels, raises BinvoxError before encoding, as
+    does a ``translate`` that is not three numbers or a ``scale`` that is
+    not one."""
     g = np.asarray(g, dtype=bool)
     if g.ndim != 3:
         raise BinvoxError(f"grid must be 3-d, got shape {g.shape}")
     check_dims(g.shape)
+    try:
+        tx, ty, tz = (_header_number(v) for v in translate)
+        s = _header_number(scale)
+    except (TypeError, ValueError):
+        raise BinvoxError(f"translate must be three numbers and scale one, got"
+                          f" {translate!r} and {scale!r}") from None
     header = (
         f"#binvox 1\n"
         f"dim {g.shape[0]} {g.shape[1]} {g.shape[2]}\n"
-        f"translate {_header_number(translate[0])} {_header_number(translate[1])}"
-        f" {_header_number(translate[2])}\n"
-        f"scale {_header_number(scale)}\n"
+        f"translate {tx} {ty} {tz}\n"
+        f"scale {s}\n"
         f"data\n"
     ).encode("ascii")
     flat = g.transpose(0, 2, 1).ravel()
@@ -77,7 +84,10 @@ def write_binvox(g, translate=(0.0, 0.0, 0.0), scale=1.0) -> bytes:
 
 
 def read_binvox(data: bytes):
-    """Decode to a bool grid indexed (x, y, z); errors carry byte offsets."""
+    """Decode to a bool grid indexed (x, y, z); errors carry byte offsets.
+    ``data`` that is not bytes raises BinvoxError."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise BinvoxError(f"binvox data must be bytes, got {type(data).__name__}")
     if not data.startswith(_MAGIC):
         raise BinvoxError("bad magic, expected '#binvox 1'", offset=0)
     offset = 0

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
 
+from ..errors import InputError
+
 
 # The enums below hash by identity: their members are singletons, and the
 # search hashes tuples holding them often enough that the Python-level
@@ -209,8 +211,13 @@ class Limits:
     @classmethod
     def for_dims(cls, dims) -> "Limits":
         """Default limits with coordinates and extents spanning a grid of
-        ``dims``; equal to ``DEFAULT_LIMITS`` at 32^3."""
-        return cls(max_coord=max(dims) - 1, max_extent=max(dims))
+        ``dims``; equal to ``DEFAULT_LIMITS`` at 32^3. Empty ``dims`` raise
+        InputError."""
+        try:
+            top = max(dims)
+        except (TypeError, ValueError):
+            raise InputError(f"grid dims must be a non-empty sequence, got {dims!r}") from None
+        return cls(max_coord=top - 1, max_extent=top)
 
 
 DEFAULT_LIMITS = Limits()
@@ -343,7 +350,15 @@ def _loop_faults(f: ForStmt, depth, limits, bad):
     elif counted:
         size = expanded_size(f)
         if size is not None and size > limits.max_expanded:
-            bad.append(f"loop expands to {size} primitives (budget {limits.max_expanded})")
+            bad.append(f"loop expands to {_count_text(size)} primitives"
+                       f" (budget {limits.max_expanded})")
+
+
+def _count_text(n) -> str:
+    """``n`` as text; an int too long for ``str`` as the power of ten it exceeds."""
+    if isinstance(n, int) and n.bit_length() > 10_000:
+        return f"over 10^{math.floor((n.bit_length() - 1) * math.log10(2))}"
+    return str(n)
 
 
 def _check_body(statements, where, out, limits):

@@ -7,13 +7,16 @@ clears a minimum gain. A candidate is scored from two voxel counts alone:
 the residual voxels it covers and the empty voxels it fills; nothing is
 updated incrementally.
 
-Ranking is branch and bound. Each round builds one summed-volume table
-of the residual and the empty voxels, so a box sum reads both counts. It
-gives every candidate an upper bound on the residual voxels it can cover;
-candidates run in descending bound order, and ranking stops once no
-remaining bound can reach the beam. The bound only decides which
-candidates are scored, and while the budget lasts the beam is exactly the
-one that scoring every candidate would give.
+Ranking is branch and bound on the IoU gain itself. Each round builds
+one summed-volume table of the residual and the empty voxels, so a box
+sum reads both counts. From it every candidate gets an upper bound on the
+residual voxels it can cover and a lower bound on the empty voxels it must
+fill, each copy of a loop bounded where the executor puts it; single-box
+rows get their exact counts instead. Candidates run in descending order of
+the score of those counts, and ranking stops once no remaining score can
+reach the beam. The bounds only decide which candidates are scored, and
+while the budget lasts the beam is exactly the one that scoring every
+candidate would give.
 
 A candidate whose voxels are a union of boxes is counted from the table,
 not executed, from the executor's own ``draw_boxes``: an untilted
@@ -48,6 +51,7 @@ reach is scored once.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,6 +85,8 @@ _DRAW, _TRANS, _ROT = 0, 1, 2
 _LOOP_MODES = (None, LoopMode.TRANSLATION, LoopMode.ROTATION)  # per row mode
 _CUBOID, _CYLINDER, _LINE = (SHAPES.index(k) for k in
                              (ShapeKind.CUBOID, ShapeKind.CYLINDER, ShapeKind.LINE))
+# Per shape code: a disc column (Cyl or Cir), whose layers hold _disc_area(r) voxels
+_IS_DISC = np.array([s in (ShapeKind.CYLINDER, ShapeKind.CIRCLE) for s in SHAPES])
 
 
 @dataclass(frozen=True)
@@ -109,8 +115,8 @@ class FitResult:
     program: Program
     score_trace: tuple  # (accepted block, iou after accepting it)
     final_iou: float
-    # candidates scored, from the round's table or a window; bound-skipped
-    # candidates and cache hits are not counted
+    # candidates scored while ranking or refining; candidates whose bounds
+    # cannot reach the beam, and cache hits, are not counted
     executor_calls: int
     budget_exhausted: bool
     # why the search stopped: "max_blocks", "min_gain", "budget" or "residual_empty"
@@ -533,48 +539,100 @@ def _table_sums(table, dims, lo, hi) -> np.ndarray:
     (exclusive), each clipped to the grid of ``dims``."""
     lo = np.clip(lo, 0, dims)
     (x0, y0, z0), (x1, y1, z1) = lo.T, np.clip(hi, lo, dims).T
-    return (table[x1, y1, z1] - table[x0, y1, z1] - table[x1, y0, z1] - table[x1, y1, z0]
-            + table[x0, y0, z1] + table[x0, y1, z0] + table[x1, y0, z0] - table[x0, y0, z0])
+    # corners as flat indices into the table: one index array per lookup
+    sx, sy = table.shape[1] * table.shape[2], table.shape[2]
+    x0, x1, y0, y1 = x0 * sx, x1 * sx, y0 * sy, y1 * sy
+    a0, a1, b0, b1 = x0 + y0, x1 + y0, x0 + y1, x1 + y1
+    f = table.ravel()
+    return (f[b1 + z1] - f[b0 + z1] - f[a1 + z1] - f[b1 + z0]
+            + f[a0 + z1] + f[b0 + z0] + f[a1 + z0] - f[a0 + z0])
+
+
+@functools.lru_cache(maxsize=None)
+def _disc_area(r) -> int:
+    """The voxels in one layer of a disc of radius r, #{d^2 + e^2 <= r^2},
+    as ``executor`` draws it; 0 for r < 0."""
+    return sum(2 * math.isqrt(r * r - d * d) + 1 for d in range(-r, r + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _turn(angle) -> tuple:
+    """cos and sin of ``angle`` degrees, as ``executor._rotate_point`` takes them."""
+    r = math.radians(angle)
+    return math.cos(r), math.sin(r)
+
+
+def _rotated(points, angles, dims) -> np.ndarray:
+    """(n, 3) points turned about the grid's Y axis by their ``angles``, in
+    degrees, to the anchors ``executor._copies`` gives them: the same float
+    operations in the same order, rounded half to even."""
+    cx, cz = (dims[0] - 1) / 2, (dims[2] - 1) / 2
+    c, s = np.array([_turn(a) for a in angles.tolist()]).reshape(-1, 2).T
+    dx, dz = points[:, 0] - cx, points[:, 2] - cz
+    out = points.copy()
+    out[:, 0], out[:, 2] = np.rint(cx + c * dx - s * dz), np.rint(cz + s * dx + c * dz)
+    return out
 
 
 def _cover_bounds(rows, table) -> tuple:
-    """Per candidate row, an upper bound on the residual voxels it covers,
-    and the row's exact packed counts where it is one untilted box or a
-    translation of one, else -1.
+    """Per candidate row, an upper bound on the residual voxels it covers, a
+    lower bound on the empty voxels it fills, and the row's exact packed
+    counts where it is one untilted box or a translation of one, else -1.
 
-    A draw covers at most min(its voxel bound, the residual inside its
-    clipped box), a translation loop at most the sum of that over its
-    copies, and a rotation loop at most the whole residual. Box sums come
-    from the round's summed-volume table, and every box from one
-    ``draw_extents`` pass over the rows' columns; exact counts subtract the
-    consecutive copies' overlaps as ``_chain_sum`` does.
+    One pass takes every copy of every row: its box from ``draw_extents``,
+    moved by k * step or to the anchor the executor rotates it to (a
+    rotated line spans its rotated end points), and the voxels it sets on
+    an unbounded grid, exactly (``draw_extents``' count, or t *
+    ``_disc_area(r)`` for a ``Cyl`` or ``Cir``). A row covers at most the
+    sum over its copies of min(voxels, residual in the clipped box). All of
+    a copy's voxels lie in its box, and at most (box volume - empty voxels
+    in the box) of them can fall outside the grid or on a non-empty voxel,
+    so it fills at least the rest with empty ones. A row fills at least the
+    sum of that over its copies where they are disjoint (a draw, or a
+    translation stepping at least the box's size on some axis), else its
+    largest. Box sums come from the round's summed-volume table; exact
+    counts subtract the consecutive copies' overlaps as ``_chain_sum`` does.
     """
     dims = np.array(table.shape) - 1
-    bounds = np.full(len(rows), table[-1, -1, -1] & _LOW_BITS, dtype=np.int64)
-    counts = np.full(len(rows), -1, dtype=np.int64)
-    boxed = np.flatnonzero(rows[:, _MODE] != _ROT)
-    sub = rows[boxed]
-    lo, hi, volume = draw_extents(sub[:, _SHAPE], sub[:, _POS], sub[:, _GEOM:])
-    times = sub[:, _TIMES]
-    # copy k of a row is its box moved by k * step
-    k = np.arange(times.sum()) - np.repeat(np.cumsum(times) - times, times)
-    step = np.repeat(sub[:, _STEP], times, axis=0)
-    lo = np.repeat(lo, times, axis=0) + k[:, None] * step
-    hi = np.repeat(hi, times, axis=0) + k[:, None] * step
-    inside = _table_sums(table, dims, lo, hi)
-    bounds[boxed] = np.bincount(np.repeat(np.arange(len(sub)), times),
-                                np.minimum(np.repeat(volume, times), inside & _LOW_BITS),
-                                minlength=len(sub))
-    # rows whose every copy is one box: an untilted Cub or Rect, or a Sqr
-    box = _IS_BOX[sub[:, _SHAPE]] & (sub[:, _GEOM + 3] == 0)
-    pair = np.repeat(box, times) & (k + 1 < np.repeat(times, times))
-    inside[pair] -= _table_sums(table, dims, lo[pair] + np.maximum(step[pair], 0),
-                                hi[pair] + np.minimum(step[pair], 0))
-    # per row, the sum of its copies' entries (int64 wraps, so differences stay exact)
-    ends = np.cumsum(times)
-    net = np.concatenate(((0,), np.cumsum(inside)))
-    counts[boxed[box]] = (net[ends] - net[ends - times])[box]
-    return bounds, counts
+    mode, times, shape = rows[:, _MODE], rows[:, _TIMES], rows[:, _SHAPE]
+    lo, hi, voxels = draw_extents(shape, rows[:, _POS], rows[:, _GEOM:])
+    disc = np.flatnonzero(_IS_DISC[shape])
+    voxels[disc] = np.maximum(rows[disc, _GEOM], 0) * [_disc_area(r) for r in
+                                                        rows[disc, _GEOM + 1].tolist()]
+    step = rows[:, _STEP] * (mode == _TRANS)[:, None]
+    disjoint = (times == 1) | ((mode == _TRANS) & (abs(step) >= hi - lo).any(axis=1))
+    # entry j is copy k[j] of row of[j], its box moved by move[j]
+    first = np.cumsum(times) - times
+    of = np.repeat(np.arange(len(rows)), times)
+    k = np.arange(len(of)) - first[of]
+    step = step[of]
+    move = k[:, None] * step
+    rot = np.flatnonzero(mode[of] == _ROT)
+    turn, pos = k[rot] * rows[of[rot], _STEP.start], rows[of[rot], _POS]
+    # a rotated line spans its turned end points, not its box moved
+    line = shape[of[rot]] == _LINE
+    turned = _rotated(np.concatenate((pos, rows[of[rot[line]], _GEOM:_GEOM + 3])),
+                      np.concatenate((turn, turn[line])), dims)
+    move[rot] = turned[:len(rot)] - pos
+    lo, hi, voxels = lo[of] + move, hi[of] + move, voxels[of]
+    starts, ends = turned[:len(rot)][line], turned[len(rot):]
+    line = rot[line]
+    lo[line], hi[line] = np.minimum(starts, ends), np.maximum(starts, ends) + 1
+    voxels[line] = abs(starts - ends).max(axis=1, initial=0) + 1
+    # rows whose every copy is one box, an untilted Cub or Rect or a Sqr, are
+    # counted exactly: copies k and k + 1 overlap in copy k cut short by the step
+    box = _IS_BOX[shape] & (rows[:, _GEOM + 3] == 0) & (mode != _ROT)
+    pair = np.flatnonzero(box[of] & (k + 1 < times[of]))
+    sums = _table_sums(table, dims, np.concatenate((lo, lo[pair] + np.maximum(step[pair], 0))),
+                       np.concatenate((hi, hi[pair] + np.minimum(step[pair], 0))))
+    inside = sums[:len(lo)]
+    a_ub = np.add.reduceat(np.minimum(voxels, inside & _LOW_BITS), first)
+    size = np.maximum(hi - lo, 0)
+    fills = np.maximum(voxels - size[:, 0] * size[:, 1] * size[:, 2] + (inside >> 32), 0)
+    b_lb = np.where(disjoint, np.add.reduceat(fills, first), np.maximum.reduceat(fills, first))
+    inside[pair] -= sums[len(lo):]
+    counts = np.where(box, np.add.reduceat(inside, first), -1)
+    return a_ub, b_lb, counts
 
 
 def _score_from_counts(a, b, i0, u0) -> float:
@@ -691,27 +749,33 @@ def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
     """The best ``beam_width`` candidate rows as (score, index, row tuple),
     ordered by (-score, index), scoring as few as that allows.
 
-    Candidates are visited by descending cover bound, ties in index order.
-    A score can never exceed the score of its bound (the IoU gain rises
-    with covered voxels and falls with false ones), so the visit stops at the
-    first bound whose score is strictly below the beam's last score. A tie
-    is still scored, since the index breaks it.
+    Each row is keyed by the score of its exact counts where
+    ``_cover_bounds`` has them, else of its bounds: the covered residual
+    bound and the filled empty voxels floor. The IoU gain rises with covered
+    voxels and falls with false ones, and IEEE division and subtraction are
+    monotone, so no row scores above its key. Rows are visited by descending
+    key, ties in index order, and the visit stops at the first key strictly
+    below the beam's last score. A tie is still scored, since the index
+    breaks it.
     """
     i0, u0 = rnd.i0, rnd.u0
-    bounds, counts = _cover_bounds(rows, rnd.table)
-    order = np.argsort(-bounds, kind="stable")
+    a_ub, b_lb, counts = _cover_bounds(rows, rnd.table)
+    exact = counts >= 0
+    union = u0 + np.where(exact, counts >> 32, b_lb)
+    # _score_from_counts, value for value
+    after = np.divide(i0 + np.where(exact, counts & _LOW_BITS, a_ub), union,
+                      out=np.ones(len(rows)), where=union != 0)
+    keys = after - (i0 / u0 if u0 else 1.0)
+    order = np.argsort(-keys, kind="stable")
     beam: list = []  # (-score, index)
-    for idx, bound, packed in zip(order.tolist(), bounds[order].tolist(), counts[order].tolist()):
-        if (len(beam) == config.beam_width
-                and _score_from_counts(bound, 0, i0, u0) < -beam[-1][0]):
+    for idx, key, known in zip(order.tolist(), keys[order].tolist(), exact[order].tolist()):
+        if len(beam) == config.beam_width and key < -beam[-1][0]:
             break
         if not budget.spend():
             break
-        if packed >= 0:
-            a, b = packed & _LOW_BITS, packed >> 32
-        else:
-            a, b = _row_counts(rnd, tuple(rows[idx].tolist()))
-        bisect.insort(beam, (-_score_from_counts(a, b, i0, u0), idx))
+        if not known:
+            key = _score_from_counts(*_row_counts(rnd, tuple(rows[idx].tolist())), i0, u0)
+        bisect.insort(beam, (-key, idx))
         del beam[config.beam_width:]
     return [(-neg, idx, tuple(rows[idx].tolist())) for neg, idx in beam]
 

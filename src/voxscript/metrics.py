@@ -6,6 +6,7 @@ to the unit cube, so values are comparable across grid resolutions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,14 @@ def surface_mask(g) -> np.ndarray:
 
 
 def surface_points(g, n: int = 512, rng=None) -> np.ndarray:
-    """Sample n surface-voxel centers with replacement, scaled into [0,1]^3."""
+    """Sample n surface-voxel centers with replacement, scaled into [0,1]^3.
+    An ``n`` that is not an int >= 0 raises InputError."""
+    try:
+        ok = operator.index(n) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InputError(f"n must be an int >= 0, got {n!r}")
     g = as_grid(g)
     surf = np.argwhere(surface_mask(g))
     if len(surf) == 0:
@@ -83,7 +91,10 @@ def surface_points(g, n: int = 512, rng=None) -> np.ndarray:
 
 
 def _as_points(p, name) -> np.ndarray:
-    pts = np.asarray(p, dtype=float)
+    try:
+        pts = np.asarray(p, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be an (n, 3) array of numbers") from None
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ShapeMismatchError(f"{name} must be an (n, 3) point array, got {pts.shape}")
     return pts

@@ -456,8 +456,14 @@ def sample(t: Template, rng) -> tuple:
     Parameters are drawn uniformly (inclusive ranges) in sorted name
     order so the stream of random draws is reproducible. One generator call
     draws an attempt's parameters, consuming the stream as one per parameter would.
+    An ``rng`` that is neither a Generator nor a seed ``default_rng`` takes
+    raises InputError.
     """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    if not isinstance(rng, np.random.Generator):
+        try:
+            rng = np.random.default_rng(rng)
+        except (TypeError, ValueError):
+            raise InputError(f"rng must be a numpy Generator or a seed, got {rng!r}") from None
     names = sorted(t.ranges)
     lows, highs = [t.ranges[name][0] for name in names], [t.ranges[name][1] for name in names]
     for _ in range(MAX_SAMPLE_ATTEMPTS):

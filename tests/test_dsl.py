@@ -5,6 +5,7 @@ import pytest
 from voxscript.dsl import (Axis, DEFAULT_LIMITS, DrawStmt, ForStmt, GEOMETRY_ARITY,
                            Limits, LoopMode, Program, Semantics, ShapeKind, validate_program)
 from voxscript.dsl.ast import canon_number
+from voxscript.errors import InputError
 
 from randprog import random_program
 
@@ -175,6 +176,22 @@ def test_limits_defaults():
 def test_limits_for_dims():
     assert Limits.for_dims((32, 32, 32)) == DEFAULT_LIMITS
     assert Limits.for_dims((16, 64, 16)) == Limits(max_coord=63, max_extent=64)
+
+
+def test_limits_for_empty_dims_raise_input_error():
+    with pytest.raises(InputError, match="non-empty"):
+        Limits.for_dims(())
+
+
+@pytest.mark.parametrize("mode", ["translation", "rotation"])
+def test_validate_reports_loops_too_large_to_print(mode):
+    """An expanded size past the digits ``str`` prints is reported, not raised."""
+    times = 10 ** 5000
+    loop = (ForStmt.translation(times, (1, 0, 0), (leg(),)) if mode == "translation"
+            else ForStmt.rotation(times, 90, Axis.Y, (leg(),)))
+    report = validate_program(Program((loop,)))
+    assert not report.ok
+    assert any("loop expands to over 10^4999 primitives" in v.message for v in report.violations)
 
 
 def test_custom_limits():

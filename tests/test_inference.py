@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, LoopMode, Program, Semantics,
                            ShapeKind, validate_program)
 from voxscript.errors import InputError, InvalidProgramError, ShapeMismatchError
-from voxscript.executor import SHAPES, execute_block, execute_program
+from voxscript.executor import SHAPES, execute_block, execute_program, unroll_for
 from voxscript import inference
 from voxscript.dsl.text import print_text
 from voxscript.inference import (_PERIOD_MIN_OVERLAP, _SEED_DIRS, FitResult, SearchConfig, _Budget, _block_counts, _cover_bounds,
@@ -277,25 +277,33 @@ def draws(draw):
 
 
 # every candidate row kind: any draw, a translation loop over one draw with
-# any step, and a rotation loop about Y over one draw
+# any step, and a rotation loop about Y over one draw with any angle
 step = st.tuples(*(st.integers(-40, 40),) * 3)
 translations = st.builds(lambda times, u, body: ForStmt.translation(times, u, (body,)),
                          st.integers(1, 16), step, draws())
 rotations = st.builds(lambda n, ang, body: ForStmt.rotation(n, ang, Axis.Y, (body,)),
-                      st.integers(2, 5), st.integers(-120, 120), draws())
+                      st.integers(1, 8), st.sampled_from([0, 45, 90, -72, 355])
+                      | st.integers(-120, 120), draws())
 
 
-@settings(max_examples=300)
+@settings(max_examples=400)
 @given(blocks=st.lists(st.one_of(draws(), translations, rotations), min_size=1, max_size=6),
        dims=st.sampled_from([(32, 32, 32), (12, 20, 9)]),
        density=st.sampled_from([0.05, 0.4, 0.9, 1.0]),
        seed=st.integers(0, 2 ** 16))
 def test_cover_bounds_never_below_exact_cover(blocks, dims, density, seed):
-    residual = np.random.default_rng(seed).random(dims) < density
-    bounds, _ = _cover_bounds(np.array([_row_of(b) for b in blocks]), table_of(residual))
-    assert bounds.shape == (len(blocks),)
-    for b, bound in zip(blocks, bounds.tolist()):
-        assert bound >= np.count_nonzero(execute_block(b, dims) & residual), b
+    """The cover bound is never below the residual voxels a block covers and
+    the floor never above the empty voxels it fills, with ``current``
+    holding both reconstructed voxels and false ones."""
+    rng = np.random.default_rng(seed)
+    target = rng.random(dims) < density
+    current = rng.random(dims) < 0.3
+    bounds, floors, _ = _cover_bounds(np.array([_row_of(b) for b in blocks]),
+                                      _round_state(target, current).table)
+    assert bounds.shape == floors.shape == (len(blocks),)
+    for b, bound, floor in zip(blocks, bounds.tolist(), floors.tolist()):
+        a, bad = executed_counts(b, target, current)
+        assert bound >= a and floor <= bad, b
 
 
 def test_cover_bounds_exact_for_boxes_and_lines_on_full_residual():
@@ -308,7 +316,37 @@ def test_cover_bounds_exact_for_boxes_and_lines_on_full_residual():
         ForStmt.translation(3, (9, 0, -7), (cuboid((1, 1, 20), (4, 5, 6)),)),
     ]
     exact = [int(np.count_nonzero(execute_block(b))) for b in blocks]
-    assert _cover_bounds(np.array([_row_of(b) for b in blocks]), table_of(full))[0].tolist() == exact
+    bounds, _, _ = _cover_bounds(np.array([_row_of(b) for b in blocks]), table_of(full))
+    assert bounds.tolist() == exact
+
+
+def test_cover_bounds_exact_for_disjoint_copies_inside_the_grid():
+    """Copies that are disjoint and inside the grid are bounded exactly: the
+    cover bound on a full residual is the voxels the block sets, for discs,
+    tilts, lines and rotated copies. The floor on an empty grid is too, but
+    for a rotation, whose copies' floors are not summed: there it is the
+    largest copy's voxels."""
+    line = DrawStmt(Semantics.BASE, ShapeKind.LINE, (6, 5, 9), (11, 8, 9))
+    leg = DrawStmt(Semantics.LEG, ShapeKind.CYLINDER, (5, 0, 5), (6, 2))
+    blocks = [
+        DrawStmt(Semantics.LEG, ShapeKind.CYLINDER, (16, 0, 16), (5, 4)),
+        DrawStmt(Semantics.TOP, ShapeKind.CIRCLE, (16, 20, 16), (1, 9)),
+        cuboid(geom=(10, 3, 3, 30)),
+        line,
+        ForStmt.rotation(4, 90, Axis.Y, (leg,)),
+        ForStmt.rotation(3, 45, Axis.Y, (line,)),
+        ForStmt.rotation(5, 72, Axis.Y, (cuboid((3, 2, 13), (4, 3, 3, 20)),)),
+        ForStmt.translation(3, (0, 0, 9), (leg,)),
+        ForStmt.translation(4, (0, 7, 0), (cuboid((1, 1, 20), (4, 5, 6)),)),
+    ]
+    rows = np.array([_row_of(b) for b in blocks])
+    exact = [int(np.count_nonzero(execute_block(b))) for b in blocks]
+    full, empty = np.ones((32, 32, 32), dtype=bool), np.zeros((32, 32, 32), dtype=bool)
+    assert _cover_bounds(rows, _round_state(full, empty).table)[0].tolist() == exact
+    floors = [max(int(np.count_nonzero(execute_block(d))) for d in unroll_for(b))
+              if isinstance(b, ForStmt) and b.mode is LoopMode.ROTATION else n
+              for b, n in zip(blocks, exact)]
+    assert _cover_bounds(rows, _round_state(empty, empty).table)[1].tolist() == floors
 
 
 @st.composite
@@ -547,15 +585,16 @@ def test_cover_bounds_counts_single_box_rows_exactly(dims, density, seed, data):
     current = target & (rng.random(dims) < 0.3)
     rnd = _round_state(target, current)
     rows = np.array([_row_of(b) for b in blocks])
-    bounds, counts = _cover_bounds(rows, rnd.table)
-    for b, row, bound, packed in zip(blocks, rows.tolist(), bounds.tolist(), counts.tolist()):
+    bounds, floors, counts = _cover_bounds(rows, rnd.table)
+    for b, row, bound, floor, packed in zip(blocks, rows.tolist(), bounds.tolist(),
+                                            floors.tolist(), counts.tolist()):
         body = b if isinstance(b, DrawStmt) else b.body[0]
         if (row[0] == 2 or row[12] != 0 or body.shape not in
                 (ShapeKind.CUBOID, ShapeKind.RECTANGLE, ShapeKind.SQUARE)):
             assert packed == -1, b
             continue
         a, bad = executed_counts(b, target, current)
-        assert packed == a + (bad << 32), b
+        assert packed == a + (bad << 32) and floor <= bad, b
         # the bound is unchanged: per copy, min(volume, residual in its clipped box)
         times, u = (1, (0, 0, 0)) if b is body else (b.times, b.step)
         lo, hi, volume = box_of(body)
@@ -590,10 +629,14 @@ def _template_rounds():
             yield tid, target, current
 
 
-def test_ranked_beam_equals_exhaustive_ranking():
+def test_ranked_beam_equals_exhaustive_ranking(monkeypatch):
     config = SearchConfig()
-    skipped = 0
+    counted = set()  # rows counted one by one
+    monkeypatch.setattr(inference, "_row_counts",
+                        lambda rnd, row: counted.add(row) or _row_counts(rnd, row))
+    skipped = skipped_rotations = 0
     for tid, target, current in _template_rounds():
+        counted.clear()
         i0 = int(np.count_nonzero(current & target))
         u0 = int(np.count_nonzero(current | target))
         candidates = propose_candidates(target & ~current, config)
@@ -606,7 +649,8 @@ def test_ranked_beam_equals_exhaustive_ranking():
         beam = _ranked_beam(candidates, _round_state(target, current), config, budget)
         assert beam == scored[:config.beam_width], tid
         skipped += len(candidates) - budget.calls
-    assert skipped > 0
+        skipped_rotations += len({tuple(c) for c in candidates.tolist() if c[0] == 2} - counted)
+    assert skipped > 0 and skipped_rotations > 0
 
 
 class NoCache(dict):
@@ -639,26 +683,28 @@ def test_refine_shared_round_cache_matches_uncached():
 # the candidates scored and the stop reason, per built-in template. The first
 # five digests were recorded from the fit that executed every candidate, the
 # rest from the fit that made candidates as tuples, before they became array
-# rows; the counts and stop reasons from the fit that executed every
-# candidate the round's table could not count.
+# rows; the stop reasons from the fit that executed every candidate the
+# round's table could not count. The counts were recorded once ranking keyed
+# each candidate by the score of its cover bound and empty-voxel floor, which
+# left every digest, IoU and stop reason as it was and lowered every count.
 PINNED_FITS = {
-    "table_four_leg": ("3ccc15ff483da354", 1.0, 777, "residual_empty"),
-    "table_round_rotleg": ("7195dfc175fc5d81", 1.0, 304, "residual_empty"),
-    "table_locker": ("947f9e3ccdd72b8b", 0.7368421052631579, 561, "residual_empty"),
-    "chair_armchair": ("938cf240ab8887d1", 0.6571428571428571, 945, "residual_empty"),
-    "chair_swivel": ("286518ff58eb8900", 0.9867075664621677, 1174, "min_gain"),
-    "table_pedestal": ("d9c1ab83511bef02", 1.0, 609, "residual_empty"),
-    "table_sideboard": ("4f0c397d5bace2c1", 1.0, 536, "residual_empty"),
-    "table_layer": ("70f9042c661a048e", 1.0, 1362, "residual_empty"),
-    "table_multi_layer": ("bb2cb98c2da33fe8", 1.0, 826, "residual_empty"),
-    "table_hbar": ("345ee988d9483227", 1.0, 987, "residual_empty"),
-    "table_slab": ("ec3a327caccd4fdd", 1.0, 456, "residual_empty"),
-    "table_round_corner": ("62321e9f06fbb484", 0.8710900473933649, 527, "residual_empty"),
-    "chair_basic": ("1a576f372c272873", 0.8435374149659864, 1373, "residual_empty"),
-    "chair_bar_back": ("84ef370bb4c81315", 0.9250936329588015, 1429, "residual_empty"),
-    "chair_sofa": ("23285c90e6ce6c9c", 0.76, 568, "residual_empty"),
-    "chair_bench": ("da5c499f2be86d14", 1.0, 642, "residual_empty"),
-    "chair_post_back": ("fcefdb3e3ea2fee8", 1.0, 1268, "residual_empty"),
+    "table_four_leg": ("3ccc15ff483da354", 1.0, 576, "residual_empty"),
+    "table_round_rotleg": ("7195dfc175fc5d81", 1.0, 219, "residual_empty"),
+    "table_locker": ("947f9e3ccdd72b8b", 0.7368421052631579, 385, "residual_empty"),
+    "chair_armchair": ("938cf240ab8887d1", 0.6571428571428571, 622, "residual_empty"),
+    "chair_swivel": ("286518ff58eb8900", 0.9867075664621677, 956, "min_gain"),
+    "table_pedestal": ("d9c1ab83511bef02", 1.0, 425, "residual_empty"),
+    "table_sideboard": ("4f0c397d5bace2c1", 1.0, 382, "residual_empty"),
+    "table_layer": ("70f9042c661a048e", 1.0, 977, "residual_empty"),
+    "table_multi_layer": ("bb2cb98c2da33fe8", 1.0, 527, "residual_empty"),
+    "table_hbar": ("345ee988d9483227", 1.0, 766, "residual_empty"),
+    "table_slab": ("ec3a327caccd4fdd", 1.0, 321, "residual_empty"),
+    "table_round_corner": ("62321e9f06fbb484", 0.8710900473933649, 393, "residual_empty"),
+    "chair_basic": ("1a576f372c272873", 0.8435374149659864, 970, "residual_empty"),
+    "chair_bar_back": ("84ef370bb4c81315", 0.9250936329588015, 1042, "residual_empty"),
+    "chair_sofa": ("23285c90e6ce6c9c", 0.76, 304, "residual_empty"),
+    "chair_bench": ("da5c499f2be86d14", 1.0, 505, "residual_empty"),
+    "chair_post_back": ("fcefdb3e3ea2fee8", 1.0, 837, "residual_empty"),
 }
 
 
