@@ -199,7 +199,10 @@ class Program:
 
 @dataclass(frozen=True)
 class Limits:
-    """Overridable validation and execution budgets."""
+    """Validation budgets, overridable per call. The overrides bind
+    validation only: the executor refuses a loop of more than the class's
+    ``max_expanded`` copies (1024) whatever limits a program validated
+    under."""
 
     max_top_level: int = 32
     max_expanded: int = 1024
@@ -354,6 +357,11 @@ def _loop_faults(f: ForStmt, depth, limits, bad):
                        f" (budget {limits.max_expanded})")
 
 
+def _not_a(kind, value) -> str:
+    """The message for an argument that is not a ``kind``."""
+    return f"expected a {kind}, got {type(value).__name__}"
+
+
 def _count_text(n) -> str:
     """``n`` as text; an int too long for ``str`` as the power of ten it exceeds."""
     if isinstance(n, int) and n.bit_length() > 10_000:
@@ -380,7 +388,10 @@ def _check_body(statements, where, out, limits):
 
 
 def validate_program(p: Program, limits: Limits = DEFAULT_LIMITS) -> ValidationReport:
-    """Check every type invariant; report violations instead of raising."""
+    """Check every type invariant; report violations instead of raising,
+    also for an argument that is not a ``Program``."""
+    if not isinstance(p, Program):
+        return ValidationReport(False, (Violation("program", _not_a("Program", p)),))
     out: list[Violation] = []
     if len(p.statements) > limits.max_top_level:
         out.append(Violation(

@@ -39,6 +39,7 @@ from .ast import (
     Program,
     Semantics,
     ShapeKind,
+    _not_a,
     format_number,
     parse_number,
     validate_program,
@@ -189,7 +190,9 @@ class _Parser:
 
 def parse_text(src: str, *, validate: bool = True, limits: Limits = DEFAULT_LIMITS) -> Program:
     """Parse source text; optionally reject programs that break the value
-    rules of ``limits``."""
+    rules of ``limits``. A ``src`` that is not a str raises DslSyntaxError."""
+    if not isinstance(src, str):
+        raise DslSyntaxError(_not_a("str", src), 1, 1)
     program = Program(_Parser(src).statements(0, 0)[0])
     if validate:
         report = validate_program(program, limits)
@@ -242,7 +245,10 @@ def _unwritable(statements, where=()):
 
 def print_text(p: Program) -> str:
     """Canonical text form; empty program prints as empty text. An int too
-    long for ``str()`` raises DslSemanticError at its statement's path."""
+    long for ``str()`` raises DslSemanticError at its statement's path, and
+    a ``p`` that is not a Program at the path ``program``."""
+    if not isinstance(p, Program):
+        raise DslSemanticError("program", _not_a("Program", p))
     out: list[str] = []
     try:
         for s in p.statements:

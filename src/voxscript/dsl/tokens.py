@@ -33,6 +33,7 @@ from .ast import (
     Semantics,
     ShapeKind,
     _INT_TYPE,
+    _not_a,
     canon_number,
     canon_numbers,
     format_number,
@@ -133,7 +134,7 @@ def _row(*values) -> tuple:
 
 def tokenize(p: Program, limits: Limits = DEFAULT_LIMITS) -> TokenProgram:
     """Encode a program that validates under ``limits`` as a pre-order step
-    sequence."""
+    sequence; anything else, a non-Program included, raises InvalidProgramError."""
     report = validate_program(p, limits)
     if not report.ok:
         raise InvalidProgramError(report)
@@ -178,7 +179,10 @@ def detokenize(t: TokenProgram) -> Program:
     A row whose unused slots are not all 0 is rejected, so a decoded
     program that validates re-encodes to its input, vacant steps aside.
     A loop header's arguments are checked when its end marker closes it.
+    A ``t`` that is not a TokenProgram raises TokenError at step 0.
     """
+    if not isinstance(t, TokenProgram):
+        raise TokenError(0, _not_a("TokenProgram", t))
     root: list = []
     open_loops: list[tuple] = []  # (header step index, header id, header args, body list)
     for idx, (sid, args) in enumerate(t.steps):
@@ -224,7 +228,10 @@ def detokenize(t: TokenProgram) -> Program:
 
 def format_token_lines(t: TokenProgram) -> str:
     """One step per line: ``id a1 .. a7``, each number as format_number writes it.
-    An int too long for ``str()`` raises TokenError at its step."""
+    An int too long for ``str()`` raises TokenError at its step, and a ``t``
+    that is not a TokenProgram at step 0."""
+    if not isinstance(t, TokenProgram):
+        raise TokenError(0, _not_a("TokenProgram", t))
     try:
         return "".join(_INT_ROW % (sid, *args)
                        if len(args) == N_ARG_SLOTS and _INT_TYPE.issuperset(map(type, args))
@@ -255,7 +262,10 @@ def _parse_number(text, lineno):
 
 def parse_token_lines(src: str) -> TokenProgram:
     """Rows of ``id a1 .. a7``, each number written as format_token_lines writes it:
-    ``01``, ``-0`` or ``1.0`` raise TokenError (step = line index). Whitespace is free."""
+    ``01``, ``-0`` or ``1.0`` raise TokenError (step = line index). Whitespace is free.
+    A ``src`` that is not a str raises TokenError at step 0."""
+    if not isinstance(src, str):
+        raise TokenError(0, _not_a("str", src))
     steps = []
     for lineno, line in enumerate(src.splitlines()):
         fields = line.split()
@@ -282,7 +292,10 @@ def parse_token_lines(src: str) -> TokenProgram:
 
 
 def token_program_to_json(t: TokenProgram) -> dict:
-    """Self-describing container: vocabulary table plus step rows."""
+    """Self-describing container: vocabulary table plus step rows. A ``t``
+    that is not a TokenProgram raises TokenError at step 0."""
+    if not isinstance(t, TokenProgram):
+        raise TokenError(0, _not_a("TokenProgram", t))
     return {
         "n_ids": VOCAB_SIZE,
         "n_args": N_ARG_SLOTS,

@@ -38,8 +38,7 @@ bounds them.
 No statement is built to count a candidate. A round's candidates are the
 rows of one int64 array (see ``propose_candidates``) and are bounded and
 ordered as columns; a row becomes a labelled statement only when it is
-accepted. ``score_block`` and ``refine_block`` go the other way: a valid
-block becomes its row (``_row_of``), scored as the search scores it.
+accepted.
 
 Refinement is coordinate descent over a block's candidate row: a
 neighbour is the row with one column moved, each column bounded by the
@@ -62,8 +61,8 @@ from scipy import ndimage
 from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
                       Semantics, ShapeKind, validate_program)
 from .errors import InputError, InvalidProgramError, ShapeMismatchError
-from .executor import (_IS_BOX, SHAPES, _copies, _window, as_grid, draw_boxes, draw_extents,
-                       execute_block)
+from .executor import (_IS_BOX, SHAPES, _copies, _disc_stencil, _window, as_grid, draw_boxes,
+                       draw_extents, execute_block)
 from .metrics import iou
 
 _WRAP_TIMES = (2, 3, 4, 5)
@@ -220,36 +219,16 @@ def _label_semantics(shape, pos, geom, dims) -> Semantics:
     return Semantics.LOCKER if grounded else Semantics.BACK
 
 
-def _make_block(row, dims, semantics=None):
+def _make_block(row, dims):
     """The statement a candidate row (a sequence of numbers) stands for, its
-    draw labelled ``semantics``, or from its geometry when that is None."""
+    draw labelled from its geometry."""
     mode, times, ux, uy, uz, code, x, y, z, *geom = row
     shape = SHAPES[code]
     geom = tuple(geom[:GEOMETRY_ARITY[shape][1]])  # DrawStmt drops a zero Cub tilt
-    if semantics is None:
-        semantics = _label_semantics(shape, (x, y, z), geom, dims)
-    draw = DrawStmt(semantics, shape, (x, y, z), geom)
+    draw = DrawStmt(_label_semantics(shape, (x, y, z), geom, dims), shape, (x, y, z), geom)
     if mode == _TRANS:
         return ForStmt.translation(times, (ux, uy, uz), (draw,))
     return draw if mode == _DRAW else ForStmt.rotation(times, ux, Axis.Y, (draw,))
-
-
-def _row_of(block) -> tuple:
-    """The candidate row of a draw, or of a translation or rotation about Y
-    over one draw: the inverse of ``_make_block`` but for part labels. Any
-    other block raises InputError."""
-    head, draw = (_DRAW, 1, 0, 0, 0), block
-    if isinstance(block, ForStmt):
-        if len(block.body) != 1 or not isinstance(block.body[0], DrawStmt):
-            raise InputError("only a loop over one draw has a candidate row")
-        if block.mode is LoopMode.TRANSLATION:
-            head = (_TRANS, block.times, *block.step)
-        elif block.axis is Axis.Y:
-            head = (_ROT, block.times, block.angle, 0, 0)
-        else:
-            raise InputError(f"a rotation about {block.axis.value} has no candidate row")
-        draw = block.body[0]
-    return head + (SHAPES.index(draw.shape), *draw.position, *(draw.geometry + (0,) * 4)[:4])
 
 
 def _periodic_steps(res, occ) -> list:
@@ -552,7 +531,7 @@ def _table_sums(table, dims, lo, hi) -> np.ndarray:
 def _disc_area(r) -> int:
     """The voxels in one layer of a disc of radius r, #{d^2 + e^2 <= r^2},
     as ``executor`` draws it; 0 for r < 0."""
-    return sum(2 * math.isqrt(r * r - d * d) + 1 for d in range(-r, r + 1))
+    return int(_disc_stencil(r).sum())
 
 
 @functools.lru_cache(maxsize=None)
@@ -643,24 +622,6 @@ def _score_from_counts(a, b, i0, u0) -> float:
     return after - before
 
 
-def _scored_row(b, target, current) -> tuple:
-    """The round state for adding block ``b`` to ``current``, ``b``'s
-    candidate row and its score; raises as ``refine_block`` documents."""
-    rnd = _round_state(target, current)
-    report = validate_program(Program((b,)), Limits.for_dims(rnd.residual.shape))
-    if not report.ok:
-        raise InvalidProgramError(report)
-    row = _row_of(b)
-    return rnd, row, _score_from_counts(*_row_counts(rnd, row), rnd.i0, rnd.u0)
-
-
-def score_block(b, target, current) -> float:
-    """Improvement from adding block b to the reconstruction: the change in
-    IoU against the target, positive when it helps. ``b`` is a block
-    ``refine_block`` takes; any other raises as there."""
-    return _scored_row(b, target, current)[2]
-
-
 # ------------------------------------------------------------- refinement
 
 def _slots(row, dims, limits) -> list:
@@ -727,22 +688,6 @@ def _refine(row, score, rnd: _Round, budget, cache) -> tuple:
         if not improved:
             break
     return row, score
-
-
-def refine_block(b, target, current, config: SearchConfig = SearchConfig()):
-    """Polish one block against the target; the result never scores worse
-    and keeps ``b``'s part label.
-
-    ``b`` must be a block a candidate row can hold: a draw, or a
-    translation or a rotation about Y over one draw. A block that does not
-    validate under ``Limits.for_dims(target.shape)`` raises
-    InvalidProgramError; a loop with several bodies or a nested loop, or a
-    rotation about X or Z, raises InputError.
-    """
-    rnd, row, s0 = _scored_row(b, target, current)
-    row, _ = _refine(row, s0, rnd, _Budget(config.budget), {})
-    draw = b if isinstance(b, DrawStmt) else b.body[0]
-    return _make_block(row, rnd.residual.shape, draw.semantics)
 
 
 def _ranked_beam(rows, rnd: _Round, config, budget) -> list:

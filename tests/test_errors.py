@@ -4,7 +4,10 @@ import pytest
 
 from voxscript.analysis import convex_hull_2d, point_in_hull
 from voxscript.binvox import read_binvox, write_binvox
+from voxscript.dsl import (Program, detokenize, format_token_lines, parse_text, parse_token_lines,
+                           print_text, token_program_to_json, tokenize, validate_program)
 from voxscript.errors import VoxScriptError
+from voxscript.executor import execute_program
 from voxscript.metrics import chamfer, surface_points
 from voxscript.templates import builtin_templates, sample
 
@@ -22,9 +25,28 @@ HULL = convex_hull_2d([(0, 0), (4, 0), (0, 4)])
     lambda: write_binvox(GRID, scale="a"),
     lambda: read_binvox("abc"),
     lambda: sample(builtin_templates()[0], "abc"),
+    lambda: execute_program(None),
+    lambda: print_text(None),
+    lambda: detokenize([1, 2]),
+    lambda: tokenize(None),
+    lambda: tokenize("x"),
+    lambda: format_token_lines(Program(())),
+    lambda: token_program_to_json(None),
+    lambda: parse_text(None),
+    lambda: parse_text(b"draw"),
+    lambda: parse_token_lines(5),
 ], ids=["chamfer-strings", "surface-points-negative-n", "surface-points-float-n",
         "hull-of-1-tuples", "point-in-hull-1-tuple", "binvox-short-translate",
-        "binvox-string-scale", "read-binvox-str", "sample-string-rng"])
+        "binvox-string-scale", "read-binvox-str", "sample-string-rng",
+        "execute-program-none", "print-text-none", "detokenize-list", "tokenize-none",
+        "tokenize-str", "format-token-lines-program", "token-json-none", "parse-text-none",
+        "parse-text-bytes", "parse-token-lines-int"])
 def test_malformed_arguments_raise_typed_errors(call):
     with pytest.raises(VoxScriptError):
         call()
+
+
+@pytest.mark.parametrize("arg", ["x", None, (), [1, 2]], ids=["str", "none", "tuple", "list"])
+def test_validate_program_reports_a_non_program(arg):
+    report = validate_program(arg)
+    assert not report.ok and len(report.violations) == 1

@@ -1,4 +1,4 @@
-"""Candidate proposal, block scoring, refinement, and greedy fitting."""
+"""Candidate proposal, candidate row scoring, refinement, and greedy fitting."""
 import hashlib
 
 import numpy as np
@@ -13,9 +13,9 @@ from voxscript import inference
 from voxscript.dsl.text import print_text
 from voxscript.inference import (_PERIOD_MIN_OVERLAP, _SEED_DIRS, FitResult, SearchConfig, _Budget, _block_counts, _cover_bounds,
                                  _lattice_seeds, _make_block, _periodic_steps, _ranked_beam,
-                                 _refine, _round_state, _row_copies, _row_counts, _row_of, _runs,
+                                 _refine, _round_state, _row_copies, _row_counts, _runs,
                                  _score_from_counts, _window_counts, fit_program,
-                                 propose_candidates, refine_block, score_block)
+                                 propose_candidates)
 from voxscript.metrics import iou
 from voxscript.templates import builtin_templates, sample
 
@@ -39,15 +39,43 @@ def executed_counts(block, target, current):
             int(np.count_nonzero(grid & ~target & ~current)))
 
 
-def assert_score_block_is_executed_gain(block, target, current):
-    """score_block of a block that validates for the target's grid is the
-    IoU gain of executing it; any other block raises InvalidProgramError."""
-    if not validate_program(Program((block,)), Limits.for_dims(target.shape)).ok:
-        with pytest.raises(InvalidProgramError):
-            score_block(block, target, current)
-        return
+def _row_of(block) -> tuple:
+    """The candidate row of a draw, or of a translation or rotation about Y
+    over one draw: the inverse of ``_make_block`` but for part labels."""
+    head, draw = (0, 1, 0, 0, 0), block
+    if isinstance(block, ForStmt):
+        assert len(block.body) == 1 and isinstance(block.body[0], DrawStmt), block
+        if block.mode is LoopMode.TRANSLATION:
+            head = (1, block.times, *block.step)
+        else:
+            assert block.axis is Axis.Y, block
+            head = (2, block.times, block.angle, 0, 0)
+        draw = block.body[0]
+    return head + (SHAPES.index(draw.shape), *draw.position, *(draw.geometry + (0,) * 4)[:4])
+
+
+def row_score(rnd, row):
+    """The search's score of a candidate row in round ``rnd``."""
+    return _score_from_counts(*_row_counts(rnd, row), rnd.i0, rnd.u0)
+
+
+def assert_score_is_executed_gain(block, target, current):
+    """The search's score of ``block``'s row is exactly the IoU gain of
+    executing ``block``."""
     gain = iou(current | execute_block(block, target.shape), target) - iou(current, target)
-    assert score_block(block, target, current) == gain, block
+    assert row_score(_round_state(target, current), _row_of(block)) == gain, block
+
+
+def refine_row(block, target, current):
+    """``block``'s row and score, then the row ``_refine`` makes of it and
+    its score; ``_refine`` must never score worse, and must report the
+    refined row's own score."""
+    rnd = _round_state(target, current)
+    row = _row_of(block)
+    s0 = row_score(rnd, row)
+    refined, s = _refine(row, s0, rnd, _Budget(SearchConfig().budget), {})
+    assert s >= s0 and s == row_score(rnd, refined), block
+    return row, s0, refined, s
 
 
 def test_config_validation():
@@ -99,10 +127,6 @@ def test_row_of_inverts_make_block(row):
     block = _make_block(row, (32, 32, 32))
     assert _row_of(block) == row
     assert validate_program(Program((block,))).ok
-    labelled = _make_block(row, (32, 32, 32), Semantics.HBAR)
-    assert _row_of(labelled) == row
-    assert (labelled if isinstance(labelled, DrawStmt) else labelled.body[0]).semantics \
-        is Semantics.HBAR
 
 
 def test_propose_count_within_cap():
@@ -380,7 +404,7 @@ def test_table_counts_equal_execution(case, density, seed):
     rnd = _round_state(target, current)
     exact = executed_counts(block, target, current)
     assert _block_counts(rnd, _row_of(block)) == exact
-    assert_score_block_is_executed_gain(block, target, current)
+    assert_score_is_executed_gain(block, target, current)
 
 
 @st.composite
@@ -426,7 +450,7 @@ def test_tilt_and_rotation_counts_equal_execution(case, density, seed):
     # only rotations with overlapping copies and multi-run tilts moving in y are executed
     if isinstance(block, DrawStmt) or (block.mode is LoopMode.TRANSLATION and not block.step[1]):
         assert from_row == exact
-    assert_score_block_is_executed_gain(block, target, current)
+    assert_score_is_executed_gain(block, target, current)
 
 
 @st.composite
@@ -486,7 +510,7 @@ def test_window_counts_equal_execution(case, density, seed):
     exact = executed_counts(_make_block(row, dims), target, current)
     assert _window_counts(rnd, _row_copies(row, dims)) == exact
     assert _row_counts(rnd, row) == exact
-    assert_score_block_is_executed_gain(block, target, current)
+    assert_score_is_executed_gain(block, target, current)
 
 
 @pytest.mark.parametrize("dims", [(32, 32, 32), (16, 64, 16), (7, 5, 9)])
@@ -539,39 +563,6 @@ def test_table_counts_only_boxes():
         assert _block_counts(rnd, _row_of(b)) == executed_counts(b, target, empty), b
     for b in executed:
         assert _block_counts(rnd, _row_of(b)) is None, b
-
-
-# loops no candidate row can hold: two bodies, a nested loop, and
-# rotations about the other axes
-ROWLESS = [
-    ForStmt.translation(2, (9, 0, 0), (cuboid(), cuboid((20, 0, 2)))),
-    ForStmt.translation(2, (9, 0, 0), (ForStmt.translation(2, (0, 0, 9), (cuboid(),)),)),
-    ForStmt.rotation(4, 90, Axis.X, (cuboid((2, 0, 2), (5, 4, 4)),)),
-    ForStmt.rotation(4, 90, Axis.Z, (cuboid((2, 0, 2), (5, 4, 4)),)),
-]
-
-
-@pytest.mark.parametrize("block", ROWLESS)
-def test_refine_block_refuses_blocks_no_row_holds(block):
-    target = render(cuboid())
-    with pytest.raises(InputError):
-        _row_of(block)
-    for take in (refine_block, score_block):
-        with pytest.raises(InputError):
-            take(block, target, np.zeros_like(target))
-
-
-@pytest.mark.parametrize("block", [
-    ForStmt(LoopMode.TRANSLATION, 2, (cuboid(),)),  # no step
-    DrawStmt(Semantics.TOP, ShapeKind.CUBOID, (8, "4", 8), (2, 16, 16)),
-    ForStmt.translation(1, (9, 0, 0), (cuboid(),)),
-    cuboid((40, 0, 0)),  # off the 32^3 grid
-], ids=["loop-without-step", "string-coordinate", "times-1", "position-off-grid"])
-def test_refine_block_refuses_invalid_blocks(block):
-    target = render(cuboid())
-    for take in (refine_block, score_block):
-        with pytest.raises(InvalidProgramError):
-            take(block, target, np.zeros_like(target))
 
 
 @settings(max_examples=200)
@@ -729,11 +720,11 @@ def test_candidates_are_valid_blocks():
 
 def test_score_signs():
     target = render(cuboid())
-    empty = np.zeros_like(target)
+    rnd = _round_state(target, np.zeros_like(target))
     inside = DrawStmt(Semantics.LOCKER, ShapeKind.CUBOID, (9, 5, 9), (2, 2, 2))
     outside = DrawStmt(Semantics.LOCKER, ShapeKind.CUBOID, (20, 20, 20), (3, 3, 3))
-    assert score_block(inside, target, empty) > 0
-    assert score_block(outside, target, empty) <= 0
+    assert row_score(rnd, _row_of(inside)) > 0
+    assert row_score(rnd, _row_of(outside)) <= 0
 
 
 def test_score_matches_recompute_oracle():
@@ -743,24 +734,20 @@ def test_score_matches_recompute_oracle():
     for _ in range(30):
         pos = tuple(int(v) for v in rng.integers(0, 28, 3))
         geom = tuple(int(v) for v in rng.integers(1, 8, 3))
-        b = DrawStmt(Semantics.LOCKER, ShapeKind.CUBOID, pos, geom)
-        expect = (iou(current | render(b), target) - iou(current, target))
-        assert score_block(b, target, current) == pytest.approx(expect, abs=1e-12)
+        assert_score_is_executed_gain(DrawStmt(Semantics.LOCKER, ShapeKind.CUBOID, pos, geom),
+                                      target, current)
 
 
 def test_score_dims_mismatch():
     with pytest.raises(ShapeMismatchError):
-        score_block(cuboid(), np.zeros((32, 32, 32), dtype=bool),
-                    np.zeros((16, 16, 16), dtype=bool))
+        _round_state(np.zeros((32, 32, 32), dtype=bool), np.zeros((16, 16, 16), dtype=bool))
 
 
 def test_refine_off_by_one():
     target = render(cuboid(pos=(9, 4, 8)))
-    seed = cuboid(pos=(8, 4, 8))
-    empty = np.zeros_like(target)
-    refined = refine_block(seed, target, empty)
-    assert refined.position == (9, 4, 8)
-    assert score_block(refined, target, empty) > score_block(seed, target, empty)
+    _, s0, refined, s = refine_row(cuboid(pos=(8, 4, 8)), target, np.zeros_like(target))
+    assert refined == _row_of(cuboid(pos=(9, 4, 8)))
+    assert s > s0
 
 
 def test_refine_never_worse():
@@ -770,32 +757,21 @@ def test_refine_never_worse():
     for _ in range(25):
         pos = tuple(int(v) for v in rng.integers(0, 28, 3))
         geom = tuple(int(v) for v in rng.integers(1, 9, 3))
-        seed = DrawStmt(Semantics.LOCKER, ShapeKind.CUBOID, pos, geom)
-        refined = refine_block(seed, target, empty)
-        assert (score_block(refined, target, empty)
-                >= score_block(seed, target, empty) - 1e-12)
+        refine_row(DrawStmt(Semantics.LOCKER, ShapeKind.CUBOID, pos, geom), target, empty)
 
 
 def test_refine_optimal_unchanged():
     target = render(cuboid())
-    refined = refine_block(cuboid(), target, np.zeros_like(target))
-    assert refined == cuboid()
+    row, _, refined, _ = refine_row(cuboid(), target, np.zeros_like(target))
+    assert refined == row
 
 
 def test_refine_loop_parameters():
     leg = DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (9, 0, 9), (12, 2, 2))
-    truth = ForStmt.translation(2, (12, 0, 0), (leg,))
-    target = render(truth)
+    target = render(ForStmt.translation(2, (12, 0, 0), (leg,)))
     seed = ForStmt.translation(2, (11, 0, 0), (leg,))
-    refined = refine_block(seed, target, np.zeros_like(target))
-    assert (render(refined) == target).all()
-
-
-def skeleton(s):
-    """What refinement must keep: statement kinds, labels, loop modes and axes."""
-    if isinstance(s, DrawStmt):
-        return (s.semantics, s.shape)
-    return (s.mode, s.axis, tuple(skeleton(b) for b in s.body))
+    _, _, refined, _ = refine_row(seed, target, np.zeros_like(target))
+    assert (render(_make_block(refined, target.shape)) == target).all()
 
 
 def row_holds(s):
@@ -808,17 +784,14 @@ def row_holds(s):
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_refine_random_statements_never_worse_and_keep_structure(seed):
+    """Refinement keeps a row's mode (draw, translation or rotation) and
+    shape, and, through ``refine_row``, never scores worse."""
     program = random_program(seed)
     target = execute_program(program)
     empty = np.zeros_like(target)
-    for s in program.statements:
-        if not row_holds(s):
-            with pytest.raises(InputError):
-                refine_block(s, target, empty)
-            continue
-        refined = refine_block(s, target, empty)
-        assert skeleton(refined) == skeleton(s)
-        assert score_block(refined, target, empty) >= score_block(s, target, empty)
+    for s in filter(row_holds, program.statements):
+        row, _, refined, _ = refine_row(s, target, empty)
+        assert (refined[0], refined[5]) == (row[0], row[5]), s
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -827,7 +800,7 @@ def test_score_block_is_executed_gain_on_random_statements(seed):
     current = target & (np.random.default_rng(seed).random(target.shape) < 0.3)
     for s in random_program(seed).statements + random_program(seed + 100).statements:
         if row_holds(s):
-            assert_score_block_is_executed_gain(s, target, current)
+            assert_score_is_executed_gain(s, target, current)
 
 
 def test_fit_empty_target():
