@@ -106,11 +106,12 @@ def _point_segment_distance(p, a, b) -> float:
 
 def point_in_hull(point, hull) -> bool:
     """Boundary-inclusive test; 1- or 2-vertex hulls allow half-voxel slack.
-    A point that is not an (x, z) number pair raises InputError."""
+    A point or hull vertex that is not an (x, z) number pair raises InputError."""
     try:
         px, pz = (float(v) for v in point)
+        hull = [(float(x), float(z)) for x, z in hull]
     except (TypeError, ValueError):
-        raise InputError(f"point must be an (x, z) number pair, got {point!r}") from None
+        raise InputError(f"point and hull must be (x, z) pairs, got {point!r}, {hull!r}") from None
     if len(hull) == 0:
         return False
     if len(hull) == 1:
@@ -154,7 +155,12 @@ def is_stable(g) -> bool:
 
 
 def analyze_dataset(grids, connectivity: Connectivity = Connectivity.TWENTY_SIX) -> dict:
-    """Aggregate percentages of stable / connected / both over many shapes."""
+    """Aggregate percentages of stable / connected / both over many shapes.
+    ``grids`` that is not an iterable raises InputError."""
+    try:
+        grids = iter(grids)
+    except TypeError:
+        raise InputError(f"grids must be an iterable of 3-D grids, got {grids!r}") from None
     reports = [stability_report(g, connectivity) for g in grids]
     n = len(reports)
 
@@ -172,15 +178,20 @@ def analyze_dataset(grids, connectivity: Connectivity = Connectivity.TWENTY_SIX)
 
 
 def format_analysis_json(result: dict) -> str:
-    payload = {k: v for k, v in result.items() if k != "reports"}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The result but its reports, as JSON; a malformed result raises InputError."""
+    try:
+        payload = {k: v for k, v in result.items() if k != "reports"}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    except (AttributeError, TypeError, ValueError):
+        raise InputError(f"expected analyze_dataset's result, got {result!r}") from None
 
 
 def format_analysis_table(result: dict) -> str:
-    """Aligned three-column percentage table."""
+    """Aligned three-column percentage table; a malformed result raises InputError."""
     header = f"{'Stable (%)':>12}  {'Conn. (%)':>12}  {'Stable & Conn. (%)':>20}"
-    row = (
-        f"{result['stable_pct']:>12.1f}  {result['connected_pct']:>12.1f}"
-        f"  {result['stable_and_connected_pct']:>20.1f}"
-    )
+    try:
+        row = (f"{result['stable_pct']:>12.1f}  {result['connected_pct']:>12.1f}"
+               f"  {result['stable_and_connected_pct']:>20.1f}")
+    except (KeyError, TypeError, ValueError):
+        raise InputError(f"expected analyze_dataset's result, got {result!r}") from None
     return header + "\n" + row + "\n"

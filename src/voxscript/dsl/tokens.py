@@ -66,7 +66,12 @@ _DRAW_BY_ID = {v: k for k, v in _DRAW_ID.items()}
 
 
 def draw_token_id(semantics: Semantics, shape: ShapeKind) -> int:
-    return _DRAW_ID[(semantics, shape)]
+    """The token id of a (semantics, shape) draw; any other pair raises
+    TokenError at step 0."""
+    try:
+        return _DRAW_ID[(semantics, shape)]
+    except (KeyError, TypeError):
+        raise TokenError(0, f"no draw token for ({semantics!r}, {shape!r})") from None
 
 
 def vocabulary() -> dict:

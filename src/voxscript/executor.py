@@ -3,9 +3,10 @@
 Grids are numpy bool arrays indexed (x, y, z) with y up; voxel i is the
 unit cube centered at integer coordinate i. Everything clips silently at
 the grid bounds and composes by union, so statement order never matters.
-Draw geometry is defined here once: the fit search counts box draws from
-``draw_boxes``, which also draws a tilted Cub, and bounds draws with
-``draw_extents``.
+Draw and copy geometry is defined here once. The fit search counts box
+draws from ``draw_boxes``, which also draws a tilted Cub; takes every
+loop copy, translated or rotated, from ``_copies``, which unrolls loops;
+and takes every draw's box and exact voxel count from ``draw_extents``.
 """
 from __future__ import annotations
 
@@ -84,6 +85,13 @@ def _disc_stencil(r) -> np.ndarray:
     mask = (d[:, None] ** 2 + d[None, :] ** 2 <= r * r)[:, None, :]
     mask.flags.writeable = False
     return mask
+
+
+@functools.lru_cache(maxsize=None)
+def _disc_area(r) -> int:
+    """The voxels in one layer of a disc of radius r, #{d^2 + e^2 <= r^2},
+    as ``_disc_stencil`` masks it; 0 for r < 0."""
+    return int(_disc_stencil(r).sum())
 
 
 def _fill_disk_column(grid, px, py, pz, t, r):
@@ -210,6 +218,8 @@ _LINE_CODE = SHAPES.index(ShapeKind.LINE)
 # Per shape code: drawn as a column of half-width r about its position, geometry (t, r)?
 _IS_COLUMN = np.array([s in (ShapeKind.CYLINDER, ShapeKind.CIRCLE, ShapeKind.SQUARE)
                        for s in SHAPES])
+# Per shape code: a disc column (Cyl or Cir), whose layers hold _disc_area(r) voxels?
+_IS_DISC = np.array([s in (ShapeKind.CYLINDER, ShapeKind.CIRCLE) for s in SHAPES])
 # Per shape code: are an untilted draw's voxels one box?
 _IS_BOX = np.array([s in (ShapeKind.CUBOID, ShapeKind.RECTANGLE, ShapeKind.SQUARE)
                     for s in SHAPES])
@@ -221,15 +231,14 @@ def draw_extents(shape, pos, geom) -> tuple:
     zero-padded after its last entry.
 
     Returns ``lo`` and ``hi`` (hi exclusive) as (n, 3) arrays and, per
-    draw, an upper bound on the voxels it sets; degenerate geometry gives 0.
-    A tilted Cuboid's box is widened by its last row's shift, ``_last_shift``.
+    draw, the voxels it sets on an unbounded grid, exactly; degenerate
+    geometry gives 0. A tilted Cuboid's box is widened by its last row's
+    shift, ``_last_shift``.
     """
-    line = shape == _LINE_CODE
     column = _IS_COLUMN[shape]
-    end = geom[:, :3]
     t, r1, r2, ang = geom.T
     shift = np.zeros(len(geom), dtype=np.int64)
-    tilted = ~line & ~column & (ang != 0) & (t > 0)
+    tilted = ~column & (ang != 0) & (t > 0)  # a line's fourth entry is padding, 0
     if tilted.any():
         shift[tilted] = [_last_shift(a, n) for a, n in zip(ang[tilted].tolist(), t[tilted].tolist())]
     # x and z spans from the position: [0, r1) and [0, r2) for a box, [-r, r] for a column
@@ -239,32 +248,26 @@ def draw_extents(shape, pos, geom) -> tuple:
     lo = pos + np.stack((off + np.minimum(shift, 0), np.zeros_like(t), off), axis=1)
     hi = pos + np.stack((off + wx + np.maximum(shift, 0), t, off + wz), axis=1)
     volume = np.maximum(t, 0) * np.maximum(wx, 0) * np.maximum(wz, 0)
-    lo = np.where(line[:, None], np.minimum(pos, end), lo)
-    hi = np.where(line[:, None], np.maximum(pos, end) + 1, hi)
-    volume = np.where(line, np.abs(pos - end).max(axis=1) + 1, volume)
+    disc = np.flatnonzero(_IS_DISC[shape])
+    volume[disc] = np.maximum(t[disc], 0) * [_disc_area(r) for r in r1[disc].tolist()]
+    line = np.flatnonzero(shape == _LINE_CODE)
+    start, end = pos[line], geom[line, :3]
+    lo[line], hi[line] = np.minimum(start, end), np.maximum(start, end) + 1
+    volume[line] = np.abs(start - end).max(axis=1) + 1
     return lo, hi, volume
 
 
-def _rotate_pair(a, b, ca, cb, cos_t, sin_t):
-    da, db = a - ca, b - cb
-    return (ca + cos_t * da - sin_t * db, cb + sin_t * da + cos_t * db)
-
-
 def _rotate_point(pt, angle_deg, axis, dims):
-    x, y, z = pt
-    cx = (dims[0] - 1) / 2
-    cy = (dims[1] - 1) / 2
-    cz = (dims[2] - 1) / 2
-    c = math.cos(math.radians(angle_deg))
-    s = math.sin(math.radians(angle_deg))
-    if axis is Axis.Y:
-        x, z = _rotate_pair(x, z, cx, cz, c, s)
-    elif axis is Axis.X:
-        y, z = _rotate_pair(y, z, cy, cz, c, s)
-    else:
-        x, y = _rotate_pair(x, y, cx, cy, c, s)
+    """``pt`` turned by ``angle_deg`` degrees about the grid-centre ``axis``."""
+    rad = math.radians(angle_deg)
+    c, s = math.cos(rad), math.sin(rad)
+    p = list(pt)
+    i, j = (0, 2) if axis is Axis.Y else (1, 2) if axis is Axis.X else (0, 1)
+    ci, cj = (dims[i] - 1) / 2, (dims[j] - 1) / 2
+    di, dj = p[i] - ci, p[j] - cj
+    p[i], p[j] = ci + c * di - s * dj, cj + s * di + c * dj
     # round() halves to even on a float, as np.rint does
-    return round(x), round(y), round(z)
+    return round(p[0]), round(p[1]), round(p[2])
 
 
 def _copies(body, times, mode, step, angle, axis, dims) -> list:

@@ -50,7 +50,6 @@ reach is scored once.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -61,8 +60,8 @@ from scipy import ndimage
 from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
                       Semantics, ShapeKind, validate_program)
 from .errors import InputError, InvalidProgramError, ShapeMismatchError
-from .executor import (_IS_BOX, SHAPES, _copies, _disc_stencil, _window, as_grid, draw_boxes,
-                       draw_extents, execute_block)
+from .executor import (_IS_BOX, SHAPES, _copies, _window, as_grid, draw_boxes, draw_extents,
+                       execute_block)
 from .metrics import iou
 
 _WRAP_TIMES = (2, 3, 4, 5)
@@ -84,8 +83,6 @@ _DRAW, _TRANS, _ROT = 0, 1, 2
 _LOOP_MODES = (None, LoopMode.TRANSLATION, LoopMode.ROTATION)  # per row mode
 _CUBOID, _CYLINDER, _LINE = (SHAPES.index(k) for k in
                              (ShapeKind.CUBOID, ShapeKind.CYLINDER, ShapeKind.LINE))
-# Per shape code: a disc column (Cyl or Cir), whose layers hold _disc_area(r) voxels
-_IS_DISC = np.array([s in (ShapeKind.CYLINDER, ShapeKind.CIRCLE) for s in SHAPES])
 
 
 @dataclass(frozen=True)
@@ -527,57 +524,27 @@ def _table_sums(table, dims, lo, hi) -> np.ndarray:
             + f[a0 + z1] + f[b0 + z0] + f[a1 + z0] - f[a0 + z0])
 
 
-@functools.lru_cache(maxsize=None)
-def _disc_area(r) -> int:
-    """The voxels in one layer of a disc of radius r, #{d^2 + e^2 <= r^2},
-    as ``executor`` draws it; 0 for r < 0."""
-    return int(_disc_stencil(r).sum())
-
-
-@functools.lru_cache(maxsize=None)
-def _turn(angle) -> tuple:
-    """cos and sin of ``angle`` degrees, as ``executor._rotate_point`` takes them."""
-    r = math.radians(angle)
-    return math.cos(r), math.sin(r)
-
-
-def _rotated(points, angles, dims) -> np.ndarray:
-    """(n, 3) points turned about the grid's Y axis by their ``angles``, in
-    degrees, to the anchors ``executor._copies`` gives them: the same float
-    operations in the same order, rounded half to even."""
-    cx, cz = (dims[0] - 1) / 2, (dims[2] - 1) / 2
-    c, s = np.array([_turn(a) for a in angles.tolist()]).reshape(-1, 2).T
-    dx, dz = points[:, 0] - cx, points[:, 2] - cz
-    out = points.copy()
-    out[:, 0], out[:, 2] = np.rint(cx + c * dx - s * dz), np.rint(cz + s * dx + c * dz)
-    return out
-
-
 def _cover_bounds(rows, table) -> tuple:
     """Per candidate row, an upper bound on the residual voxels it covers, a
     lower bound on the empty voxels it fills, and the row's exact packed
     counts where it is one untilted box or a translation of one, else -1.
 
-    One pass takes every copy of every row: its box from ``draw_extents``,
-    moved by k * step or to the anchor the executor rotates it to (a
-    rotated line spans its rotated end points), and the voxels it sets on
-    an unbounded grid, exactly (``draw_extents``' count, or t *
-    ``_disc_area(r)`` for a ``Cyl`` or ``Cir``). A row covers at most the
-    sum over its copies of min(voxels, residual in the clipped box). All of
-    a copy's voxels lie in its box, and at most (box volume - empty voxels
-    in the box) of them can fall outside the grid or on a non-empty voxel,
-    so it fills at least the rest with empty ones. A row fills at least the
-    sum of that over its copies where they are disjoint (a draw, or a
+    One pass takes every copy of every row: its box and the voxels it sets
+    on an unbounded grid, exactly, from ``draw_extents``, the box moved by
+    k * step or to the anchor ``executor._copies`` rotates it to (a rotated
+    line spans its rotated end points). A row covers at most the sum over
+    its copies of min(voxels, residual in the clipped box). All of a copy's
+    voxels lie in its box, and at most (box volume - empty voxels in the
+    box) of them can fall outside the grid or on a non-empty voxel, so it
+    fills at least the rest with empty ones. A row fills at least the sum
+    of that over its copies where they are disjoint (a draw, or a
     translation stepping at least the box's size on some axis), else its
     largest. Box sums come from the round's summed-volume table; exact
     counts subtract the consecutive copies' overlaps as ``_chain_sum`` does.
     """
-    dims = np.array(table.shape) - 1
+    dims = tuple(n - 1 for n in table.shape)
     mode, times, shape = rows[:, _MODE], rows[:, _TIMES], rows[:, _SHAPE]
     lo, hi, voxels = draw_extents(shape, rows[:, _POS], rows[:, _GEOM:])
-    disc = np.flatnonzero(_IS_DISC[shape])
-    voxels[disc] = np.maximum(rows[disc, _GEOM], 0) * [_disc_area(r) for r in
-                                                        rows[disc, _GEOM + 1].tolist()]
     step = rows[:, _STEP] * (mode == _TRANS)[:, None]
     disjoint = (times == 1) | ((mode == _TRANS) & (abs(step) >= hi - lo).any(axis=1))
     # entry j is copy k[j] of row of[j], its box moved by move[j]
@@ -587,15 +554,14 @@ def _cover_bounds(rows, table) -> tuple:
     step = step[of]
     move = k[:, None] * step
     rot = np.flatnonzero(mode[of] == _ROT)
-    turn, pos = k[rot] * rows[of[rot], _STEP.start], rows[of[rot], _POS]
-    # a rotated line spans its turned end points, not its box moved
-    line = shape[of[rot]] == _LINE
-    turned = _rotated(np.concatenate((pos, rows[of[rot[line]], _GEOM:_GEOM + 3])),
-                      np.concatenate((turn, turn[line])), dims)
-    move[rot] = turned[:len(rot)] - pos
+    turned = [c for row in rows[mode == _ROT].tolist() for c in _row_copies(row, dims)]
+    anchors = np.array([v for _, pos, _, _ in turned for v in pos]).reshape(-1, 3)
+    move[rot] = anchors - rows[of[rot], _POS]
     lo, hi, voxels = lo[of] + move, hi[of] + move, voxels[of]
-    starts, ends = turned[:len(rot)][line], turned[len(rot):]
-    line = rot[line]
+    # a rotated line spans its turned end points, not its box moved
+    on_line = shape[of[rot]] == _LINE
+    starts, line = anchors[on_line], rot[on_line]
+    ends = np.array([end for s, _, end, _ in turned if s is ShapeKind.LINE]).reshape(-1, 3)
     lo[line], hi[line] = np.minimum(starts, ends), np.maximum(starts, ends) + 1
     voxels[line] = abs(starts - ends).max(axis=1, initial=0) + 1
     # rows whose every copy is one box, an untilted Cub or Rect or a Sqr, are

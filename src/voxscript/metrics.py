@@ -14,6 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from .dsl.tokens import TokenProgram
 from .errors import (
     AlignmentError,
     CardinalityError,
@@ -90,11 +91,16 @@ def surface_points(g, n: int = 512, rng=None) -> np.ndarray:
     return (surf[idx] + 0.5) / np.asarray(g.shape, dtype=float)
 
 
-def _as_points(p, name) -> np.ndarray:
+def _as_floats(a, name) -> np.ndarray:
+    """``a`` as a float array; anything that is not numbers raises InputError."""
     try:
-        pts = np.asarray(p, dtype=float)
+        return np.asarray(a, dtype=float)
     except (TypeError, ValueError):
-        raise InputError(f"{name} must be an (n, 3) array of numbers") from None
+        raise InputError(f"{name} must be an array of numbers") from None
+
+
+def _as_points(p, name) -> np.ndarray:
+    pts = _as_floats(p, name)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ShapeMismatchError(f"{name} must be an (n, 3) point array, got {pts.shape}")
     return pts
@@ -130,7 +136,7 @@ def weighted_bce(pred, target, w: LossWeights = LossWeights()) -> float:
     Predictions are clamped to [eps, 1-eps] before the logs, so exact 0/1
     predictions cost the clamping floor instead of infinity.
     """
-    pred = np.asarray(pred, dtype=float)
+    pred = _as_floats(pred, "pred")
     target = as_grid(target)
     _check_same_dims(pred, target)
     p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
@@ -146,8 +152,10 @@ def generator_loss(pred_probs, pred_args, gt, w: LossWeights = LossWeights()) ->
     argument row per step. Per step the cost is wp * -log p[true id] plus
     wa * squared L2 distance between the argument rows.
     """
-    probs = np.asarray(pred_probs, dtype=float)
-    args = np.asarray(pred_args, dtype=float)
+    probs = _as_floats(pred_probs, "pred_probs")
+    args = _as_floats(pred_args, "pred_args")
+    if not isinstance(gt, TokenProgram):
+        raise InputError(f"gt must be a TokenProgram, got {type(gt).__name__}")
     steps = gt.steps
     if probs.ndim != 2 or args.ndim != 2:
         raise AlignmentError("predictions must be 2-d: (steps, ids) and (steps, args)")

@@ -456,9 +456,11 @@ def sample(t: Template, rng) -> tuple:
     Parameters are drawn uniformly (inclusive ranges) in sorted name
     order so the stream of random draws is reproducible. One generator call
     draws an attempt's parameters, consuming the stream as one per parameter would.
-    An ``rng`` that is neither a Generator nor a seed ``default_rng`` takes
-    raises InputError.
+    A ``t`` that is not a Template, or an ``rng`` that is neither a
+    Generator nor a seed ``default_rng`` takes, raises InputError.
     """
+    if not isinstance(t, Template):
+        raise InputError(f"t must be a Template, got {type(t).__name__}")
     if not isinstance(rng, np.random.Generator):
         try:
             rng = np.random.default_rng(rng)
@@ -487,16 +489,19 @@ def generate_dataset(out_dir, tables=0, chairs=0, seed=0, dims=DEFAULT_DIMS) -> 
     trio per record, plus manifest.json. Record i draws from its own
     generator seeded with seed XOR i, so records are independent of each
     other and of generation order; each picks a template of its category
-    uniformly. Counts that are not ints >= 0, or a seed that is not an
-    int, raise InputError, and ``dims`` that no binvox file can hold
-    BinvoxError, before any directory is created.
+    uniformly. An ``out_dir`` that is not a path, counts that are not ints
+    >= 0, or a seed that is not an int, raise InputError, and ``dims`` that
+    no binvox file can hold BinvoxError, before any directory is created.
     """
+    try:
+        out = Path(out_dir)
+    except TypeError:
+        raise InputError(f"out_dir must be a path, got {out_dir!r}") from None
     if (not all(isinstance(v, int) and not isinstance(v, bool) for v in (tables, chairs, seed))
             or min(tables, chairs) < 0):
         raise InputError(f"tables and chairs must be ints >= 0 and seed an int, got"
                          f" tables={tables!r}, chairs={chairs!r}, seed={seed!r}")
     check_dims(dims)
-    out = Path(out_dir)
     all_templates = builtin_templates()
     families = {c: [t for t in all_templates if t.category is c] for c in Category}
     # a uniform p, since rng.choice draws differently without one

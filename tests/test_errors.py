@@ -2,14 +2,16 @@
 import numpy as np
 import pytest
 
-from voxscript.analysis import convex_hull_2d, point_in_hull
+from voxscript.analysis import (analyze_dataset, convex_hull_2d, format_analysis_json,
+                                format_analysis_table, point_in_hull)
 from voxscript.binvox import read_binvox, write_binvox
-from voxscript.dsl import (Program, detokenize, format_token_lines, parse_text, parse_token_lines,
-                           print_text, token_program_to_json, tokenize, validate_program)
+from voxscript.dsl import (Program, detokenize, draw_token_id, format_token_lines, parse_text,
+                           parse_token_lines, print_text, token_program_to_json, tokenize,
+                           validate_program)
 from voxscript.errors import VoxScriptError
 from voxscript.executor import execute_program
-from voxscript.metrics import chamfer, surface_points
-from voxscript.templates import builtin_templates, sample
+from voxscript.metrics import chamfer, generator_loss, surface_points, weighted_bce
+from voxscript.templates import builtin_templates, generate_dataset, sample
 
 GRID = np.ones((4, 4, 4), dtype=bool)
 HULL = convex_hull_2d([(0, 0), (4, 0), (0, 4)])
@@ -35,12 +37,24 @@ HULL = convex_hull_2d([(0, 0), (4, 0), (0, 4)])
     lambda: parse_text(None),
     lambda: parse_text(b"draw"),
     lambda: parse_token_lines(5),
+    lambda: analyze_dataset(None),
+    lambda: draw_token_id(None, None),
+    lambda: format_analysis_json([1, 2]),
+    lambda: format_analysis_table(None),
+    lambda: generate_dataset(None),
+    lambda: generator_loss(None, None, None),
+    lambda: point_in_hull([1, 2], [1, 2]),
+    lambda: sample(None, None),
+    lambda: weighted_bce("x", "x"),
 ], ids=["chamfer-strings", "surface-points-negative-n", "surface-points-float-n",
         "hull-of-1-tuples", "point-in-hull-1-tuple", "binvox-short-translate",
         "binvox-string-scale", "read-binvox-str", "sample-string-rng",
         "execute-program-none", "print-text-none", "detokenize-list", "tokenize-none",
         "tokenize-str", "format-token-lines-program", "token-json-none", "parse-text-none",
-        "parse-text-bytes", "parse-token-lines-int"])
+        "parse-text-bytes", "parse-token-lines-int", "analyze-dataset-none",
+        "draw-token-id-none", "analysis-json-list", "analysis-table-none", "generate-dataset-none",
+        "generator-loss-none", "point-in-hull-int-vertices", "sample-none-template",
+        "weighted-bce-strings"])
 def test_malformed_arguments_raise_typed_errors(call):
     with pytest.raises(VoxScriptError):
         call()

@@ -572,7 +572,8 @@ def test_custom_dims():
 
 
 def extent_reference(shape, position, geometry):
-    """Box and voxel bound of one draw, computed per draw with np.rint."""
+    """Box and voxel count of one draw on an unbounded grid, computed per
+    draw with np.rint; a disc layer counts its lattice points one by one."""
     px, py, pz = position
     if shape is ShapeKind.LINE:
         lo = tuple(min(a, b) for a, b in zip(position, geometry))
@@ -588,7 +589,10 @@ def extent_reference(shape, position, geometry):
         return (x0, py, pz), (x1, py + t, pz + r2), max(t, 0) * max(r1, 0) * max(r2, 0)
     r = geometry[1]
     w = max(2 * r + 1, 0)
-    return (px - r, py, pz - r), (px + r + 1, py + t, pz + r + 1), max(t, 0) * w * w
+    layer = w * w
+    if shape is not ShapeKind.SQUARE:
+        layer = sum(d * d + e * e <= r * r for d in range(-r, r + 1) for e in range(-r, r + 1))
+    return (px - r, py, pz - r), (px + r + 1, py + t, pz + r + 1), max(t, 0) * layer
 
 
 coord = st.integers(-60, 90)
@@ -596,7 +600,7 @@ size = st.integers(-4, 60)
 
 
 @st.composite
-def draw_tuples(draw):
+def draw_tuples(draw, coord=coord):
     shape = draw(st.sampled_from(list(ShapeKind)))
     pos = draw(st.tuples(coord, coord, coord))
     if shape is ShapeKind.LINE:
@@ -610,12 +614,17 @@ def draw_tuples(draw):
     return shape, pos, geom
 
 
+def extents_of(draws):
+    """``draw_extents`` of (shape, position, geometry) draws."""
+    return draw_extents(np.array([SHAPES.index(s) for s, _, _ in draws]),
+                        np.array([p for _, p, _ in draws]),
+                        np.array([(g + (0,) * 4)[:4] for _, _, g in draws]))
+
+
 @settings(max_examples=300)
 @given(st.lists(draw_tuples(), min_size=1, max_size=8))
 def test_draw_extents_match_scalar_reference(draws):
-    lo, hi, volume = draw_extents(np.array([SHAPES.index(s) for s, _, _ in draws]),
-                                  np.array([p for _, p, _ in draws]),
-                                  np.array([(g + (0,) * 4)[:4] for _, _, g in draws]))
+    lo, hi, volume = extents_of(draws)
     expect = [extent_reference(*d) for d in draws]
     assert lo.tolist() == [list(e[0]) for e in expect]
     assert hi.tolist() == [list(e[1]) for e in expect]
@@ -623,6 +632,19 @@ def test_draw_extents_match_scalar_reference(draws):
     for (shape, pos, geom), (elo, ehi, _) in zip(draws, expect):
         if shape is not ShapeKind.LINE:
             assert tuple(p + v for p, v in zip(pos * 2, _extent(shape, geom))) == elo + ehi
+
+
+@settings(max_examples=300)
+@given(st.lists(draw_tuples(st.integers(0, 40)), min_size=1, max_size=8))
+def test_draw_extents_count_every_voxel_of_a_draw_inside_the_grid(draws):
+    """The count is exact: a draw whose box lies wholly inside the grid sets
+    exactly ``volume`` voxels there."""
+    dims = (64, 64, 64)
+    lo, hi, volume = extents_of(draws)
+    for (shape, pos, geom), l, h, n in zip(draws, lo.tolist(), hi.tolist(), volume.tolist()):
+        if min(l) >= 0 and all(b <= d for b, d in zip(h, dims)):
+            grid = execute_block(DrawStmt(SEM, shape, pos, geom), dims)
+            assert n == np.count_nonzero(grid), (shape, pos, geom)
 
 
 @pytest.mark.parametrize("dims", [

@@ -915,6 +915,29 @@ def test_fit_respects_budget():
     assert r.budget_exhausted
 
 
+@pytest.mark.parametrize("budget, cut_beam", [(29, False), (43, True)])
+def test_fit_stops_on_budget_inside_a_round(monkeypatch, budget, cut_beam):
+    """The budget runs out while a round ranks its candidates: at 29 before
+    the second round scores one, so its beam is empty and the fit stops
+    there; at 43 part way through, so the round accepts the best of its cut
+    beam. Either way the fit stops for the budget with a valid program."""
+    ranked, beams = inference._ranked_beam, []
+
+    def recording(rows, rnd, config, spent):
+        beam = ranked(rows, rnd, config, spent)
+        beams.append((len(beam), spent.exhausted))
+        return beam
+
+    monkeypatch.setattr(inference, "_ranked_beam", recording)
+    target = execute_program(sample(builtin_templates()[0], 0)[0])  # table_four_leg
+    r = fit_program(target, SearchConfig(budget=budget))
+    assert r.stop_reason == "budget" and r.budget_exhausted and r.executor_calls <= budget
+    assert validate_program(r.program, Limits.for_dims(target.shape)).ok
+    size, exhausted = beams[-1]
+    assert exhausted and (size > 0) == cut_beam
+    assert len(r.program.statements) == len(beams) - (not cut_beam)
+
+
 def test_fit_idempotent_refit():
     p = Program((
         DrawStmt(Semantics.TOP, ShapeKind.CUBOID, (8, 20, 8), (2, 16, 16)),
