@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyShapeError, InputError
 from .executor import as_grid
@@ -26,16 +25,28 @@ class Connectivity(enum.Enum):
     TWENTY_SIX = 26
 
 
+def _check_connectivity(connectivity):
+    if not isinstance(connectivity, Connectivity):
+        raise InputError(f"connectivity must be a Connectivity, got {connectivity!r}")
+
+
 def _structure(connectivity: Connectivity) -> np.ndarray:
+    _check_connectivity(connectivity)
     if connectivity is Connectivity.SIX:
+        from scipy import ndimage
+
         return ndimage.generate_binary_structure(3, 1)
     return np.ones((3, 3, 3), dtype=bool)
 
 
 def connected_components(g, connectivity: Connectivity = Connectivity.TWENTY_SIX):
-    """Label occupied regions; returns (labels array, component count)."""
+    """Label occupied regions; returns (labels array, component count). A
+    ``connectivity`` that is not a Connectivity raises InputError."""
+    from scipy import ndimage
+
+    structure = _structure(connectivity)
     g = as_grid(g)
-    labels, count = ndimage.label(g, structure=_structure(connectivity))
+    labels, count = ndimage.label(g, structure=structure)
     return labels, int(count)
 
 
@@ -136,7 +147,8 @@ class StabilityReport:
 
 
 def stability_report(g, connectivity: Connectivity = Connectivity.TWENTY_SIX) -> StabilityReport:
-    """Full structural report; an empty grid is neither stable nor connected."""
+    """Full structural report; an empty grid is neither stable nor connected.
+    A ``connectivity`` that is not a Connectivity raises InputError."""
     g = as_grid(g)
     _, count = connected_components(g, connectivity)
     if count == 0:
@@ -156,7 +168,9 @@ def is_stable(g) -> bool:
 
 def analyze_dataset(grids, connectivity: Connectivity = Connectivity.TWENTY_SIX) -> dict:
     """Aggregate percentages of stable / connected / both over many shapes.
-    ``grids`` that is not an iterable raises InputError."""
+    ``grids`` that is not an iterable, or a ``connectivity`` that is not a
+    Connectivity, raises InputError before any grid is analysed."""
+    _check_connectivity(connectivity)
     try:
         grids = iter(grids)
     except TypeError:

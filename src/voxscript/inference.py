@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
                       Semantics, ShapeKind, validate_program)
@@ -92,7 +91,7 @@ class SearchConfig:
     scored per fit before it stops. A count that is not an int >= 1, or a
     ``min_gain`` that is not a finite number > 0, raises InputError."""
     max_blocks: int = 10
-    beam_width: int = 8
+    beam_width: int = 4
     min_gain: float = 0.002
     budget: int = 200_000
 
@@ -313,6 +312,8 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
     x/y/z, and geometry padded with zeros to the tilt slot. A draw has times
     1 and a zero step. ``_make_block`` turns a row into its statement.
     """
+    from scipy import ndimage
+
     res = as_grid(residual)
     occ = np.argwhere(res)
     if len(occ) == 0:

@@ -10,9 +10,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .dsl.tokens import TokenProgram
 from .errors import (
@@ -46,6 +43,11 @@ class LossWeights:
                 raise InputError(f"{name} must be a finite number >= 0, got {v!r}")
         if self.w0 == 0 and self.w1 == 0:
             raise InputError("w0 and w1 must not both be zero")
+
+
+def _check_weights(w):
+    if not isinstance(w, LossWeights):
+        raise InputError(f"w must be a LossWeights, got {type(w).__name__}")
 
 
 def _check_same_dims(a, b):
@@ -112,6 +114,8 @@ def chamfer(a, b) -> float:
     b = _as_points(b, "b")
     if len(a) == 0 or len(b) == 0:
         raise EmptyShapeError("chamfer needs non-empty point sets")
+    from scipy.spatial import cKDTree
+
     d_ab = cKDTree(b).query(a)[0]
     d_ba = cKDTree(a).query(b)[0]
     return float(0.5 * d_ab.mean() + 0.5 * d_ba.mean())
@@ -125,6 +129,9 @@ def emd(a, b) -> float:
         raise CardinalityError(f"point sets must match in size: {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise EmptyShapeError("emd needs non-empty point sets")
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     costs = cdist(a, b)
     rows, cols = linear_sum_assignment(costs)
     return float(costs[rows, cols].sum() / len(a))
@@ -134,8 +141,10 @@ def weighted_bce(pred, target, w: LossWeights = LossWeights()) -> float:
     """Summed binary cross-entropy with separate vacant/occupied weights.
 
     Predictions are clamped to [eps, 1-eps] before the logs, so exact 0/1
-    predictions cost the clamping floor instead of infinity.
+    predictions cost the clamping floor instead of infinity. A ``w`` that
+    is not a LossWeights raises InputError.
     """
+    _check_weights(w)
     pred = _as_floats(pred, "pred")
     target = as_grid(target)
     _check_same_dims(pred, target)
@@ -150,8 +159,10 @@ def generator_loss(pred_probs, pred_args, gt, w: LossWeights = LossWeights()) ->
 
     ``pred_probs`` is one id distribution per step; ``pred_args`` one
     argument row per step. Per step the cost is wp * -log p[true id] plus
-    wa * squared L2 distance between the argument rows.
+    wa * squared L2 distance between the argument rows. A ``w`` that is
+    not a LossWeights raises InputError.
     """
+    _check_weights(w)
     probs = _as_floats(pred_probs, "pred_probs")
     args = _as_floats(pred_args, "pred_args")
     if not isinstance(gt, TokenProgram):

@@ -1,5 +1,9 @@
 """End-to-end command-line behaviour: files written, exit codes, outputs."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,3 +345,13 @@ def test_detokenize_refuses_rows_of_an_invalid_program(tmp_path, capsys):
     assert cli.main(["--json-errors", "detokenize", str(tok)]) == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "InvalidProgramError"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported by the functions that use it, so commands that only
+    # parse, encode or execute programs start without it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, voxscript.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -2,19 +2,22 @@
 import numpy as np
 import pytest
 
-from voxscript.analysis import (analyze_dataset, convex_hull_2d, format_analysis_json,
-                                format_analysis_table, point_in_hull)
+from voxscript.analysis import (analyze_dataset, connected_components, convex_hull_2d,
+                                format_analysis_json, format_analysis_table, point_in_hull,
+                                stability_report)
 from voxscript.binvox import read_binvox, write_binvox
 from voxscript.dsl import (Program, detokenize, draw_token_id, format_token_lines, parse_text,
                            parse_token_lines, print_text, token_program_to_json, tokenize,
                            validate_program)
-from voxscript.errors import VoxScriptError
+from voxscript.dsl.tokens import VOCAB_SIZE, TokenProgram, TokenStep
+from voxscript.errors import InputError, VoxScriptError
 from voxscript.executor import execute_program
 from voxscript.metrics import chamfer, generator_loss, surface_points, weighted_bce
 from voxscript.templates import builtin_templates, generate_dataset, sample
 
 GRID = np.ones((4, 4, 4), dtype=bool)
 HULL = convex_hull_2d([(0, 0), (4, 0), (0, 4)])
+END = TokenProgram((TokenStep(VOCAB_SIZE - 1, (0,) * 7),))  # the end token alone
 
 
 @pytest.mark.parametrize("call", [
@@ -46,6 +49,11 @@ HULL = convex_hull_2d([(0, 0), (4, 0), (0, 4)])
     lambda: point_in_hull([1, 2], [1, 2]),
     lambda: sample(None, None),
     lambda: weighted_bce("x", "x"),
+    lambda: weighted_bce(GRID, GRID, None),
+    lambda: generator_loss(np.eye(VOCAB_SIZE)[[VOCAB_SIZE - 1]], np.zeros((1, 7)), END, None),
+    lambda: analyze_dataset([GRID], None),
+    lambda: stability_report(GRID, "six"),
+    lambda: connected_components(GRID, "six"),
 ], ids=["chamfer-strings", "surface-points-negative-n", "surface-points-float-n",
         "hull-of-1-tuples", "point-in-hull-1-tuple", "binvox-short-translate",
         "binvox-string-scale", "read-binvox-str", "sample-string-rng",
@@ -54,10 +62,24 @@ HULL = convex_hull_2d([(0, 0), (4, 0), (0, 4)])
         "parse-text-bytes", "parse-token-lines-int", "analyze-dataset-none",
         "draw-token-id-none", "analysis-json-list", "analysis-table-none", "generate-dataset-none",
         "generator-loss-none", "point-in-hull-int-vertices", "sample-none-template",
-        "weighted-bce-strings"])
+        "weighted-bce-strings", "weighted-bce-none-weights", "generator-loss-none-weights",
+        "analyze-dataset-none-connectivity", "stability-report-str-connectivity",
+        "components-str-connectivity"])
 def test_malformed_arguments_raise_typed_errors(call):
     with pytest.raises(VoxScriptError):
         call()
+
+
+def test_analyze_dataset_refuses_a_bad_connectivity_before_any_grid():
+    seen = []
+
+    def grids():
+        seen.append(GRID)
+        yield GRID
+
+    with pytest.raises(InputError):
+        analyze_dataset(grids(), 6)
+    assert not seen
 
 
 @pytest.mark.parametrize("arg", ["x", None, (), [1, 2]], ids=["str", "none", "tuple", "list"])

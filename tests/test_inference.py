@@ -678,24 +678,26 @@ def test_refine_shared_round_cache_matches_uncached():
 # round's table could not count. The counts were recorded once ranking keyed
 # each candidate by the score of its cover bound and empty-voxel floor, which
 # left every digest, IoU and stop reason as it was and lowered every count.
+# Every count, and the digests and IoUs of chair_swivel and chair_basic, were
+# re-recorded when the default beam went from 8 entries to 4.
 PINNED_FITS = {
-    "table_four_leg": ("3ccc15ff483da354", 1.0, 576, "residual_empty"),
-    "table_round_rotleg": ("7195dfc175fc5d81", 1.0, 219, "residual_empty"),
-    "table_locker": ("947f9e3ccdd72b8b", 0.7368421052631579, 385, "residual_empty"),
-    "chair_armchair": ("938cf240ab8887d1", 0.6571428571428571, 622, "residual_empty"),
-    "chair_swivel": ("286518ff58eb8900", 0.9867075664621677, 956, "min_gain"),
-    "table_pedestal": ("d9c1ab83511bef02", 1.0, 425, "residual_empty"),
-    "table_sideboard": ("4f0c397d5bace2c1", 1.0, 382, "residual_empty"),
-    "table_layer": ("70f9042c661a048e", 1.0, 977, "residual_empty"),
-    "table_multi_layer": ("bb2cb98c2da33fe8", 1.0, 527, "residual_empty"),
-    "table_hbar": ("345ee988d9483227", 1.0, 766, "residual_empty"),
-    "table_slab": ("ec3a327caccd4fdd", 1.0, 321, "residual_empty"),
-    "table_round_corner": ("62321e9f06fbb484", 0.8710900473933649, 393, "residual_empty"),
-    "chair_basic": ("1a576f372c272873", 0.8435374149659864, 970, "residual_empty"),
-    "chair_bar_back": ("84ef370bb4c81315", 0.9250936329588015, 1042, "residual_empty"),
-    "chair_sofa": ("23285c90e6ce6c9c", 0.76, 304, "residual_empty"),
-    "chair_bench": ("da5c499f2be86d14", 1.0, 505, "residual_empty"),
-    "chair_post_back": ("fcefdb3e3ea2fee8", 1.0, 837, "residual_empty"),
+    "table_four_leg": ("3ccc15ff483da354", 1.0, 295, "residual_empty"),
+    "table_round_rotleg": ("7195dfc175fc5d81", 1.0, 134, "residual_empty"),
+    "table_locker": ("947f9e3ccdd72b8b", 0.7368421052631579, 185, "residual_empty"),
+    "chair_armchair": ("938cf240ab8887d1", 0.6571428571428571, 339, "residual_empty"),
+    "chair_swivel": ("dc4141c1a42bb158", 0.9907692307692307, 627, "min_gain"),
+    "table_pedestal": ("d9c1ab83511bef02", 1.0, 204, "residual_empty"),
+    "table_sideboard": ("4f0c397d5bace2c1", 1.0, 195, "residual_empty"),
+    "table_layer": ("70f9042c661a048e", 1.0, 505, "residual_empty"),
+    "table_multi_layer": ("bb2cb98c2da33fe8", 1.0, 303, "residual_empty"),
+    "table_hbar": ("345ee988d9483227", 1.0, 396, "residual_empty"),
+    "table_slab": ("ec3a327caccd4fdd", 1.0, 161, "residual_empty"),
+    "table_round_corner": ("62321e9f06fbb484", 0.8710900473933649, 178, "residual_empty"),
+    "chair_basic": ("34e01d746cc971ff", 0.9078706528370958, 614, "residual_empty"),
+    "chair_bar_back": ("84ef370bb4c81315", 0.9250936329588015, 560, "residual_empty"),
+    "chair_sofa": ("23285c90e6ce6c9c", 0.76, 217, "residual_empty"),
+    "chair_bench": ("da5c499f2be86d14", 1.0, 254, "residual_empty"),
+    "chair_post_back": ("fcefdb3e3ea2fee8", 1.0, 485, "residual_empty"),
 }
 
 
@@ -709,6 +711,26 @@ def test_fit_program_pinned():
         digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
         assert (digest, r.final_iou, r.executor_calls, r.stop_reason) == pinned, tid
         assert not r.budget_exhausted
+
+
+# The least mean IoU of the default fit over six seeded shapes (rng seeds 0-5)
+# of each template the search fits worst: each floor is the mean measured at a
+# beam of 4, rounded down to two places, so a search change that loses one of
+# these templates fails here, while PINNED_FITS only says that fits changed.
+WEAK_TEMPLATE_FLOORS = {
+    "chair_armchair": 0.60,
+    "table_locker": 0.80,
+    "chair_basic": 0.95,
+    "table_round_corner": 0.90,
+}
+
+
+@pytest.mark.parametrize("tid", list(WEAK_TEMPLATE_FLOORS))
+def test_weak_templates_fit_above_their_floor(tid):
+    template = next(t for t in builtin_templates() if t.id == tid)
+    ious = [fit_program(execute_program(sample(template, np.random.default_rng(s))[0])).final_iou
+            for s in range(6)]
+    assert np.mean(ious) >= WEAK_TEMPLATE_FLOORS[tid], ious
 
 
 def test_candidates_are_valid_blocks():
