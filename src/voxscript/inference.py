@@ -18,6 +18,17 @@ reach the beam. The bounds only decide which candidates are scored, and
 while the budget lasts the beam is exactly the one that scoring every
 candidate would give.
 
+About half of a round's candidates are lines grown from lattice seeds,
+and they seldom reach the beam, so they are ranked as one group under one
+bound. A seed line draws the run of residual voxels its seed walks, so
+none covers more than the longest run or fills an empty voxel, and no
+seed line's key is above the score of that run alone. Each round first
+ranks the candidates without the seed lines that wrap no loop, and keeps
+that beam when it is full and its last score is above the group's bound;
+otherwise, and where the round's cap could cut the candidates, it ranks
+them all (see ``_round_beam``). Either way the beam and the budget spent
+are those of ranking every candidate.
+
 A candidate whose voxels are a union of boxes is counted from the table,
 not executed, from the executor's own ``draw_boxes``: an untilted
 ``Cub`` or ``Rect``, or a ``Sqr``, is one box; a tilted ``Cub`` is one
@@ -169,6 +180,11 @@ def _runs(res, points, dirs) -> np.ndarray:
     return n
 
 
+def _argwhere(a) -> np.ndarray:
+    """``np.argwhere(a)``, from flat indices, which is faster on a 3-D array."""
+    return np.stack(np.unravel_index(np.flatnonzero(a), a.shape), axis=1)
+
+
 def _lattice_seeds(res, lo, hi, s) -> np.ndarray:
     """One seed per stride cell of the box lo..hi: the cell's first occupied
     voxel in (x, y, z) order, cells in the same order."""
@@ -180,7 +196,7 @@ def _lattice_seeds(res, lo, hi, s) -> np.ndarray:
     per_cell = per_cell.reshape(cells + (s ** 3,))
     hit = per_cell.any(axis=-1)
     first = np.stack(np.unravel_index(per_cell.argmax(axis=-1)[hit], (s, s, s)), axis=1)
-    return lo + np.argwhere(hit) * s + first
+    return lo + _argwhere(hit) * s + first
 
 
 def _label_semantics(shape, pos, geom, dims) -> Semantics:
@@ -229,7 +245,7 @@ def _make_block(row, dims):
 
 def _periodic_steps(res, occ) -> list:
     """Per axis, the smallest shift under which the grid best overlaps
-    itself, given its occupied voxels ``occ`` as ``np.argwhere`` lists them.
+    itself, given its occupied voxels ``occ`` as ``_argwhere`` lists them.
 
     Entry (i, j) of the Gram matrix of the slices along an axis counts the
     voxels slices i and j share, so the overlap under shift k is the sum of
@@ -269,10 +285,12 @@ def _loop_rows(headers, bodies) -> np.ndarray:
     return out.reshape(-1, _ROW_LEN)
 
 
-def _seed_draws(res, seeds) -> tuple:
+def _seed_draws(res, seeds, lined) -> tuple:
     """Draws grown from each seed, where big enough, as candidate columns
     ``_SHAPE`` on: a cuboid, cylinders at the seed and at its snapped disc
-    center, and a line per line direction. Also returns each draw's seed."""
+    center, and, from the seeds the mask ``lined`` picks, a line per line
+    direction. Also returns each draw's seed, and the run of every line big
+    enough, from any seed: the residual voxels it walks, which it draws."""
     runs = _runs(res, seeds, _SEED_DIRS)
     # disc seed snapped to the midpoint of the opposing runs, so rim points
     # still yield a usable cylinder; radius is taken from fresh runs at the
@@ -283,18 +301,35 @@ def _seed_draws(res, seeds) -> tuple:
     moved = (centers != seeds).any(axis=1) & res[tuple(centers.T)]
     center_runs = np.zeros((len(seeds), 5), dtype=np.int64)
     center_runs[moved] = _runs(res, centers[moved], _SEED_DIRS[:5])
-    slots = np.zeros((len(seeds), 3 + 2 * len(_LINE_DIRS), _ROW_LEN - _SHAPE), dtype=np.int64)
-    slots[:, :, 0] = (_CUBOID, _CYLINDER, _CYLINDER) + (_LINE,) * 2 * len(_LINE_DIRS)
+    slots = np.zeros((len(seeds), 3, _ROW_LEN - _SHAPE), dtype=np.int64)
+    slots[:, :, 0] = _CUBOID, _CYLINDER, _CYLINDER
     slots[:, :, 1:4] = seeds[:, None]
     slots[:, 2, 1:4] = centers
     geom = slots[:, :, 4:]
     geom[:, 0, :3] = runs[:, :3]
     for slot, r in ((1, runs), (2, center_runs)):
         geom[:, slot, 0], geom[:, slot, 1] = r[:, 0], r[:, 1:5].min(axis=1) - 1
-    geom[:, 3:, :3] = seeds[:, None] + (runs[:, 5:, None] - 1) * _SEED_DIRS[None, 5:]
-    valid = np.concatenate((np.ones((len(seeds), 1), dtype=bool), geom[:, 1:3, 1] >= 1,
-                            runs[:, 5:] >= 4), axis=1)
-    return slots[valid], np.nonzero(valid)[0]
+    valid = np.ones((len(seeds), 3), dtype=bool)
+    valid[:, 1:] = geom[:, 1:, 1] >= 1
+    # each seed's lines follow its other draws
+    lines = runs[:, 5:] >= 4
+    seed, slot = np.nonzero(lines & lined[:, None])
+    drawn = np.zeros((len(seed), _ROW_LEN - _SHAPE), dtype=np.int64)
+    drawn[:, 0], drawn[:, 1:4] = _LINE, seeds[seed]
+    drawn[:, 4:7] = seeds[seed] + (runs[seed, 5 + slot, None] - 1) * _SEED_DIRS[5 + slot]
+    at = np.cumsum(valid.sum(axis=1))[seed]
+    return (np.insert(slots[valid], at, drawn, axis=0),
+            np.insert(np.nonzero(valid)[0], at, seed), runs[:, 5:][lines])
+
+
+def _check_config(config):
+    if not isinstance(config, SearchConfig):
+        raise InputError(f"config must be a SearchConfig, got {type(config).__name__}")
+
+
+def _cap(config) -> int:
+    """The most candidates a round proposes."""
+    return max(1, config.budget // (2 * config.max_blocks))
 
 
 def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.ndarray:
@@ -310,14 +345,23 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
     draw, 1 translation, 2 rotation about Y), times, step x/y/z (a
     rotation's angle in x), shape code (see ``executor.SHAPES``), position
     x/y/z, and geometry padded with zeros to the tilt slot. A draw has times
-    1 and a zero step. ``_make_block`` turns a row into its statement.
+    1 and a zero step. ``_make_block`` turns a row into its statement. A
+    ``config`` that is not a SearchConfig raises InputError.
     """
+    _check_config(config)
+    return _proposal(as_grid(residual), defer=False)[0][:_cap(config)]
+
+
+def _proposal(res, defer: bool) -> tuple:
+    """``propose_candidates``' rows for the residual grid ``res``, uncapped,
+    and the runs of the lines grown from lattice seeds. With ``defer`` the
+    rows leave out every seed line that is no wrapper body and keep the
+    others in order."""
     from scipy import ndimage
 
-    res = as_grid(residual)
-    occ = np.argwhere(res)
+    occ = _argwhere(res)
     if len(occ) == 0:
-        return np.zeros((0, _ROW_LEN), dtype=np.int64)
+        return np.zeros((0, _ROW_LEN), dtype=np.int64), np.zeros(0, dtype=np.int64)
     lo, hi = occ.min(axis=0), occ.max(axis=0)
     # labelled inside the occupied box, which keeps the raster order of components
     labels, _ = ndimage.label(res[tuple(slice(a, b + 1) for a, b in zip(lo, hi))],
@@ -328,7 +372,14 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
     # Snapping (rather than testing the lattice corner itself) keeps thin
     # structures at off-lattice coordinates reachable.
     seeds = _lattice_seeds(res, lo, hi, _SEED_STRIDE)
-    seeded, seed_of = _seed_draws(res, seeds)
+    # wrapper bodies are the first draws from each of the first components'
+    # first seed, components in label order
+    seed_labels = labels[tuple((seeds - lo).T)]
+    firsts = np.sort(np.unique(seed_labels, return_index=True)[1])[:_WRAP_MAX_COMPONENTS]
+    # deferring, only the wrapper seeds grow lines, since a body may be one
+    lined = np.full(len(seeds), not defer)
+    lined[firsts] = True
+    seeded, seed_of, line_runs = _seed_draws(res, seeds, lined)
     # the bounding-box cuboid and the end-to-end lines, exact for any single
     # rendered segment. Two scan orders, x-major as ``occ`` lists voxels and
     # z-major, since the extreme voxel under one order can be off by one when
@@ -337,13 +388,23 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
     head = np.array([(_CUBOID, *lo, *(hi - lo + 1)[[1, 0, 2]], 0), (_LINE, *occ[0], *occ[-1], 0),
                      (_LINE, *occ[z_major.argmin()], *occ[z_major.argmax()], 0)])
     found = np.concatenate((head, seeded))
-    # each draw's first copy: the stable sort keeps equal rows in index order
+    # each draw's first copy: the stable sort keeps equal rows in index order.
+    # A seed line starts at its seed and ends on a voxel of its own per
+    # direction, so it repeats no draw but a head line, and leaving it out
+    # changes no other draw's first copy.
     order = np.lexsort(found.T)
     ranked = found[order]
     keep = np.sort(order[np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]])
     draws = np.zeros((len(keep), _ROW_LEN), dtype=np.int64)
     draws[:, _TIMES], draws[:, _SHAPE:] = 1, found[keep]
     source = np.concatenate(((-1,) * len(head), seed_of))[keep]
+    rank = np.arange(len(source)) - np.searchsorted(source, source)  # among its seed's draws
+    body = np.isin(source, firsts) & (rank < _WRAP_BODIES_PER_COMPONENT)
+    if defer:  # a wrapper seed's lines ranked as in the full array; keep the bodies
+        keep = body | (source < 0) | (draws[:, _SHAPE] != _LINE)
+        draws, source, body = draws[keep], source[keep], body[keep]
+    bodies = np.flatnonzero(body)
+    bodies = bodies[np.argsort(seed_labels[source[bodies]], kind="stable")]
 
     # Translations over the first non-line draws anchored within the first
     # period of each detected (axis, k); then, per wrapper body, every
@@ -358,18 +419,9 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
         near = (draws[:, _SHAPE] != _LINE) & (draws[:, _POS.start + axis] - lo[axis] < k)
         in_slab[s, np.flatnonzero(near)[:_WRAP_MAX_SLAB_BODIES]] = True
         loops.append(_loop_rows(wraps[s], draws[in_slab[s]]))
-    # wrapper bodies: the first draws from each of the first components'
-    # first seed, components in label order
-    seed_labels = labels[tuple((seeds - lo).T)]
-    firsts = np.sort(np.unique(seed_labels, return_index=True)[1])[:_WRAP_MAX_COMPONENTS]
-    rank = np.arange(len(source)) - np.searchsorted(source, source)  # among its seed's draws
-    bodies = np.flatnonzero(np.isin(source, firsts) & (rank < _WRAP_BODIES_PER_COMPONENT))
-    bodies = bodies[np.argsort(seed_labels[source[bodies]], kind="stable")]
     fresh = np.repeat(~in_slab[:, bodies].T, len(_WRAP_TIMES), axis=1)
     loops.append(_loop_rows(wraps.reshape(-1, _SHAPE), draws[bodies])[fresh.ravel()])
-
-    cap = max(1, config.budget // (2 * config.max_blocks))
-    return np.concatenate([draws] + loops)[:cap]
+    return np.concatenate([draws] + loops), line_runs
 
 
 # A summed-volume table entry packs two counts: residual voxels in the low
@@ -692,14 +744,41 @@ def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
     return [(-neg, idx, tuple(rows[idx].tolist())) for neg, idx in beam]
 
 
+def _round_beam(rnd: _Round, config, budget) -> list:
+    """``_ranked_beam`` over ``propose_candidates``' array for the round,
+    with the seed lines that wrap no loop ranked only where one could reach
+    the beam.
+
+    A seed line covers at most its run of residual voxels, so no line's key
+    is above the score of the longest run and no empty voxel. The rows
+    without those lines are ranked first, as a trial, which stands when its
+    beam is full and the beam's last score is above that score: then no
+    line would have been visited, the other rows keep their order, and the
+    beam and the budget spent are those of the full array; with no seed
+    line the rows are the full array. Otherwise, or when the round's cap
+    could cut the full array, the trial is undone and the full array ranked.
+    """
+    rows, runs = _proposal(rnd.residual, defer=True)
+    if len(rows) + len(runs) <= _cap(config):
+        calls, exhausted = budget.calls, budget.exhausted
+        beam = _ranked_beam(rows, rnd, config, budget)
+        if not len(runs) or (len(beam) == config.beam_width and beam[-1][0] >
+                             _score_from_counts(runs.max(), 0, rnd.i0, rnd.u0)):
+            return beam
+        budget.calls, budget.exhausted = calls, exhausted
+    return _ranked_beam(propose_candidates(rnd.residual, config), rnd, config, budget)
+
+
 def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
     """Greedy block-by-block reconstruction of the target grid.
 
     The program validates under ``Limits.for_dims(target.shape)``: it has
     at most that many top-level statements, and refinement keeps every
     coordinate and extent inside the grid. The fit checks this before it
-    returns and raises InvalidProgramError should it ever fail.
+    returns and raises InvalidProgramError should it ever fail. A
+    ``config`` that is not a SearchConfig raises InputError.
     """
+    _check_config(config)
     target = as_grid(target)
     dims = target.shape
     limits = Limits.for_dims(dims)
@@ -714,8 +793,7 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
             stop = "budget" if budget.exhausted else "residual_empty"
             break
         rnd = _round_state(target, current)
-        candidates = propose_candidates(rnd.residual, config)
-        beam = _ranked_beam(candidates, rnd, config, budget)
+        beam = _round_beam(rnd, config, budget)
         if not beam:  # the budget ran out before one candidate was scored
             stop = "budget"
             break

@@ -77,18 +77,22 @@ def surface_mask(g) -> np.ndarray:
 
 def surface_points(g, n: int = 512, rng=None) -> np.ndarray:
     """Sample n surface-voxel centers with replacement, scaled into [0,1]^3.
-    An ``n`` that is not an int >= 0 raises InputError."""
+    An ``n`` that is not an int >= 0, or an ``rng`` that is neither a
+    Generator nor a seed ``default_rng`` takes, raises InputError."""
     try:
         ok = operator.index(n) >= 0
     except TypeError:
         ok = False
     if not ok:
         raise InputError(f"n must be an int >= 0, got {n!r}")
+    try:
+        rng = np.random.default_rng(rng)
+    except (TypeError, ValueError):
+        raise InputError(f"rng must be a numpy Generator or a seed, got {rng!r}") from None
     g = as_grid(g)
     surf = np.argwhere(surface_mask(g))
     if len(surf) == 0:
         raise EmptyShapeError("no occupied voxels to sample surface points from")
-    rng = np.random.default_rng(rng)
     idx = rng.integers(0, len(surf), size=n)
     return (surf[idx] + 0.5) / np.asarray(g.shape, dtype=float)
 
@@ -105,6 +109,8 @@ def _as_points(p, name) -> np.ndarray:
     pts = _as_floats(p, name)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ShapeMismatchError(f"{name} must be an (n, 3) point array, got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise InputError(f"{name} must hold finite coordinates only")
     return pts
 
 

@@ -12,7 +12,8 @@ from voxscript.dsl import (Program, detokenize, draw_token_id, format_token_line
 from voxscript.dsl.tokens import VOCAB_SIZE, TokenProgram, TokenStep
 from voxscript.errors import InputError, VoxScriptError
 from voxscript.executor import execute_program
-from voxscript.metrics import chamfer, generator_loss, surface_points, weighted_bce
+from voxscript.inference import fit_program, propose_candidates
+from voxscript.metrics import chamfer, emd, generator_loss, surface_points, weighted_bce
 from voxscript.templates import builtin_templates, generate_dataset, sample
 
 GRID = np.ones((4, 4, 4), dtype=bool)
@@ -54,6 +55,12 @@ END = TokenProgram((TokenStep(VOCAB_SIZE - 1, (0,) * 7),))  # the end token alon
     lambda: analyze_dataset([GRID], None),
     lambda: stability_report(GRID, "six"),
     lambda: connected_components(GRID, "six"),
+    lambda: fit_program(GRID, "x"),
+    lambda: fit_program(GRID, None),
+    lambda: propose_candidates(GRID, None),
+    lambda: emd([[np.nan, 0, 0]], [[0, 0, 0]]),
+    lambda: chamfer([[np.inf, 0, 0]], [[0, 0, 0]]),
+    lambda: surface_points(GRID, 512, "x"),
 ], ids=["chamfer-strings", "surface-points-negative-n", "surface-points-float-n",
         "hull-of-1-tuples", "point-in-hull-1-tuple", "binvox-short-translate",
         "binvox-string-scale", "read-binvox-str", "sample-string-rng",
@@ -64,7 +71,8 @@ END = TokenProgram((TokenStep(VOCAB_SIZE - 1, (0,) * 7),))  # the end token alon
         "generator-loss-none", "point-in-hull-int-vertices", "sample-none-template",
         "weighted-bce-strings", "weighted-bce-none-weights", "generator-loss-none-weights",
         "analyze-dataset-none-connectivity", "stability-report-str-connectivity",
-        "components-str-connectivity"])
+        "components-str-connectivity", "fit-str-config", "fit-none-config",
+        "propose-none-config", "emd-nan-point", "chamfer-inf-point", "surface-points-str-rng"])
 def test_malformed_arguments_raise_typed_errors(call):
     with pytest.raises(VoxScriptError):
         call()

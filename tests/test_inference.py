@@ -12,10 +12,10 @@ from voxscript.executor import SHAPES, execute_block, execute_program, unroll_fo
 from voxscript import inference
 from voxscript.dsl.text import print_text
 from voxscript.inference import (_PERIOD_MIN_OVERLAP, _SEED_DIRS, FitResult, SearchConfig, _Budget, _block_counts, _cover_bounds,
-                                 _lattice_seeds, _make_block, _periodic_steps, _ranked_beam,
-                                 _refine, _round_state, _row_copies, _row_counts, _runs,
-                                 _score_from_counts, _window_counts, fit_program,
-                                 propose_candidates)
+                                 _lattice_seeds, _make_block, _periodic_steps, _proposal,
+                                 _ranked_beam, _refine, _round_beam, _round_state, _row_copies,
+                                 _row_counts, _runs, _score_from_counts, _seed_draws,
+                                 _window_counts, fit_program, propose_candidates)
 from voxscript.metrics import iou
 from voxscript.templates import builtin_templates, sample
 
@@ -642,6 +642,102 @@ def test_ranked_beam_equals_exhaustive_ranking(monkeypatch):
         skipped += len(candidates) - budget.calls
         skipped_rotations += len({tuple(c) for c in candidates.tolist() if c[0] == 2} - counted)
     assert skipped > 0 and skipped_rotations > 0
+
+
+def full_beam(rnd, config, budget):
+    """The round's beam over every candidate, which ``_round_beam`` must give."""
+    return _ranked_beam(propose_candidates(rnd.residual, config), rnd, config, budget)
+
+
+def round_beam_falls_back(monkeypatch, rnd, config) -> bool:
+    """Whether ``_round_beam`` ranked the full array, once its beam (scores
+    and rows) and budget are asserted to be ``full_beam``'s."""
+    got, want = _Budget(config.budget), _Budget(config.budget)
+    proposed = []
+    with monkeypatch.context() as m:
+        m.setattr(inference, "propose_candidates",
+                  lambda res, c: proposed.append(c) or propose_candidates(res, c))
+        beam = _round_beam(rnd, config, got)
+    assert [(s, row) for s, _, row in beam] == [(s, row) for s, _, row in full_beam(rnd, config, want)]
+    assert (got.calls, got.exhausted) == (want.calls, want.exhausted)
+    return bool(proposed)
+
+
+def deferred_rows(res) -> list:
+    """The rows of ``propose_candidates(res)`` that the deferred proposal
+    leaves out, after asserting that it keeps the others in order."""
+    full, (rows, _) = propose_candidates(res).tolist(), _proposal(res, defer=True)
+    rows, i, left = rows.tolist(), 0, []
+    for row in full:
+        if i < len(rows) and row == rows[i]:
+            i += 1
+        else:
+            left.append(row)
+    assert i == len(rows) == len(full) - len(left)
+    return left
+
+
+def test_round_beam_defers_seed_lines_exactly(monkeypatch):
+    """Differential: on the pinned residuals and on later fit rounds, the
+    round's beam and budget are those of ranking every candidate, and the
+    deferred rows are seed lines that wrap no loop, each no longer than the
+    longest run the bound is taken from."""
+    config, fallbacks, rounds = SearchConfig(), 0, 0
+    cases = [(tid, res, np.zeros_like(res)) for tid, res in _pinned_residuals()]
+    for tid, target, current in cases + list(_template_rounds()):
+        rnd = _round_state(target, current)
+        fallbacks += round_beam_falls_back(monkeypatch, rnd, config)
+        rounds += 1
+        left = deferred_rows(rnd.residual)
+        full = propose_candidates(rnd.residual)
+        bodies = {tuple(r[5:]) for r in full.tolist() if r[0] != 0}
+        assert all(r[0] == 0 and r[5] == SHAPES.index(ShapeKind.LINE) for r in left), tid
+        assert not bodies & {tuple(r[5:]) for r in left}, tid
+        runs = _proposal(rnd.residual, defer=True)[1]
+        voxels = [max(abs(e - p) for p, e in zip(r[6:9], r[9:12])) + 1 for r in left]
+        assert len(left) <= len(runs) and max(voxels, default=0) <= runs.max(initial=0), tid
+    assert rounds == 21 and fallbacks == 0
+
+
+LINE = DrawStmt(Semantics.BASE, ShapeKind.LINE, (3, 2, 4), (20, 19, 21))
+TABLE = Program((DrawStmt(Semantics.TOP, ShapeKind.CUBOID, (4, 20, 4), (2, 24, 24)),
+                 DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (5, 0, 5), (20, 2, 2))))
+LINE_LEGS = Program((ForStmt.rotation(
+    4, 90, Axis.Y, (DrawStmt(Semantics.LEG, ShapeKind.LINE, (16, 0, 16), (24, 8, 16)),)),))
+LINE_AND_BOX = Program((LINE, DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (6, 2, 10), (3, 3, 3))))
+
+
+@pytest.mark.parametrize("case, program, config", [
+    ("single-line", Program((LINE,)), SearchConfig()),
+    ("cap-binds", TABLE, SearchConfig(budget=100)),
+    ("line-body", LINE_LEGS, SearchConfig()),
+    ("seed-line-is-head-line", LINE_AND_BOX, SearchConfig()),
+])
+def test_round_beam_falls_back_to_every_candidate(monkeypatch, case, program, config):
+    """Rounds where a seed line can reach the beam, or the cap cuts the
+    candidates, rank every candidate: the first round does, its beam and
+    budget are the full ranking's, and the whole fit is the fit that ranks
+    every candidate in every round."""
+    target = execute_program(program)
+    rnd = _round_state(target, np.zeros_like(target))
+    assert round_beam_falls_back(monkeypatch, rnd, config), case
+    rows = _proposal(rnd.residual, defer=True)[0]
+    best = _ranked_beam(propose_candidates(rnd.residual, config), rnd, config,
+                        _Budget(config.budget))[0][2]
+    if case == "cap-binds":
+        assert len(propose_candidates(rnd.residual, config)) < len(rows)
+    elif case == "line-body":  # the best row turns a seed line, kept with its loops
+        assert best[0] == 2 and best[5] == SHAPES.index(ShapeKind.LINE)
+        assert best in {tuple(r) for r in rows.tolist()}
+    elif case == "seed-line-is-head-line":  # the line from occ[0] to occ[-1] grows from a seed too
+        occ = np.argwhere(target)
+        head = [SHAPES.index(ShapeKind.LINE), *occ[0], *occ[-1], 0]
+        seeds = _lattice_seeds(target, occ.min(axis=0), occ.max(axis=0), 2)
+        seeded = _seed_draws(target, seeds, np.ones(len(seeds), dtype=bool))[0]
+        assert head in seeded.tolist() and tuple(head) in {tuple(r[5:]) for r in rows.tolist()}
+    got = fit_program(target, config)
+    monkeypatch.setattr(inference, "_round_beam", full_beam)
+    assert got == fit_program(target, config), case
 
 
 class NoCache(dict):
