@@ -69,6 +69,14 @@ def _bounded(convert, low, strict=False):
     return parse
 
 
+def _directory(text: str) -> Path:
+    """An argparse type: a path that names an existing directory."""
+    path = Path(text)
+    if not path.is_dir():
+        raise argparse.ArgumentTypeError(f"not a directory: {text}")
+    return path
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="voxscript", description=__doc__.splitlines()[0])
     top.add_argument("--json-errors", action="store_true",
@@ -110,12 +118,12 @@ def _build_parser() -> _Parser:
                    default=SearchConfig.min_gain)
 
     p = sub.add_parser("eval", help="batch-compare predicted and reference grids")
-    p.add_argument("--pred", type=Path, required=True, metavar="dir")
-    p.add_argument("--gt", type=Path, required=True, metavar="dir")
+    p.add_argument("--pred", type=_directory, required=True, metavar="dir")
+    p.add_argument("--gt", type=_directory, required=True, metavar="dir")
     p.add_argument("-o", "--out", type=Path, required=True, metavar="report.jsonl")
 
     p = sub.add_parser("analyze", help="stability/connectivity report over binvox files")
-    p.add_argument("dir", type=Path)
+    p.add_argument("dir", type=_directory)
     p.add_argument("-o", "--out", type=Path, metavar="report.json")
     return top
 

@@ -4,10 +4,9 @@ One block is accepted per round: candidates are seeded from the residual
 (target voxels not yet reconstructed), the best few are polished by
 integer coordinate descent, and the single best survivor is kept if it
 clears a minimum gain. A candidate is scored from two voxel counts alone:
-the residual voxels it covers and the empty voxels it fills; nothing is
-updated incrementally.
+the residual voxels it covers and the empty voxels it fills.
 
-Ranking is branch and bound on the IoU gain itself. Each round builds
+Ranking is branch and bound on the IoU gain itself. Each round reads
 one summed-volume table of the residual and the empty voxels, so a box
 sum reads both counts. From it every candidate gets an upper bound on the
 residual voxels it can cover and a lower bound on the empty voxels it must
@@ -18,16 +17,16 @@ reach the beam. The bounds only decide which candidates are scored, and
 while the budget lasts the beam is exactly the one that scoring every
 candidate would give.
 
-About half of a round's candidates are lines grown from lattice seeds,
-and they seldom reach the beam, so they are ranked as one group under one
-bound. A seed line draws the run of residual voxels its seed walks, so
-none covers more than the longest run or fills an empty voxel, and no
-seed line's key is above the score of that run alone. Each round first
-ranks the candidates without the seed lines that wrap no loop, and keeps
-that beam when it is full and its last score is above the group's bound;
-otherwise, and where the round's cap could cut the candidates, it ranks
-them all (see ``_round_beam``). Either way the beam and the budget spent
-are those of ranking every candidate.
+Lines grown from lattice seeds matter as the bodies of loops over
+repeated parts, so only the wrapper seeds, the first seed of each of the
+first components, grow them. Each round walks the five axis directions
+from every seed and the line directions from the wrapper seeds alone, in
+one walk over (seed, direction) pairs.
+
+The round state is built once per fit and carried forward: when a block
+is accepted, the voxels it newly draws leave the residual and the empty
+voxels, and their packed counts, summed over their bounding box, come off
+the summed-volume table in place (see ``_carry``).
 
 A candidate whose voxels are a union of boxes is counted from the table,
 not executed, from the executor's own ``draw_boxes``: an untilted
@@ -159,8 +158,8 @@ _SEED_DIRS = np.array(((0, 1, 0), (1, 0, 0), (0, 0, 1), (-1, 0, 0), (0, 0, -1))
 
 
 def _runs(res, points, dirs) -> np.ndarray:
-    """Consecutive occupied voxels from each point (inclusive) along each
-    direction, as an (n_points, n_dirs) array.
+    """Consecutive occupied voxels from each point (inclusive) along its
+    direction: one walk per row of ``points`` and of ``dirs``.
 
     All walks advance together over a copy of the grid with a one-voxel
     empty border, so a walk stops at the border without a bounds check.
@@ -169,9 +168,9 @@ def _runs(res, points, dirs) -> np.ndarray:
     pad[1:-1, 1:-1, 1:-1] = res
     flat = pad.ravel()
     strides = np.array((pad.shape[1] * pad.shape[2], pad.shape[2], 1))
-    cur = np.repeat(((np.asarray(points) + 1) @ strides)[:, None], len(dirs), axis=1)
-    step = np.asarray(dirs) @ strides
-    n = np.zeros(cur.shape, dtype=np.int64)
+    cur = (points + 1) @ strides
+    step = dirs @ strides
+    n = np.zeros(len(cur), dtype=np.int64)
     alive = flat[cur]
     while alive.any():
         n += alive
@@ -288,20 +287,27 @@ def _loop_rows(headers, bodies) -> np.ndarray:
 def _seed_draws(res, seeds, lined) -> tuple:
     """Draws grown from each seed, where big enough, as candidate columns
     ``_SHAPE`` on: a cuboid, cylinders at the seed and at its snapped disc
-    center, and, from the seeds the mask ``lined`` picks, a line per line
-    direction. Also returns each draw's seed, and the run of every line big
-    enough, from any seed: the residual voxels it walks, which it draws."""
-    runs = _runs(res, seeds, _SEED_DIRS)
+    center, and, from the seeds of the sorted indices ``lined``, a line per
+    line direction. Also returns each draw's seed.
+
+    One walk takes the five axis directions from every seed and the line
+    directions from the ``lined`` seeds alone."""
+    n, axes, lines = len(seeds), _SEED_DIRS[:5], _SEED_DIRS[5:]
+    walked = _runs(res, np.concatenate((seeds.repeat(5, axis=0),
+                                        seeds[lined].repeat(len(lines), axis=0))),
+                   np.concatenate((np.tile(axes, (n, 1)), np.tile(lines, (len(lined), 1)))))
+    runs = walked[:5 * n].reshape(n, 5)
     # disc seed snapped to the midpoint of the opposing runs, so rim points
     # still yield a usable cylinder; radius is taken from fresh runs at the
     # snapped center
     centers = seeds.copy()
     centers[:, 0] += (runs[:, 1] - runs[:, 3]) // 2
     centers[:, 2] += (runs[:, 2] - runs[:, 4]) // 2
-    moved = (centers != seeds).any(axis=1) & res[tuple(centers.T)]
-    center_runs = np.zeros((len(seeds), 5), dtype=np.int64)
-    center_runs[moved] = _runs(res, centers[moved], _SEED_DIRS[:5])
-    slots = np.zeros((len(seeds), 3, _ROW_LEN - _SHAPE), dtype=np.int64)
+    moved = np.flatnonzero((centers != seeds).any(axis=1) & res[tuple(centers.T)])
+    center_runs = np.zeros((n, 5), dtype=np.int64)
+    center_runs[moved] = _runs(res, centers[moved].repeat(5, axis=0),
+                               np.tile(axes, (len(moved), 1))).reshape(-1, 5)
+    slots = np.zeros((n, 3, _ROW_LEN - _SHAPE), dtype=np.int64)
     slots[:, :, 0] = _CUBOID, _CYLINDER, _CYLINDER
     slots[:, :, 1:4] = seeds[:, None]
     slots[:, 2, 1:4] = centers
@@ -309,17 +315,17 @@ def _seed_draws(res, seeds, lined) -> tuple:
     geom[:, 0, :3] = runs[:, :3]
     for slot, r in ((1, runs), (2, center_runs)):
         geom[:, slot, 0], geom[:, slot, 1] = r[:, 0], r[:, 1:5].min(axis=1) - 1
-    valid = np.ones((len(seeds), 3), dtype=bool)
+    valid = np.ones((n, 3), dtype=bool)
     valid[:, 1:] = geom[:, 1:, 1] >= 1
     # each seed's lines follow its other draws
-    lines = runs[:, 5:] >= 4
-    seed, slot = np.nonzero(lines & lined[:, None])
+    line_runs = walked[5 * n:].reshape(-1, len(lines))
+    which, slot = np.nonzero(line_runs >= 4)
+    seed = lined[which]
     drawn = np.zeros((len(seed), _ROW_LEN - _SHAPE), dtype=np.int64)
     drawn[:, 0], drawn[:, 1:4] = _LINE, seeds[seed]
-    drawn[:, 4:7] = seeds[seed] + (runs[seed, 5 + slot, None] - 1) * _SEED_DIRS[5 + slot]
+    drawn[:, 4:7] = seeds[seed] + (line_runs[which, slot, None] - 1) * lines[slot]
     at = np.cumsum(valid.sum(axis=1))[seed]
-    return (np.insert(slots[valid], at, drawn, axis=0),
-            np.insert(np.nonzero(valid)[0], at, seed), runs[:, 5:][lines])
+    return np.insert(slots[valid], at, drawn, axis=0), np.insert(np.nonzero(valid)[0], at, seed)
 
 
 def _check_config(config):
@@ -327,19 +333,15 @@ def _check_config(config):
         raise InputError(f"config must be a SearchConfig, got {type(config).__name__}")
 
 
-def _cap(config) -> int:
-    """The most candidates a round proposes."""
-    return max(1, config.budget // (2 * config.max_blocks))
-
-
 def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.ndarray:
     """Candidate blocks seeded from the residual's occupied structure.
 
-    Draws: the bounding-box cuboid, two end-to-end lines, and per point of
-    a stride lattice a cuboid, two cylinders and up to 20 lines grown from
-    it. Loops wrap the draws anchored within one period, and the first
-    draws at each of the first components' first lattice point, with
-    self-overlap-detected translation steps and 360/times rotations.
+    Draws: the bounding-box cuboid, two end-to-end lines, per point of a
+    stride lattice a cuboid and two cylinders, and, from each of the first
+    components' first lattice point (a wrapper seed), up to 20 lines. Loops
+    wrap the draws anchored within one period, and the first draws at each
+    wrapper seed, with self-overlap-detected translation steps and
+    360/times rotations.
 
     Each candidate is one row of the (n, 13) int64 array returned: mode (0
     draw, 1 translation, 2 rotation about Y), times, step x/y/z (a
@@ -349,19 +351,12 @@ def propose_candidates(residual, config: SearchConfig = SearchConfig()) -> np.nd
     ``config`` that is not a SearchConfig raises InputError.
     """
     _check_config(config)
-    return _proposal(as_grid(residual), defer=False)[0][:_cap(config)]
-
-
-def _proposal(res, defer: bool) -> tuple:
-    """``propose_candidates``' rows for the residual grid ``res``, uncapped,
-    and the runs of the lines grown from lattice seeds. With ``defer`` the
-    rows leave out every seed line that is no wrapper body and keep the
-    others in order."""
     from scipy import ndimage
 
+    res = as_grid(residual)
     occ = _argwhere(res)
     if len(occ) == 0:
-        return np.zeros((0, _ROW_LEN), dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.zeros((0, _ROW_LEN), dtype=np.int64)
     lo, hi = occ.min(axis=0), occ.max(axis=0)
     # labelled inside the occupied box, which keeps the raster order of components
     labels, _ = ndimage.label(res[tuple(slice(a, b + 1) for a, b in zip(lo, hi))],
@@ -373,13 +368,13 @@ def _proposal(res, defer: bool) -> tuple:
     # structures at off-lattice coordinates reachable.
     seeds = _lattice_seeds(res, lo, hi, _SEED_STRIDE)
     # wrapper bodies are the first draws from each of the first components'
-    # first seed, components in label order
+    # first seed, components in label order. Only these wrapper seeds grow
+    # lines, since a line matters as the body of a loop.
     seed_labels = labels[tuple((seeds - lo).T)]
     firsts = np.sort(np.unique(seed_labels, return_index=True)[1])[:_WRAP_MAX_COMPONENTS]
-    # deferring, only the wrapper seeds grow lines, since a body may be one
-    lined = np.full(len(seeds), not defer)
-    lined[firsts] = True
-    seeded, seed_of, line_runs = _seed_draws(res, seeds, lined)
+    seeded, seed_of = _seed_draws(res, seeds, firsts)
+    wrapper = np.zeros(len(seeds) + 1, dtype=bool)  # per seed; the head draws' -1 reads False
+    wrapper[firsts] = True
     # the bounding-box cuboid and the end-to-end lines, exact for any single
     # rendered segment. Two scan orders, x-major as ``occ`` lists voxels and
     # z-major, since the extreme voxel under one order can be off by one when
@@ -388,10 +383,7 @@ def _proposal(res, defer: bool) -> tuple:
     head = np.array([(_CUBOID, *lo, *(hi - lo + 1)[[1, 0, 2]], 0), (_LINE, *occ[0], *occ[-1], 0),
                      (_LINE, *occ[z_major.argmin()], *occ[z_major.argmax()], 0)])
     found = np.concatenate((head, seeded))
-    # each draw's first copy: the stable sort keeps equal rows in index order.
-    # A seed line starts at its seed and ends on a voxel of its own per
-    # direction, so it repeats no draw but a head line, and leaving it out
-    # changes no other draw's first copy.
+    # each draw's first copy: the stable sort keeps equal rows in index order
     order = np.lexsort(found.T)
     ranked = found[order]
     keep = np.sort(order[np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]])
@@ -399,11 +391,7 @@ def _proposal(res, defer: bool) -> tuple:
     draws[:, _TIMES], draws[:, _SHAPE:] = 1, found[keep]
     source = np.concatenate(((-1,) * len(head), seed_of))[keep]
     rank = np.arange(len(source)) - np.searchsorted(source, source)  # among its seed's draws
-    body = np.isin(source, firsts) & (rank < _WRAP_BODIES_PER_COMPONENT)
-    if defer:  # a wrapper seed's lines ranked as in the full array; keep the bodies
-        keep = body | (source < 0) | (draws[:, _SHAPE] != _LINE)
-        draws, source, body = draws[keep], source[keep], body[keep]
-    bodies = np.flatnonzero(body)
+    bodies = np.flatnonzero(wrapper[source] & (rank < _WRAP_BODIES_PER_COMPONENT))
     bodies = bodies[np.argsort(seed_labels[source[bodies]], kind="stable")]
 
     # Translations over the first non-line draws anchored within the first
@@ -421,7 +409,8 @@ def _proposal(res, defer: bool) -> tuple:
         loops.append(_loop_rows(wraps[s], draws[in_slab[s]]))
     fresh = np.repeat(~in_slab[:, bodies].T, len(_WRAP_TIMES), axis=1)
     loops.append(_loop_rows(wraps.reshape(-1, _SHAPE), draws[bodies])[fresh.ravel()])
-    return np.concatenate([draws] + loops), line_runs
+    # a round proposes at most this many candidates
+    return np.concatenate([draws] + loops)[:max(1, config.budget // (2 * config.max_blocks))]
 
 
 # A summed-volume table entry packs two counts: residual voxels in the low
@@ -459,6 +448,31 @@ def _round_state(target, current) -> _Round:
         np.cumsum(table, axis, out=table)
     return _Round(residual, int(np.count_nonzero(current & target)),
                   int(np.count_nonzero(current | target)), packed, table, memoryview(table))
+
+
+def _carry(rnd: _Round, drawn) -> _Round:
+    """The round state once the voxels ``drawn``, none of them in the grid
+    so far, are added. They leave the residual and the empty voxels, so
+    their packed counts come off ``packed`` and, summed over their bounding
+    box, off the table in place: inside the box each entry loses the sum
+    up to it, and past the box on an axis the sum's last slice on it."""
+    x = np.flatnonzero(drawn.any(axis=(1, 2)))
+    if not len(x):
+        return rnd
+    yz = drawn[x[0]:x[-1] + 1].any(axis=0)
+    y, z = np.flatnonzero(yz.any(axis=1)), np.flatnonzero(yz.any(axis=0))
+    lo, hi = (x[0], y[0], z[0]), (x[-1] + 1, y[-1] + 1, z[-1] + 1)
+    box = tuple(slice(a, b) for a, b in zip(lo, hi))
+    new = drawn[box]
+    sums = np.where(new, rnd.packed[box], 0)
+    rnd.packed[box][new] = 0
+    rnd.residual[box] &= ~new
+    for axis in range(3):
+        np.cumsum(sums, axis, out=sums)
+    total = int(sums[-1, -1, -1])
+    rnd.table[lo[0] + 1:, lo[1] + 1:, lo[2] + 1:] -= np.pad(
+        sums, [(0, n - b) for n, b in zip(drawn.shape, hi)], mode="edge")
+    return rnd._replace(i0=rnd.i0 + (total & _LOW_BITS), u0=rnd.u0 + (total >> 32))
 
 
 def _box_sum(sums, dims, x0, y0, z0, x1, y1, z1) -> int:
@@ -675,17 +689,8 @@ def _refine(row, score, rnd: _Round, budget, cache) -> tuple:
     ``cache`` maps rows to their scores in this round; a hit neither
     scores nor spends budget.
     """
-    dims = rnd.residual.shape
-
-    def rescore(nb):
-        s = cache.get(nb)
-        if s is None:
-            if not budget.spend():
-                return None
-            a, bad = _row_counts(rnd, nb)
-            s = cache[nb] = _score_from_counts(a, bad, rnd.i0, rnd.u0)
-        return s
-
+    dims, i0, u0 = rnd.residual.shape, rnd.i0, rnd.u0
+    before = i0 / u0 if u0 else 1.0  # _score_from_counts, inline
     slots = _slots(row, dims, Limits.for_dims(dims))
     for _ in range(_REFINE_SWEEPS):
         improved = False
@@ -696,9 +701,12 @@ def _refine(row, score, rnd: _Round, budget, cache) -> tuple:
                     if not lo <= v <= hi:
                         break
                     nb = row[:c] + (v,) + row[c + 1:]
-                    s = rescore(nb)
+                    s = cache.get(nb)
                     if s is None:
-                        return row, score
+                        if not budget.spend():
+                            return row, score
+                        a, b = _row_counts(rnd, nb)
+                        s = cache[nb] = ((i0 + a) / (u0 + b) if u0 + b else 1.0) - before
                     if s > score + _SCORE_EPS:
                         row, score = nb, s
                         improved = True
@@ -744,31 +752,6 @@ def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
     return [(-neg, idx, tuple(rows[idx].tolist())) for neg, idx in beam]
 
 
-def _round_beam(rnd: _Round, config, budget) -> list:
-    """``_ranked_beam`` over ``propose_candidates``' array for the round,
-    with the seed lines that wrap no loop ranked only where one could reach
-    the beam.
-
-    A seed line covers at most its run of residual voxels, so no line's key
-    is above the score of the longest run and no empty voxel. The rows
-    without those lines are ranked first, as a trial, which stands when its
-    beam is full and the beam's last score is above that score: then no
-    line would have been visited, the other rows keep their order, and the
-    beam and the budget spent are those of the full array; with no seed
-    line the rows are the full array. Otherwise, or when the round's cap
-    could cut the full array, the trial is undone and the full array ranked.
-    """
-    rows, runs = _proposal(rnd.residual, defer=True)
-    if len(rows) + len(runs) <= _cap(config):
-        calls, exhausted = budget.calls, budget.exhausted
-        beam = _ranked_beam(rows, rnd, config, budget)
-        if not len(runs) or (len(beam) == config.beam_width and beam[-1][0] >
-                             _score_from_counts(runs.max(), 0, rnd.i0, rnd.u0)):
-            return beam
-        budget.calls, budget.exhausted = calls, exhausted
-    return _ranked_beam(propose_candidates(rnd.residual, config), rnd, config, budget)
-
-
 def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
     """Greedy block-by-block reconstruction of the target grid.
 
@@ -788,12 +771,12 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
     accepted: list = []
     trace: list = []
     stop = "max_blocks"
+    rnd = _round_state(target, current)
     while len(accepted) < max_blocks:
-        if budget.exhausted or not (target & ~current).any():
+        if budget.exhausted or not rnd.residual.any():
             stop = "budget" if budget.exhausted else "residual_empty"
             break
-        rnd = _round_state(target, current)
-        beam = _round_beam(rnd, config, budget)
+        beam = _ranked_beam(propose_candidates(rnd.residual, config), rnd, config, budget)
         if not beam:  # the budget ran out before one candidate was scored
             stop = "budget"
             break
@@ -808,7 +791,9 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
             stop = "min_gain"
             break
         best_block = _make_block(best_row, dims)
-        current |= execute_block(best_block, dims)
+        drawn = execute_block(best_block, dims) & ~current
+        current |= drawn
+        rnd = _carry(rnd, drawn)
         accepted.append(best_block)
         trace.append((best_block, iou(current, target)))
     program = Program(tuple(accepted))

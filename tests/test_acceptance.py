@@ -1,4 +1,4 @@
-"""Seven release gates over the whole toolchain.
+"""Eight release gates over the whole toolchain.
 
 Every test measures first and then emits exactly one PASS or FAIL line
 with the numbers it saw, so a verbose run reads as one line per gate.
@@ -6,6 +6,7 @@ Expected values come from independent recomputation (set algebra, brute
 force enumeration, scalar loops), never from the code under test.
 Fitting dominates the runtime; the whole file takes a few minutes.
 """
+import functools
 import itertools
 import math
 import time
@@ -70,16 +71,23 @@ def _single_draw_program(rng) -> Program:
     return Program((DrawStmt(sem, shape, pos, geom),))
 
 
-def test_criterion_1_fit_quality():
+@functools.cache
+def _criterion_1_fits() -> tuple:
+    """Criterion 1's fits, made once per session for every gate that reads
+    them: the 200 sampled programs, their fits, the 40 single-draw fits'
+    IoUs, and the seconds all of it took."""
     t0 = time.time()
     programs = [_sampled_shape(_seeded(1234, i)) for i in range(200)]
     fits = [fit_program(execute_program(p)) for p in programs]
     single = [fit_program(execute_program(_single_draw_program(_seeded(555, i)))).final_iou
               for i in range(40)]
-    elapsed = time.time() - t0
+    return programs, fits, single, time.time() - t0
+
+
+def test_criterion_1_fit_quality():
+    programs, fits, single, elapsed = _criterion_1_fits()
     mean = float(np.mean([f.final_iou for f in fits]))
     mean1 = float(np.mean(single))
-    # program length is reported, not gated
     fit_len = float(np.mean([len(f.program.statements) for f in fits]))
     template_len = float(np.mean([len(p.statements) for p in programs]))
     ok = mean >= 0.90 and mean1 >= 0.99 and elapsed <= 1800
@@ -290,3 +298,20 @@ def test_criterion_7_invariances():
     _gate(7, ok, f"stability and connectivity flags unchanged under 100 in-bounds"
                  f" translations ({flag_fail} failures); accepted-score trace"
                  f" non-decreasing over 50 fits ({mono_fail} failures)")
+
+
+# Fit statements per template statement over criterion 1's 200 shapes: 1.275
+# (4.03 / 3.16) when this gate was added. A search change that lengthens
+# programs past the bound has to move it and say why.
+MAX_LENGTH_RATIO = 1.30
+
+
+def test_criterion_8_program_length():
+    programs, fits, _, _ = _criterion_1_fits()
+    fit_len = sum(len(f.program.statements) for f in fits)
+    template_len = sum(len(p.statements) for p in programs)
+    ratio = fit_len / template_len
+    _gate(8, ratio <= MAX_LENGTH_RATIO,
+          f"fits of criterion 1's 200 shapes hold {fit_len / 200:.2f} top-level statements"
+          f" per shape against {template_len / 200:.2f} in the template programs, ratio"
+          f" {ratio:.3f} (need <= {MAX_LENGTH_RATIO:.2f})")

@@ -254,6 +254,40 @@ def test_analyze_table_and_json(tmp_path, capsys):
     assert doc["stable_pct"] == 100.0
 
 
+@pytest.mark.parametrize("command", ["eval-pred", "eval-gt", "analyze"])
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_input_directory_that_is_not_one_is_usage_error(tmp_path, capsys, command, kind):
+    """``eval --pred``, ``eval --gt`` and ``analyze``'s directory must name an
+    existing directory: anything else is refused while parsing arguments,
+    exit 1 with the path in the message, and nothing is written."""
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    good.mkdir()
+    if kind == "file":
+        bad.write_bytes(write_binvox(execute_program(parse_text(PROG))))
+    out = tmp_path / "report"
+    argv = {"eval-pred": ["eval", "--pred", str(bad), "--gt", str(good), "-o", str(out)],
+            "eval-gt": ["eval", "--pred", str(good), "--gt", str(bad), "-o", str(out)],
+            "analyze": ["analyze", str(bad), "-o", str(out)]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and f"not a directory: {bad}" in err
+    assert not out.exists()
+
+
+def test_empty_input_directories_report_no_pairs(tmp_path, capsys):
+    """An existing directory with no ``.binvox`` files is not an error."""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "report.jsonl"
+    assert cli.main(["eval", "--pred", str(empty), "--gt", str(empty), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == "evaluated 0 pairs\n"
+    assert json.loads(out.read_text())["count"] == 0
+    assert cli.main(["analyze", str(empty)]) == 0
+    assert "0.0" in capsys.readouterr().out
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     assert cli.main(["parse", str(tmp_path / "absent.sp")]) == 1
     assert "error" in capsys.readouterr().err
