@@ -206,6 +206,6 @@ def format_analysis_table(result: dict) -> str:
     try:
         row = (f"{result['stable_pct']:>12.1f}  {result['connected_pct']:>12.1f}"
                f"  {result['stable_and_connected_pct']:>20.1f}")
-    except (KeyError, TypeError, ValueError):
+    except (IndexError, KeyError, TypeError, ValueError):
         raise InputError(f"expected analyze_dataset's result, got {result!r}") from None
     return header + "\n" + row + "\n"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -214,12 +215,13 @@ class Limits:
     @classmethod
     def for_dims(cls, dims) -> "Limits":
         """Default limits with coordinates and extents spanning a grid of
-        ``dims``; equal to ``DEFAULT_LIMITS`` at 32^3. Empty ``dims`` raise
-        InputError."""
+        ``dims``; equal to ``DEFAULT_LIMITS`` at 32^3. ``dims`` that are not
+        a non-empty sequence of ints raise InputError."""
         try:
-            top = max(dims)
+            top = max(operator.index(n) for n in dims)
         except (TypeError, ValueError):
-            raise InputError(f"grid dims must be a non-empty sequence, got {dims!r}") from None
+            raise InputError(
+                f"grid dims must be a non-empty sequence of ints, got {dims!r}") from None
         return cls(max_coord=top - 1, max_extent=top)
 
 
@@ -389,9 +391,12 @@ def _check_body(statements, where, out, limits):
 
 def validate_program(p: Program, limits: Limits = DEFAULT_LIMITS) -> ValidationReport:
     """Check every type invariant; report violations instead of raising,
-    also for an argument that is not a ``Program``."""
+    also for a ``p`` that is not a ``Program`` or ``limits`` that are not
+    ``Limits``."""
     if not isinstance(p, Program):
         return ValidationReport(False, (Violation("program", _not_a("Program", p)),))
+    if not isinstance(limits, Limits):
+        return ValidationReport(False, (Violation("limits", _not_a("Limits", limits)),))
     out: list[Violation] = []
     if len(p.statements) > limits.max_top_level:
         out.append(Violation(

@@ -24,9 +24,11 @@ from every seed and the line directions from the wrapper seeds alone, in
 one walk over (seed, direction) pairs.
 
 The round state is built once per fit and carried forward: when a block
-is accepted, the voxels it newly draws leave the residual and the empty
-voxels, and their packed counts, summed over their bounding box, come off
-the summed-volume table in place (see ``_carry``).
+is accepted, its copies are stamped into one window as a window count
+stamps them, the voxels it newly draws leave the residual and the empty
+voxels, and their packed counts, summed over the window's box, come off
+the summed-volume table in place (see ``_carry``). The IoU after each
+block is read from the carried intersection and union counts.
 
 A candidate whose voxels are a union of boxes is counted from the table,
 not executed, from the executor's own ``draw_boxes``: an untilted
@@ -34,11 +36,9 @@ not executed, from the executor's own ``draw_boxes``: an untilted
 box per run of rows with equal shift. Copies i < j < k of a box meet
 only inside copy j, so a translation loop over one covers each copy's
 count minus each consecutive pair's overlap, exactly, for any step; over
-a tilted ``Cub`` this holds run by run while the step keeps y. A
-rotation about Y counts its copies, each the draw moved to its rotated
-anchor, when their clipped bounding boxes are disjoint. Every other
-candidate (lines, cylinders, rotations whose copies overlap, and
-translations moving a multi-run tilt in y) is counted in its own window:
+a tilted ``Cub`` this holds run by run while the step keeps y. Every other
+candidate (lines, cylinders, rotations, and translations moving a
+multi-run tilt in y) is counted in its own window:
 the executor expands the row's copies by the rule that unrolls loops,
 stamps them into one zeroed window the size of their union box clipped to
 the grid, and the window is summed against the round's packed grid there.
@@ -69,9 +69,7 @@ import numpy as np
 from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
                       Semantics, ShapeKind, validate_program)
 from .errors import InputError, InvalidProgramError, ShapeMismatchError
-from .executor import (_IS_BOX, SHAPES, _copies, _window, as_grid, draw_boxes, draw_extents,
-                       execute_block)
-from .metrics import iou
+from .executor import _IS_BOX, SHAPES, _copies, _window, as_grid, draw_boxes, draw_extents
 
 _WRAP_TIMES = (2, 3, 4, 5)
 # A pattern repeated twice overlaps itself by exactly half its mass when
@@ -450,28 +448,21 @@ def _round_state(target, current) -> _Round:
                   int(np.count_nonzero(current | target)), packed, table, memoryview(table))
 
 
-def _carry(rnd: _Round, drawn) -> _Round:
-    """The round state once the voxels ``drawn``, none of them in the grid
-    so far, are added. They leave the residual and the empty voxels, so
-    their packed counts come off ``packed`` and, summed over their bounding
-    box, off the table in place: inside the box each entry loses the sum
-    up to it, and past the box on an axis the sum's last slice on it."""
-    x = np.flatnonzero(drawn.any(axis=(1, 2)))
-    if not len(x):
-        return rnd
-    yz = drawn[x[0]:x[-1] + 1].any(axis=0)
-    y, z = np.flatnonzero(yz.any(axis=1)), np.flatnonzero(yz.any(axis=0))
-    lo, hi = (x[0], y[0], z[0]), (x[-1] + 1, y[-1] + 1, z[-1] + 1)
-    box = tuple(slice(a, b) for a, b in zip(lo, hi))
-    new = drawn[box]
-    sums = np.where(new, rnd.packed[box], 0)
-    rnd.packed[box][new] = 0
-    rnd.residual[box] &= ~new
+def _carry(rnd: _Round, box, window) -> _Round:
+    """The round state once the voxels ``window`` sets in the grid's ``box``
+    (slices) are drawn. Voxels drawn before pack to 0, so only the new ones
+    leave the residual and the empty voxels: their packed counts come off
+    ``packed`` and, summed over the box, off the table in place: inside the
+    box each entry loses the sum up to it, and past the box on an axis the
+    sum's last slice on it."""
+    sums = np.where(window, rnd.packed[box], 0)
+    rnd.packed[box][window] = 0
+    rnd.residual[box] &= ~window
     for axis in range(3):
         np.cumsum(sums, axis, out=sums)
     total = int(sums[-1, -1, -1])
-    rnd.table[lo[0] + 1:, lo[1] + 1:, lo[2] + 1:] -= np.pad(
-        sums, [(0, n - b) for n, b in zip(drawn.shape, hi)], mode="edge")
+    rnd.table[box[0].start + 1:, box[1].start + 1:, box[2].start + 1:] -= np.pad(
+        sums, [(0, n - s.stop) for n, s in zip(rnd.residual.shape, box)], mode="edge")
     return rnd._replace(i0=rnd.i0 + (total & _LOW_BITS), u0=rnd.u0 + (total >> 32))
 
 
@@ -529,34 +520,19 @@ def _row_copies(row, dims) -> list:
 
 
 def _block_counts(rnd: _Round, row):
-    """(a, b) of a candidate row, counted from the round's table; None when
-    its voxels are not a union of boxes there (see the module docstring)."""
+    """(a, b) of a candidate row, counted from the round's table; None for a
+    rotation, or when its voxels are not a union of boxes there (see the
+    module docstring)."""
     mode, times, ux, uy, uz, code, x, y, z, *geom = row
+    if mode == _ROT:
+        return None
     sums, dims = rnd.sums, rnd.residual.shape
     boxes = draw_boxes(SHAPES[code], (x, y, z), geom, None if mode == _TRANS and uy else dims[1])
     if boxes is None:
         return None
     total = 0
-    if mode != _ROT:
-        for box in boxes:
-            total += _chain_sum(sums, dims, box, times, (ux, uy, uz))
-        return total & _LOW_BITS, total >> 32
-    if not boxes:
-        return 0, 0
-    x0s, _, z0s, x1s, _, z1s = zip(*boxes)
-    bx0, bz0, bx1, bz1 = min(x0s), min(z0s), max(x1s), max(z1s)
-    kept: list = []  # clipped (x0, z0, x1, z1) of the copies so far, which share their rows
-    for ax, _, az in {pos for _, pos, _, _ in _row_copies(row, dims)}:
-        dx, dz = ax - x, az - z
-        cx0, cz0 = max(bx0 + dx, 0), max(bz0 + dz, 0)
-        cx1, cz1 = min(bx1 + dx, dims[0]), min(bz1 + dz, dims[2])
-        if cx0 >= cx1 or cz0 >= cz1:
-            continue
-        if any(cx0 < kx1 and kx0 < cx1 and cz0 < kz1 and kz0 < cz1 for kx0, kz0, kx1, kz1 in kept):
-            return None
-        kept.append((cx0, cz0, cx1, cz1))
-        for x0, y0, z0, x1, y1, z1 in boxes:
-            total += _box_sum(sums, dims, x0 + dx, y0, z0 + dz, x1 + dx, y1, z1 + dz)
+    for box in boxes:
+        total += _chain_sum(sums, dims, box, times, (ux, uy, uz))
     return total & _LOW_BITS, total >> 32
 
 
@@ -647,12 +623,11 @@ def _cover_bounds(rows, table) -> tuple:
     return a_ub, b_lb, counts
 
 
-def _score_from_counts(a, b, i0, u0) -> float:
+def _score_from_counts(a, b, i0, u0):
     """The IoU gain of covering ``a`` residual voxels and ``b`` empty ones,
-    from ``i0`` voxels of intersection and ``u0`` of union."""
-    before = i0 / u0 if u0 else 1.0
-    after = (i0 + a) / (u0 + b) if (u0 + b) else 1.0
-    return after - before
+    from ``i0`` voxels of intersection and ``u0`` > 0 of union: a float, or
+    an array of them for arrays ``a`` and ``b``, equal value for value."""
+    return (i0 + a) / (u0 + b) - i0 / u0
 
 
 # ------------------------------------------------------------- refinement
@@ -690,7 +665,6 @@ def _refine(row, score, rnd: _Round, budget, cache) -> tuple:
     scores nor spends budget.
     """
     dims, i0, u0 = rnd.residual.shape, rnd.i0, rnd.u0
-    before = i0 / u0 if u0 else 1.0  # _score_from_counts, inline
     slots = _slots(row, dims, Limits.for_dims(dims))
     for _ in range(_REFINE_SWEEPS):
         improved = False
@@ -705,8 +679,7 @@ def _refine(row, score, rnd: _Round, budget, cache) -> tuple:
                     if s is None:
                         if not budget.spend():
                             return row, score
-                        a, b = _row_counts(rnd, nb)
-                        s = cache[nb] = ((i0 + a) / (u0 + b) if u0 + b else 1.0) - before
+                        s = cache[nb] = _score_from_counts(*_row_counts(rnd, nb), i0, u0)
                     if s > score + _SCORE_EPS:
                         row, score = nb, s
                         improved = True
@@ -733,11 +706,8 @@ def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
     i0, u0 = rnd.i0, rnd.u0
     a_ub, b_lb, counts = _cover_bounds(rows, rnd.table)
     exact = counts >= 0
-    union = u0 + np.where(exact, counts >> 32, b_lb)
-    # _score_from_counts, value for value
-    after = np.divide(i0 + np.where(exact, counts & _LOW_BITS, a_ub), union,
-                      out=np.ones(len(rows)), where=union != 0)
-    keys = after - (i0 / u0 if u0 else 1.0)
+    keys = _score_from_counts(np.where(exact, counts & _LOW_BITS, a_ub),
+                              np.where(exact, counts >> 32, b_lb), i0, u0)
     order = np.argsort(-keys, kind="stable")
     beam: list = []  # (-score, index)
     for idx, key, known in zip(order.tolist(), keys[order].tolist(), exact[order].tolist()):
@@ -767,11 +737,10 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
     limits = Limits.for_dims(dims)
     max_blocks = min(config.max_blocks, limits.max_top_level)
     budget = _Budget(config.budget)
-    current = np.zeros(dims, dtype=bool)
     accepted: list = []
     trace: list = []
     stop = "max_blocks"
-    rnd = _round_state(target, current)
+    rnd = _round_state(target, np.zeros(dims, dtype=bool))
     while len(accepted) < max_blocks:
         if budget.exhausted or not rnd.residual.any():
             stop = "budget" if budget.exhausted else "residual_empty"
@@ -791,11 +760,10 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
             stop = "min_gain"
             break
         best_block = _make_block(best_row, dims)
-        drawn = execute_block(best_block, dims) & ~current
-        current |= drawn
-        rnd = _carry(rnd, drawn)
+        # a block that gains draws inside the grid, so its window is not None
+        rnd = _carry(rnd, *_window(_row_copies(best_row, dims), dims))
         accepted.append(best_block)
-        trace.append((best_block, iou(current, target)))
+        trace.append((best_block, rnd.i0 / rnd.u0))
     program = Program(tuple(accepted))
     report = validate_program(program, limits)
     if not report.ok:
@@ -803,7 +771,7 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
     return FitResult(
         program=program,
         score_trace=tuple(trace),
-        final_iou=iou(current, target),
+        final_iou=rnd.i0 / rnd.u0 if rnd.u0 else 1.0,  # an empty target is fit exactly
         executor_calls=budget.calls,
         budget_exhausted=budget.exhausted,
         stop_reason=stop,

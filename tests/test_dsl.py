@@ -183,6 +183,12 @@ def test_limits_for_empty_dims_raise_input_error():
         Limits.for_dims(())
 
 
+@pytest.mark.parametrize("dims", ["abc", (32, 32.0, 32), (32, None, 32), 32])
+def test_limits_for_dims_that_are_not_ints_raise_input_error(dims):
+    with pytest.raises(InputError, match="ints"):
+        Limits.for_dims(dims)
+
+
 @pytest.mark.parametrize("mode", ["translation", "rotation"])
 def test_validate_reports_loops_too_large_to_print(mode):
     """An expanded size past the digits ``str`` prints is reported, not raised."""

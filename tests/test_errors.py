@@ -61,6 +61,10 @@ END = TokenProgram((TokenStep(VOCAB_SIZE - 1, (0,) * 7),))  # the end token alon
     lambda: emd([[np.nan, 0, 0]], [[0, 0, 0]]),
     lambda: chamfer([[np.inf, 0, 0]], [[0, 0, 0]]),
     lambda: surface_points(GRID, 512, "x"),
+    lambda: parse_text("draw(Base, Sqr, P=(1,2,3), G=(1,2))", limits=None),
+    lambda: tokenize(Program(()), None),
+    lambda: tokenize(Program(()), (32, 32, 32)),
+    lambda: format_analysis_table(np.zeros((4, 4))),
 ], ids=["chamfer-strings", "surface-points-negative-n", "surface-points-float-n",
         "hull-of-1-tuples", "point-in-hull-1-tuple", "binvox-short-translate",
         "binvox-string-scale", "read-binvox-str", "sample-string-rng",
@@ -72,7 +76,9 @@ END = TokenProgram((TokenStep(VOCAB_SIZE - 1, (0,) * 7),))  # the end token alon
         "weighted-bce-strings", "weighted-bce-none-weights", "generator-loss-none-weights",
         "analyze-dataset-none-connectivity", "stability-report-str-connectivity",
         "components-str-connectivity", "fit-str-config", "fit-none-config",
-        "propose-none-config", "emd-nan-point", "chamfer-inf-point", "surface-points-str-rng"])
+        "propose-none-config", "emd-nan-point", "chamfer-inf-point", "surface-points-str-rng",
+        "parse-text-none-limits", "tokenize-none-limits", "tokenize-dims-as-limits",
+        "analysis-table-array"])
 def test_malformed_arguments_raise_typed_errors(call):
     with pytest.raises(VoxScriptError):
         call()
@@ -94,3 +100,9 @@ def test_analyze_dataset_refuses_a_bad_connectivity_before_any_grid():
 def test_validate_program_reports_a_non_program(arg):
     report = validate_program(arg)
     assert not report.ok and len(report.violations) == 1
+
+
+@pytest.mark.parametrize("limits", [None, (32, 32, 32)], ids=["none", "dims"])
+def test_validate_program_reports_limits_that_are_not_limits(limits):
+    report = validate_program(Program(()), limits)
+    assert not report.ok and [v.path for v in report.violations] == ["limits"]

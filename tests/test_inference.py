@@ -461,9 +461,11 @@ def test_tilt_and_rotation_counts_equal_execution(case, density, seed):
     exact = executed_counts(block, target, current)
     from_row = _block_counts(rnd, _row_of(block))
     assert from_row in (exact, None)
-    # only rotations with overlapping copies and multi-run tilts moving in y are executed
+    # every rotation and every multi-run tilt moving in y is executed
     if isinstance(block, DrawStmt) or (block.mode is LoopMode.TRANSLATION and not block.step[1]):
         assert from_row == exact
+    elif block.mode is LoopMode.ROTATION:
+        assert from_row is None
     assert_score_is_executed_gain(block, target, current)
 
 
@@ -558,16 +560,16 @@ def test_table_counts_only_boxes():
         DrawStmt(Semantics.BASE, ShapeKind.SQUARE, (16, 0, 16), (3, 4)),
         ForStmt.translation(3, (9, 0, 0), (steep,)),
         ForStmt.translation(3, (9, 4, 0), (cuboid(geom=(5, 6, 7, 5)),)),
-        ForStmt.rotation(4, 90, Axis.Y, (cuboid((2, 0, 2), (5, 4, 4)),)),
-        ForStmt.rotation(4, 90, Axis.Y, (cuboid((2, 0, 2), (5, 4, 4, 20)),)),
-        ForStmt.rotation(3, 0, Axis.Y, (box,)),
     ]
     executed = [
         cyl, line,
         ForStmt.translation(3, (9, 0, 0), (cyl,)),
+        # every rotation, its copies disjoint or not, is counted in its window
         ForStmt.rotation(4, 90, Axis.Y, (cyl,)),
-        # a box across the centre: the rotated copies overlap
         ForStmt.rotation(4, 90, Axis.Y, (cuboid((12, 0, 12), (5, 8, 8)),)),
+        ForStmt.rotation(4, 90, Axis.Y, (cuboid((2, 0, 2), (5, 4, 4)),)),
+        ForStmt.rotation(4, 90, Axis.Y, (cuboid((2, 0, 2), (5, 4, 4, 20)),)),
+        ForStmt.rotation(3, 0, Axis.Y, (box,)),
         ForStmt.translation(3, (9, 4, 0), (steep,)),
     ]
     target = np.random.default_rng(5).random((32, 32, 32)) < 0.5
@@ -754,9 +756,9 @@ def test_carried_round_state_equals_a_fresh_one(monkeypatch):
     31x40x35 grid."""
     carry, fit = inference._carry, {}
 
-    def checked(rnd, drawn):
-        fit["current"] |= drawn
-        out = carry(rnd, drawn)
+    def checked(rnd, box, window):
+        fit["current"][box] |= window
+        out = carry(rnd, box, window)
         fresh = _round_state(fit["target"], fit["current"])
         for field in ("residual", "packed", "table"):
             got, want = getattr(out, field), getattr(fresh, field)
@@ -1008,17 +1010,23 @@ def test_fit_single_cuboid_exact():
 
 
 def test_fit_trace_monotone_and_consistent():
+    """The trace's IoUs, read from the fit's carried counts, are exactly
+    those of executing the program so far, and ``final_iou`` that of the
+    whole program."""
     p = Program((
         DrawStmt(Semantics.TOP, ShapeKind.CUBOID, (8, 20, 8), (2, 16, 16)),
         DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (9, 0, 9), (20, 2, 2)),
         DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (21, 0, 21), (20, 2, 2)),
     ))
-    target = execute_program(p)
-    r = fit_program(target)
-    vals = [v for _, v in r.score_trace]
-    assert vals == sorted(vals)
-    assert r.final_iou == pytest.approx(vals[-1])
-    assert r.final_iou == pytest.approx(iou(execute_program(r.program), target))
+    targets = [execute_program(p)] + [target for _, target in _template_targets()]
+    for target in targets:
+        r = fit_program(target)
+        statements = r.program.statements
+        vals = [v for _, v in r.score_trace]
+        assert vals == sorted(vals) and len(vals) == len(statements) >= 1
+        for k, v in enumerate(vals):
+            assert v == iou(execute_program(Program(statements[:k + 1])), target), k
+        assert r.final_iou == vals[-1] == iou(execute_program(r.program), target)
 
 
 def test_fit_deterministic():
