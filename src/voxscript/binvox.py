@@ -14,28 +14,24 @@ grid and the header values it was given.
 """
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import BinvoxError
-from .executor import MAX_GRID_VOXELS
+from .dsl.ast import check_dims as _grid_dims
+from .errors import BinvoxError, InputError
 from .metrics import surface_mask
 
 _MAGIC = b"#binvox 1"
 
 
 def check_dims(dims, offset=None) -> None:
-    """Raise BinvoxError unless ``dims`` are three ints >= 1 holding at most
-    ``MAX_GRID_VOXELS`` voxels: the grids a binvox file can hold here."""
+    """Raise BinvoxError, at byte ``offset``, unless ``dims`` pass
+    ``dsl.ast.check_dims`` with no zero axis: the grids a binvox file holds."""
     try:
-        x, y, z = (operator.index(d) for d in dims)
-    except (TypeError, ValueError):
-        raise BinvoxError(f"bad dims {dims!r}", offset=offset) from None
+        x, y, z = _grid_dims(dims)
+    except InputError as exc:
+        raise BinvoxError(str(exc), offset=offset) from None
     if min(x, y, z) < 1:
-        raise BinvoxError(f"bad dims {(x, y, z)}", offset=offset)
-    if x * y * z > MAX_GRID_VOXELS:
-        raise BinvoxError(f"dims {(x, y, z)} too large", offset=offset)
+        raise BinvoxError(f"binvox dims {(x, y, z)} must be >= 1", offset=offset)
 
 
 def _header_number(v) -> str:

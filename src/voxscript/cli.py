@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import analyze_dataset, format_analysis_json, format_analysis_table, stability_report
-from .binvox import export_obj, read_binvox, write_binvox
+from .binvox import check_dims, export_obj, read_binvox, write_binvox
 from .dsl import Limits, Program, parse_text, print_text, validate_program
 from .dsl.tokens import (format_token_lines, parse_token_lines, detokenize,
                          token_program_to_json, tokenize)
-from .errors import InputError, InvalidProgramError, ResourceError
-from .executor import DEFAULT_DIMS, MAX_GRID_VOXELS, execute_program
+from .errors import BinvoxError, InputError, InvalidProgramError, ResourceError
+from .executor import DEFAULT_DIMS, execute_program
 from .inference import SearchConfig, fit_program
 from .metrics import chamfer, emd, iou, surface_points
 from .templates import generate_dataset
@@ -41,18 +41,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dims(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("dims must be X,Y,Z")
+    """An argparse type: X,Y,Z as the dims of a grid a binvox file can hold."""
     try:
-        d = tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("dims must be integers")
-    if any(v < 1 for v in d):
-        raise argparse.ArgumentTypeError("dims must be >= 1")
-    if d[0] * d[1] * d[2] > MAX_GRID_VOXELS:
-        raise argparse.ArgumentTypeError(f"dims must hold at most {MAX_GRID_VOXELS} voxels")
-    return d
+        dims = tuple(int(p) for p in text.split(","))
+        check_dims(dims)
+    except (ValueError, BinvoxError) as exc:
+        raise argparse.ArgumentTypeError(f"dims must be X,Y,Z: {exc}") from None
+    return dims
 
 
 def _bounded(convert, low, strict=False):

@@ -198,6 +198,25 @@ class Program:
         object.__setattr__(self, "statements", tuple(self.statements))
 
 
+# Largest grid any entry point accepts, 16 MiB of bools; the fit search packs
+# two voxel counts into the 32-bit halves of an int64, which needs < 2^31.
+MAX_GRID_VOXELS = 2 ** 24
+
+
+def check_dims(dims) -> tuple:
+    """``dims`` as a tuple (x, y, z) of ints: the one rule for grid dims.
+    Anything but three ints >= 0 holding at most ``MAX_GRID_VOXELS`` voxels
+    raises InputError, before anything is allocated."""
+    try:
+        x, y, z = map(operator.index, dims)
+    except (TypeError, ValueError):
+        raise InputError(f"grid dims must be three ints, got {_show(dims)}") from None
+    if min(x, y, z) < 0 or x * y * z > MAX_GRID_VOXELS:
+        raise InputError(f"grid dims {_show((x, y, z))} must be >= 0 and hold at most"
+                         f" {MAX_GRID_VOXELS} voxels")
+    return x, y, z
+
+
 @dataclass(frozen=True)
 class Limits:
     """Validation budgets, overridable per call. The overrides bind
@@ -215,13 +234,10 @@ class Limits:
     @classmethod
     def for_dims(cls, dims) -> "Limits":
         """Default limits with coordinates and extents spanning a grid of
-        ``dims``; equal to ``DEFAULT_LIMITS`` at 32^3. ``dims`` that are not
-        a non-empty sequence of ints raise InputError."""
-        try:
-            top = max(operator.index(n) for n in dims)
-        except (TypeError, ValueError):
-            raise InputError(
-                f"grid dims must be a non-empty sequence of ints, got {dims!r}") from None
+        ``dims``; equal to ``DEFAULT_LIMITS`` at 32^3. ``dims`` that
+        ``check_dims`` refuses raise InputError; a grid with a zero axis
+        gives limits under which only the empty program validates."""
+        top = max(check_dims(dims))
         return cls(max_coord=top - 1, max_extent=top)
 
 
@@ -279,9 +295,9 @@ def _is_int(v) -> bool:
 def _int_faults(values, names, lo, hi, bad):
     for v, name in zip(values, names):
         if not (v.__class__ is int or _is_int(v)):  # a plain int skips the call
-            bad.append(f"{name} must be an integer, got {v!r}")
+            bad.append(f"{name} must be an integer, got {_show(v)}")
         elif not lo <= v <= hi:
-            bad.append(f"{name} = {v} outside [{lo}, {hi}]")
+            bad.append(f"{name} = {_show(v)} outside [{lo}, {hi}]")
 
 
 _TRIPLE_NAMES = {what: tuple(f"{what}[{i}]" for i in range(3)) for what in ("position", "endpoint")}
@@ -296,9 +312,9 @@ def _triple_faults(values, what, hi, bad):
 
 def _draw_faults(d: DrawStmt, limits, bad):
     if not isinstance(d.semantics, Semantics):
-        bad.append(f"unknown semantics {d.semantics!r}")
+        bad.append(f"unknown semantics {_show(d.semantics)}")
     if not isinstance(d.shape, ShapeKind):
-        bad.append(f"unknown shape kind {d.shape!r}")
+        bad.append(f"unknown shape kind {_show(d.shape)}")
         return
     _triple_faults(d.position, "position", limits.max_coord, bad)
     lo, hi = GEOMETRY_ARITY[d.shape]
@@ -313,9 +329,9 @@ def _draw_faults(d: DrawStmt, limits, bad):
         if len(g) == 4:
             ang = g[3]
             if not isinstance(ang, (int, float)) or isinstance(ang, bool):
-                bad.append(f"ang must be a number, got {ang!r}")
+                bad.append(f"ang must be a number, got {_show(ang)}")
             elif not -limits.max_tilt <= ang <= limits.max_tilt:
-                bad.append(f"ang = {ang} outside [-{limits.max_tilt}, {limits.max_tilt}]")
+                bad.append(f"ang = {_show(ang)} outside [-{limits.max_tilt}, {limits.max_tilt}]")
 
 
 def _copy_angles_finite(angle, times) -> bool:
@@ -329,25 +345,25 @@ def _copy_angles_finite(angle, times) -> bool:
 def _loop_faults(f: ForStmt, depth, limits, bad):
     counted = _is_int(f.times) and f.times >= 2
     if not counted:
-        bad.append(f"times must be an integer >= 2, got {f.times!r}")
+        bad.append(f"times must be an integer >= 2, got {_show(f.times)}")
     if f.mode is LoopMode.TRANSLATION:
         if f.step is None:
             bad.append("translation loop missing step u")
         elif len(f.step) != 3 or not all(map(_is_int, f.step)):
-            bad.append(f"step u must be an integer triple, got {f.step!r}")
+            bad.append(f"step u must be an integer triple, got {_show(f.step)}")
         if f.angle is not None or f.axis is not None:
             bad.append("translation loop must not carry angle/axis")
     elif f.mode is LoopMode.ROTATION:
         if f.angle is None or not isinstance(f.angle, (int, float)) or isinstance(f.angle, bool):
-            bad.append(f"rotation loop needs a numeric angle, got {f.angle!r}")
+            bad.append(f"rotation loop needs a numeric angle, got {_show(f.angle)}")
         elif not _copy_angles_finite(f.angle, f.times if counted else 2):
             bad.append("rotation angle k * angle must be a finite float for every copy k < times")
         if not isinstance(f.axis, Axis):
-            bad.append(f"rotation loop needs an axis, got {f.axis!r}")
+            bad.append(f"rotation loop needs an axis, got {_show(f.axis)}")
         if f.step is not None:
             bad.append("rotation loop must not carry step u")
     else:
-        bad.append(f"unknown loop mode {f.mode!r}")
+        bad.append(f"unknown loop mode {_show(f.mode)}")
     if depth > limits.max_for_depth:
         bad.append(f"loop nesting deeper than {limits.max_for_depth}")
     if not f.body:
@@ -355,7 +371,7 @@ def _loop_faults(f: ForStmt, depth, limits, bad):
     elif counted:
         size = expanded_size(f)
         if size is not None and size > limits.max_expanded:
-            bad.append(f"loop expands to {_count_text(size)} primitives"
+            bad.append(f"loop expands to {_show(size)} primitives"
                        f" (budget {limits.max_expanded})")
 
 
@@ -364,11 +380,18 @@ def _not_a(kind, value) -> str:
     return f"expected a {kind}, got {type(value).__name__}"
 
 
-def _count_text(n) -> str:
-    """``n`` as text; an int too long for ``str`` as the power of ten it exceeds."""
-    if isinstance(n, int) and n.bit_length() > 10_000:
-        return f"over 10^{math.floor((n.bit_length() - 1) * math.log10(2))}"
-    return str(n)
+def _show(v) -> str:
+    """``repr(v)`` for a message; an int too long for ``repr``, alone or in a
+    tuple, by its size."""
+    try:
+        return repr(v)
+    except ValueError:  # repr writes an int of at most sys.get_int_max_str_digits() digits
+        if isinstance(v, tuple):
+            return f"({', '.join(map(_show, v))})"
+        if not isinstance(v, int):
+            return f"a {type(v).__name__} holding an int too long to write"
+        power = math.floor((v.bit_length() - 1) * math.log10(2))
+        return f"over 10^{power}" if v > 0 else f"under -10^{power}"
 
 
 def _check_body(statements, where, out, limits):
@@ -381,7 +404,7 @@ def _check_body(statements, where, out, limits):
         elif isinstance(s, ForStmt):
             _loop_faults(s, len(at), limits, bad)
         else:
-            bad.append(f"not a statement: {s!r}")
+            bad.append(f"not a statement: {_show(s)}")
         if bad:  # only a statement with a fault formats its path
             path = f"stmt[{at[0]}]" + "".join(f".body[{k}]" for k in at[1:])
             out.extend(Violation(path, message) for message in bad)

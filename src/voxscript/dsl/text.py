@@ -40,6 +40,7 @@ from .ast import (
     Semantics,
     ShapeKind,
     _not_a,
+    _show,
     format_number,
     parse_number,
     validate_program,
@@ -220,42 +221,43 @@ def _print_stmt(s, depth, out):
     out.append(f"{pad}}}")
 
 
-def _unwritable(statements, where=()):
-    """The path of the first statement, in print order, holding an int too
-    long for ``str()``, or None."""
+def _unprintable(statements, where=()):
+    """The path and fault of the first statement, in print order, that is
+    not a statement or holds an int too long for ``str()``, or None."""
     for j, s in enumerate(statements):
         at = (*where, j)
+        path = f"stmt[{at[0]}]" + "".join(f".body[{k}]" for k in at[1:])
         if isinstance(s, DrawStmt):
             values = (*s.position, *s.geometry)
         elif isinstance(s, ForStmt):
             values = (s.times, *(s.step or ()), s.angle)
         else:
-            continue
+            return path, f"not a statement: {_show(s)}"
         for v in values:
             try:
                 str(v)
             except ValueError:
-                return f"stmt[{at[0]}]" + "".join(f".body[{k}]" for k in at[1:])
+                return path, "an int has more digits than str() writes"
         if isinstance(s, ForStmt):
-            path = _unwritable(s.body, at)
-            if path is not None:
-                return path
+            fault = _unprintable(s.body, at)
+            if fault is not None:
+                return fault
     return None
 
 
 def print_text(p: Program) -> str:
-    """Canonical text form; empty program prints as empty text. An int too
-    long for ``str()`` raises DslSemanticError at its statement's path, and
-    a ``p`` that is not a Program at the path ``program``."""
+    """Canonical text form; empty program prints as empty text. A non-statement
+    or an int too long for ``str()`` raises DslSemanticError at its
+    statement's path, and a ``p`` that is not a Program at ``program``."""
     if not isinstance(p, Program):
         raise DslSemanticError("program", _not_a("Program", p))
     out: list[str] = []
     try:
         for s in p.statements:
             _print_stmt(s, 0, out)
-    except ValueError:  # str() writes an int of at most sys.get_int_max_str_digits() digits
-        path = _unwritable(p.statements)
-        if path is None:
+    except (AttributeError, ValueError):  # a non-statement, or an int str() refuses
+        fault = _unprintable(p.statements)
+        if fault is None:
             raise
-        raise DslSemanticError(path, "an int has more digits than str() writes") from None
+        raise DslSemanticError(*fault) from None
     return "".join(line + "\n" for line in out)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
-from .dsl.ast import (
+from .dsl.ast import (  # MAX_GRID_VOXELS is re-exported, the voxel cap of check_dims
+    MAX_GRID_VOXELS,
     Axis,
     DrawStmt,
     ForStmt,
@@ -26,30 +26,23 @@ from .dsl.ast import (
     ShapeKind,
     ValidationReport,
     Violation,
+    _show,
+    check_dims,
     expanded_size,
     validate_program,
 )
-from .errors import BudgetError, InputError, InvalidProgramError, ShapeMismatchError
+from .errors import BudgetError, InvalidProgramError, ShapeMismatchError
 
 DEFAULT_DIMS = (32, 32, 32)
-# Largest grid built from outside input (binvox dims, --dims): 16 MiB of bools.
-MAX_GRID_VOXELS = 2 ** 24
 # Discs up to this radius are cut from a cached stencil; a larger one, which
 # only an unvalidated program draws, is computed over its clipped window.
 _STENCIL_MAX_RADIUS = 64
 
 
 def empty_grid(dims=DEFAULT_DIMS) -> np.ndarray:
-    """An all-empty grid; ``dims`` must be three non-negative ints holding
-    at most ``MAX_GRID_VOXELS`` voxels, checked before anything is allocated."""
-    try:
-        x, y, z = (operator.index(d) for d in dims)
-    except (TypeError, ValueError):
-        raise InputError(f"grid dims must be three ints, got {dims!r}") from None
-    if min(x, y, z) < 0 or x * y * z > MAX_GRID_VOXELS:
-        raise InputError(f"grid dims {(x, y, z)} must be >= 0 and hold at most"
-                         f" {MAX_GRID_VOXELS} voxels")
-    return np.zeros((x, y, z), dtype=bool)
+    """An all-empty grid of ``dims``, which ``check_dims`` checks before
+    anything is allocated."""
+    return np.zeros(check_dims(dims), dtype=bool)
 
 
 def as_grid(g) -> np.ndarray:
@@ -376,45 +369,37 @@ def unroll_for(f: ForStmt, dims=DEFAULT_DIMS) -> list:
     Iteration k translates by k*u, or rotates the original coordinates by
     k*angle about the grid-center axis; line endpoints move with their start
     points (see ``_copies``). A draw, or a loop that fails to unroll, raises
-    InvalidProgramError with its report under ``Limits.for_dims(dims)``.
+    InvalidProgramError with its report under ``Limits.for_dims(dims)``,
+    and ``dims`` that ``check_dims`` refuses InputError.
     """
+    check_dims(dims)
     try:
         return [DrawStmt(sem, shape, pos, geom) for shape, pos, geom, sem in _unroll(f, dims)]
     except _DRAW_ERRORS as exc:
         if isinstance(f, ForStmt):
             raise _invalid(Program((f,)), dims, exc) from exc
-        report = ValidationReport(False, (Violation("stmt[0]", f"not a loop: {f!r}"),))
+        report = ValidationReport(False, (Violation("stmt[0]", f"not a loop: {_show(f)}"),))
         raise InvalidProgramError(report) from exc
 
 
-def _draw(grid, block, dims) -> None:
-    """Draw one top-level statement into ``grid`` (loops union their copies)."""
-    if isinstance(block, DrawStmt):
-        _render(grid, block.shape, block.position, block.geometry)
-    else:
-        for shape, pos, geom, _ in _unroll(block, dims):
-            _render(grid, shape, pos, geom)
-
-
 def execute_block(b, dims=DEFAULT_DIMS) -> np.ndarray:
-    """Run one top-level statement to a grid. A statement that fails to draw
-    raises InvalidProgramError with its report under ``Limits.for_dims``."""
-    grid = empty_grid(dims)
-    try:
-        _draw(grid, b, dims)
-    except _DRAW_ERRORS as exc:
-        raise _invalid(Program((b,)), dims, exc) from exc
-    return grid
+    """Run one top-level statement to a grid: ``execute_program`` of the
+    program holding it alone, so its errors are reported at ``stmt[0]``."""
+    return execute_program(Program((b,)), dims)
 
 
 def execute_program(p: Program, dims=DEFAULT_DIMS) -> np.ndarray:
     """Union of all blocks, drawn into one grid; the empty program gives the
-    empty grid. A program that fails to draw raises InvalidProgramError
-    with its report under ``Limits.for_dims``."""
+    empty grid. ``dims`` that ``check_dims`` refuses raise InputError, and a
+    program that fails to draw InvalidProgramError under ``Limits.for_dims``."""
     grid = empty_grid(dims)
     try:
         for b in p.statements:
-            _draw(grid, b, dims)
+            if isinstance(b, DrawStmt):
+                _render(grid, b.shape, b.position, b.geometry)
+            else:
+                for shape, pos, geom, _ in _unroll(b, dims):
+                    _render(grid, shape, pos, geom)
     except _DRAW_ERRORS as exc:
         raise _invalid(p, dims, exc) from exc
     return grid

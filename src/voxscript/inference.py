@@ -82,7 +82,6 @@ _WRAP_BODIES_PER_COMPONENT = 3
 _WRAP_MAX_SLAB_BODIES = 32
 _SEED_STRIDE = 2  # edge of the lattice cells that each give one seed
 _REFINE_SWEEPS = 3  # coordinate-descent sweeps per refinement, at most
-_SCORE_EPS = 1e-12
 
 # Candidate row layout (see propose_candidates)
 _MODE, _TIMES, _STEP, _SHAPE, _POS, _GEOM, _ROW_LEN = 0, 1, slice(2, 5), 5, slice(6, 9), 9, 13
@@ -680,7 +679,7 @@ def _refine(row, score, rnd: _Round, budget, cache) -> tuple:
                         if not budget.spend():
                             return row, score
                         s = cache[nb] = _score_from_counts(*_row_counts(rnd, nb), i0, u0)
-                    if s > score + _SCORE_EPS:
+                    if s > score:
                         row, score = nb, s
                         improved = True
                     else:

@@ -179,7 +179,7 @@ def test_limits_for_dims():
 
 
 def test_limits_for_empty_dims_raise_input_error():
-    with pytest.raises(InputError, match="non-empty"):
+    with pytest.raises(InputError, match="three ints"):
         Limits.for_dims(())
 
 

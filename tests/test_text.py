@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Program, Semantics, ShapeKind,
-                           parse_text, print_text)
+                           parse_text, print_text, validate_program)
 from voxscript.errors import DslSemanticError, DslSyntaxError
 
 from randprog import random_program
@@ -176,6 +176,19 @@ def test_print_refuses_an_int_too_long_to_write():
         with pytest.raises(DslSemanticError) as exc:
             print_text(Program((ok, stmt, ok)))
         assert exc.value.path == path
+
+
+@pytest.mark.parametrize("program, path", [
+    (Program(("x",)), "stmt[0]"),
+    (Program((ForStmt.translation(2, (1, 0, 0), (
+        DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (1, 0, 0), (1, 1, 1)), "x")),)), "stmt[0].body[1]"),
+], ids=["top-level", "loop-body"])
+def test_print_refuses_a_non_statement_at_its_path(program, path):
+    """print_text reports a non-statement where validate_program does."""
+    with pytest.raises(DslSemanticError, match="not a statement") as exc:
+        print_text(program)
+    assert exc.value.path == path
+    assert [v.path for v in validate_program(program).violations] == [path]
 
 
 def test_validate_flag_skips_semantics():
