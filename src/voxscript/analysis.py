@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsl.ast import _show
 from .errors import EmptyShapeError, InputError
 from .executor import as_grid
 
@@ -27,7 +28,7 @@ class Connectivity(enum.Enum):
 
 def _check_connectivity(connectivity):
     if not isinstance(connectivity, Connectivity):
-        raise InputError(f"connectivity must be a Connectivity, got {connectivity!r}")
+        raise InputError(f"connectivity must be a Connectivity, got {_show(connectivity)}")
 
 
 def _structure(connectivity: Connectivity) -> np.ndarray:
@@ -79,7 +80,7 @@ def convex_hull_2d(points) -> list:
     """
     try:
         pts = sorted(set((float(x), float(z)) for x, z in points))
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         raise InputError("hull points must be (x, z) number pairs") from None
     if len(pts) <= 2:
         return pts
@@ -121,8 +122,9 @@ def point_in_hull(point, hull) -> bool:
     try:
         px, pz = (float(v) for v in point)
         hull = [(float(x), float(z)) for x, z in hull]
-    except (TypeError, ValueError):
-        raise InputError(f"point and hull must be (x, z) pairs, got {point!r}, {hull!r}") from None
+    except (OverflowError, TypeError, ValueError):
+        raise InputError(f"point and hull must be (x, z) pairs,"
+                         f" got {_show(point)}, {_show(hull)}") from None
     if len(hull) == 0:
         return False
     if len(hull) == 1:
@@ -174,7 +176,7 @@ def analyze_dataset(grids, connectivity: Connectivity = Connectivity.TWENTY_SIX)
     try:
         grids = iter(grids)
     except TypeError:
-        raise InputError(f"grids must be an iterable of 3-D grids, got {grids!r}") from None
+        raise InputError(f"grids must be an iterable of 3-D grids, got {_show(grids)}") from None
     reports = [stability_report(g, connectivity) for g in grids]
     n = len(reports)
 
@@ -197,7 +199,7 @@ def format_analysis_json(result: dict) -> str:
         payload = {k: v for k, v in result.items() if k != "reports"}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     except (AttributeError, TypeError, ValueError):
-        raise InputError(f"expected analyze_dataset's result, got {result!r}") from None
+        raise InputError(f"expected analyze_dataset's result, got {_show(result)}") from None
 
 
 def format_analysis_table(result: dict) -> str:
@@ -207,5 +209,5 @@ def format_analysis_table(result: dict) -> str:
         row = (f"{result['stable_pct']:>12.1f}  {result['connected_pct']:>12.1f}"
                f"  {result['stable_and_connected_pct']:>20.1f}")
     except (IndexError, KeyError, TypeError, ValueError):
-        raise InputError(f"expected analyze_dataset's result, got {result!r}") from None
+        raise InputError(f"expected analyze_dataset's result, got {_show(result)}") from None
     return header + "\n" + row + "\n"

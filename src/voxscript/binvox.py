@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsl.ast import check_dims as _grid_dims
+from .dsl.ast import _show, check_dims as _grid_dims
 from .errors import BinvoxError, InputError
 from .metrics import surface_mask
 
@@ -55,9 +55,9 @@ def write_binvox(g, translate=(0.0, 0.0, 0.0), scale=1.0) -> bytes:
     try:
         tx, ty, tz = (_header_number(v) for v in translate)
         s = _header_number(scale)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         raise BinvoxError(f"translate must be three numbers and scale one, got"
-                          f" {translate!r} and {scale!r}") from None
+                          f" {_show(translate)} and {_show(scale)}") from None
     header = (
         f"#binvox 1\n"
         f"dim {g.shape[0]} {g.shape[1]} {g.shape[2]}\n"

@@ -223,13 +223,21 @@ def _print_stmt(s, depth, out):
 
 def _unprintable(statements, where=()):
     """The path and fault of the first statement, in print order, that is
-    not a statement or holds an int too long for ``str()``, or None."""
+    not a statement, names a semantics, shape or rotation axis that is not
+    one, or holds an int too long for ``str()``; or None. Faults read as
+    ``validate_program`` words them."""
     for j, s in enumerate(statements):
         at = (*where, j)
         path = f"stmt[{at[0]}]" + "".join(f".body[{k}]" for k in at[1:])
         if isinstance(s, DrawStmt):
+            if not isinstance(s.semantics, Semantics):
+                return path, f"unknown semantics {_show(s.semantics)}"
+            if not isinstance(s.shape, ShapeKind):
+                return path, f"unknown shape kind {_show(s.shape)}"
             values = (*s.position, *s.geometry)
         elif isinstance(s, ForStmt):
+            if s.step is None and not isinstance(s.axis, Axis):
+                return path, f"rotation loop needs an axis, got {_show(s.axis)}"
             values = (s.times, *(s.step or ()), s.angle)
         else:
             return path, f"not a statement: {_show(s)}"
@@ -246,16 +254,17 @@ def _unprintable(statements, where=()):
 
 
 def print_text(p: Program) -> str:
-    """Canonical text form; empty program prints as empty text. A non-statement
-    or an int too long for ``str()`` raises DslSemanticError at its
-    statement's path, and a ``p`` that is not a Program at ``program``."""
+    """Canonical text form; empty program prints as empty text. A non-statement,
+    a semantics, shape or rotation axis that is not one, or an int too long
+    for ``str()`` raises DslSemanticError at its statement's path, and a
+    ``p`` that is not a Program at ``program``."""
     if not isinstance(p, Program):
         raise DslSemanticError("program", _not_a("Program", p))
     out: list[str] = []
     try:
         for s in p.statements:
             _print_stmt(s, 0, out)
-    except (AttributeError, ValueError):  # a non-statement, or an int str() refuses
+    except (AttributeError, ValueError):  # a non-statement or non-enum, or an int str() refuses
         fault = _unprintable(p.statements)
         if fault is None:
             raise

@@ -34,6 +34,7 @@ from .ast import (
     ShapeKind,
     _INT_TYPE,
     _not_a,
+    _show,
     canon_number,
     canon_numbers,
     format_number,
@@ -71,7 +72,7 @@ def draw_token_id(semantics: Semantics, shape: ShapeKind) -> int:
     try:
         return _DRAW_ID[(semantics, shape)]
     except (KeyError, TypeError):
-        raise TokenError(0, f"no draw token for ({semantics!r}, {shape!r})") from None
+        raise TokenError(0, f"no draw token for ({_show(semantics)}, {_show(shape)})") from None
 
 
 def vocabulary() -> dict:
@@ -163,7 +164,7 @@ def encode_steps(statements):
 
 def _int_arg(v, step_index, what):
     if not isinstance(v, int):  # args are canonical: an integral number is an int
-        raise TokenError(step_index, f"{what} must be an integer, got {v!r}")
+        raise TokenError(step_index, f"{what} must be an integer, got {_show(v)}")
     return v
 
 

@@ -4,9 +4,11 @@ Grids are numpy bool arrays indexed (x, y, z) with y up; voxel i is the
 unit cube centered at integer coordinate i. Everything clips silently at
 the grid bounds and composes by union, so statement order never matters.
 Draw and copy geometry is defined here once. The fit search counts box
-draws from ``draw_boxes``, which also draws a tilted Cub; takes every
-loop copy, translated or rotated, from ``_copies``, which unrolls loops;
-and takes every draw's box and exact voxel count from ``draw_extents``.
+draws from ``draw_boxes``, which also draws a tilted Cub; takes a row's
+loop copies from ``_copies``, which unrolls loops, and a round's rotated
+copies from ``_rotate_points``, the array form of ``_copies``' rotation
+rule; and takes every draw's box and exact voxel count from
+``draw_extents``.
 """
 from __future__ import annotations
 
@@ -197,11 +199,12 @@ def draw_boxes(shape, pos, geom, dy):
         return None
     t, r1, r2 = geom[:3]
     tilt = geom[3] if len(geom) > 3 else 0
-    if tilt and dy is not None:
-        return tuple((x + s, y + k0, z, x + r1 + s, y + k1, z + r2)
-                     for k0, k1, s in _tilt_runs(tilt, max(0, -y), min(t, dy - y)))
-    if _last_shift(tilt, t):
-        return None
+    if tilt:
+        if dy is not None:
+            return tuple((x + s, y + k0, z, x + r1 + s, y + k1, z + r2)
+                         for k0, k1, s in _tilt_runs(tilt, max(0, -y), min(t, dy - y)))
+        if _last_shift(tilt, t):
+            return None
     return ((x, y, z, x + r1, y + t, z + r2),)
 
 
@@ -261,6 +264,21 @@ def _rotate_point(pt, angle_deg, axis, dims):
     p[i], p[j] = ci + c * di - s * dj, cj + s * di + c * dj
     # round() halves to even on a float, as np.rint does
     return round(p[0]), round(p[1]), round(p[2])
+
+
+def _rotate_points(points, angles, axis, dims) -> np.ndarray:
+    """``_rotate_point`` as arrays: row i of the (n, 3) int ``points`` turned
+    by ``angles[i]`` degrees, each angle's cosine and sine taken once and
+    every coordinate by the same IEEE operations in the same order."""
+    turns, which = np.unique(angles, return_inverse=True)
+    trig = [(math.cos(r), math.sin(r)) for r in map(math.radians, turns.tolist())]
+    c, s = np.array(trig, dtype=np.float64).reshape(-1, 2)[which].T
+    i, j = (0, 2) if axis is Axis.Y else (1, 2) if axis is Axis.X else (0, 1)
+    ci, cj = (dims[i] - 1) / 2, (dims[j] - 1) / 2
+    di, dj = points[:, i] - ci, points[:, j] - cj
+    out = np.array(points, dtype=np.int64)
+    out[:, i], out[:, j] = np.rint(ci + c * di - s * dj), np.rint(cj + s * di + c * dj)
+    return out
 
 
 def _copies(body, times, mode, step, angle, axis, dims) -> list:

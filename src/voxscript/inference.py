@@ -30,6 +30,11 @@ voxels, and their packed counts, summed over the window's box, come off
 the summed-volume table in place (see ``_carry``). The IoU after each
 block is read from the carried intersection and union counts.
 
+Every copy is placed by the executor's rules: rows counted one at a time
+take theirs from ``executor._copies``, which unrolls loops, and the
+round's bounds turn all rotated copies at once with its array form,
+``executor._rotate_points``.
+
 A candidate whose voxels are a union of boxes is counted from the table,
 not executed, from the executor's own ``draw_boxes``: an untilted
 ``Cub`` or ``Rect``, or a ``Sqr``, is one box; a tilted ``Cub`` is one
@@ -60,6 +65,7 @@ reach is scored once.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -67,9 +73,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
-                      Semantics, ShapeKind, validate_program)
+                      Semantics, ShapeKind, _show, validate_program)
 from .errors import InputError, InvalidProgramError, ShapeMismatchError
-from .executor import _IS_BOX, SHAPES, _copies, _window, as_grid, draw_boxes, draw_extents
+from .executor import (_IS_BOX, SHAPES, _copies, _rotate_points, _window, as_grid, draw_boxes,
+                       draw_extents)
 
 _WRAP_TIMES = (2, 3, 4, 5)
 # A pattern repeated twice overlaps itself by exactly half its mass when
@@ -106,10 +113,10 @@ class SearchConfig:
         for name in ("max_blocks", "beam_width", "budget"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise InputError(f"{name} must be an int >= 1, got {v!r}")
+                raise InputError(f"{name} must be an int >= 1, got {_show(v)}")
         v = self.min_gain
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < math.inf:
-            raise InputError(f"min_gain must be a finite number > 0, got {v!r}")
+            raise InputError(f"min_gain must be a finite number > 0, got {_show(v)}")
 
 
 @dataclass(frozen=True)
@@ -258,16 +265,20 @@ def _periodic_steps(res, occ) -> list:
     for axis, c in enumerate(counts):
         ext = box.shape[axis]
         slices = np.moveaxis(box, axis, 0).reshape(ext, -1)
-        i = np.arange(ext)
-        overlap = np.bincount(abs(i[:, None] - i).ravel(), np.triu(slices @ slices.T).ravel())
+        # the Gram matrix's rows, each padded by ext zeros, read with one
+        # more entry per row: row i of the skew starts at diagonal entry i
+        skew = np.zeros(ext * (2 * ext + 1))
+        skew[:2 * ext * ext].reshape(ext, 2 * ext)[:, :ext] = slices @ slices.T
+        overlap = skew.reshape(ext, 2 * ext + 1)[:, 2:ext].sum(axis=0)
         # voxels from slice k on and before slice n - k: both nonzero for
         # every shift inside the box
-        cum, overlap = np.cumsum(c).tolist(), overlap.tolist()
+        cum, k = np.cumsum(c), np.arange(2, ext)
+        frac = overlap / np.minimum(cum[-1] - cum[k - 1], cum[len(cum) - k - 1])
+        clear = frac >= _PERIOD_MIN_OVERLAP
         best = None  # (fraction, k)
-        for k in range(2, ext):
-            frac = overlap[k] / min(cum[-1] - cum[k - 1], cum[len(cum) - k - 1])
-            if frac >= _PERIOD_MIN_OVERLAP and (best is None or frac > best[0] + 1e-9):
-                best = (frac, k)
+        for shift, f in zip(k[clear].tolist(), frac[clear].tolist()):
+            if best is None or f > best[0] + 1e-9:
+                best = (f, shift)
         if best is not None:
             found.append((axis, best[1]))
     return found
@@ -451,61 +462,80 @@ def _carry(rnd: _Round, box, window) -> _Round:
     """The round state once the voxels ``window`` sets in the grid's ``box``
     (slices) are drawn. Voxels drawn before pack to 0, so only the new ones
     leave the residual and the empty voxels: their packed counts come off
-    ``packed`` and, summed over the box, off the table in place: inside the
-    box each entry loses the sum up to it, and past the box on an axis the
-    sum's last slice on it."""
+    ``packed`` and, summed over the box, off the table in place. Inside the
+    box each entry loses the sum up to it; past the box on some axes, the
+    sum's last slice on those axes, which past it on all three is the total."""
     sums = np.where(window, rnd.packed[box], 0)
     rnd.packed[box][window] = 0
     rnd.residual[box] &= ~window
     for axis in range(3):
         np.cumsum(sums, axis, out=sums)
     total = int(sums[-1, -1, -1])
-    rnd.table[box[0].start + 1:, box[1].start + 1:, box[2].start + 1:] -= np.pad(
-        sums, [(0, n - s.stop) for n, s in zip(rnd.residual.shape, box)], mode="edge")
+    table = rnd.table[box[0].start + 1:, box[1].start + 1:, box[2].start + 1:]
+    # per axis, (table, sums) slices inside the box and past it
+    parts = [((slice(None, n), slice(None)), (slice(n, None), slice(-1, None)))
+             for n in sums.shape]
+    for (tx, sx), (ty, sy), (tz, sz) in itertools.product(*parts):
+        table[tx, ty, tz] -= sums[sx, sy, sz]
     return rnd._replace(i0=rnd.i0 + (total & _LOW_BITS), u0=rnd.u0 + (total >> 32))
 
 
-def _box_sum(sums, dims, x0, y0, z0, x1, y1, z1) -> int:
-    """The packed counts of the box [x0, x1) x [y0, y1) x [z0, z1), clipped
-    to the grid of ``dims``."""
-    dx, dy, dz = dims
-    if x0 < 0:
-        x0 = 0
-    if y0 < 0:
-        y0 = 0
-    if z0 < 0:
-        z0 = 0
-    if x1 > dx:
-        x1 = dx
-    if y1 > dy:
-        y1 = dy
-    if z1 > dz:
-        z1 = dz
-    if x0 >= x1 or y0 >= y1 or z0 >= z1:
-        return 0
-    return (sums[x1, y1, z1] - sums[x0, y1, z1] - sums[x1, y0, z1] - sums[x1, y1, z0]
-            + sums[x0, y0, z1] + sums[x0, y1, z0] + sums[x1, y0, z0] - sums[x0, y0, z0])
-
-
 def _chain_sum(sums, dims, box, times, step) -> int:
-    """The packed counts of ``times`` copies of ``box``, copy k moved by k * step.
+    """The packed counts of ``times`` copies of ``box``, copy k moved by k *
+    step, each clipped to the grid of ``dims``.
 
     A voxel lies in a run of consecutive copies, since copies i < j < k of
     a box meet only inside copy j. Summing every copy and subtracting every
     consecutive pair's overlap therefore counts each covered voxel once.
+    Each box is clipped and read inline: a call per box costs more.
     """
+    nx, ny, nz = dims
     x0, y0, z0, x1, y1, z1 = box
     ux, uy, uz = step
-    # copies k and k + 1 overlap in copy k cut short by the step on each axis
-    ox0, oy0, oz0 = x0 + max(ux, 0), y0 + max(uy, 0), z0 + max(uz, 0)
-    ox1, oy1, oz1 = x1 + min(ux, 0), y1 + min(uy, 0), z1 + min(uz, 0)
     total = 0
     for k in range(times):
-        dx, dy, dz = k * ux, k * uy, k * uz
-        total += _box_sum(sums, dims, x0 + dx, y0 + dy, z0 + dz, x1 + dx, y1 + dy, z1 + dz)
-        if k + 1 < times:
-            total -= _box_sum(sums, dims, ox0 + dx, oy0 + dy, oz0 + dz,
-                              ox1 + dx, oy1 + dy, oz1 + dz)
+        a0, b0, c0 = x0 + k * ux, y0 + k * uy, z0 + k * uz
+        a1, b1, c1 = x1 + k * ux, y1 + k * uy, z1 + k * uz
+        if a0 < 0:
+            a0 = 0
+        if b0 < 0:
+            b0 = 0
+        if c0 < 0:
+            c0 = 0
+        if a1 > nx:
+            a1 = nx
+        if b1 > ny:
+            b1 = ny
+        if c1 > nz:
+            c1 = nz
+        if a0 < a1 and b0 < b1 and c0 < c1:
+            total += (sums[a1, b1, c1] - sums[a0, b1, c1] - sums[a1, b0, c1] - sums[a1, b1, c0]
+                      + sums[a0, b0, c1] + sums[a0, b1, c0] + sums[a1, b0, c0] - sums[a0, b0, c0])
+    # copies k and k + 1 overlap in copy k cut short by the step on each
+    # axis; if that box is empty before clipping, every overlap is
+    x0, x1 = (x0 + ux, x1) if ux > 0 else (x0, x1 + ux)
+    y0, y1 = (y0 + uy, y1) if uy > 0 else (y0, y1 + uy)
+    z0, z1 = (z0 + uz, z1) if uz > 0 else (z0, z1 + uz)
+    if times < 2 or x0 >= x1 or y0 >= y1 or z0 >= z1:
+        return total
+    for k in range(times - 1):
+        a0, b0, c0 = x0 + k * ux, y0 + k * uy, z0 + k * uz
+        a1, b1, c1 = x1 + k * ux, y1 + k * uy, z1 + k * uz
+        if a0 < 0:
+            a0 = 0
+        if b0 < 0:
+            b0 = 0
+        if c0 < 0:
+            c0 = 0
+        if a1 > nx:
+            a1 = nx
+        if b1 > ny:
+            b1 = ny
+        if c1 > nz:
+            c1 = nz
+        if a0 < a1 and b0 < b1 and c0 < c1:
+            total -= (sums[a1, b1, c1] - sums[a0, b1, c1] - sums[a1, b0, c1] - sums[a1, b1, c0]
+                      + sums[a0, b0, c1] + sums[a0, b1, c0] + sums[a1, b0, c0] - sums[a0, b0, c0])
     return total
 
 
@@ -522,11 +552,12 @@ def _block_counts(rnd: _Round, row):
     """(a, b) of a candidate row, counted from the round's table; None for a
     rotation, or when its voxels are not a union of boxes there (see the
     module docstring)."""
-    mode, times, ux, uy, uz, code, x, y, z, *geom = row
+    mode, times, ux, uy, uz, code, x, y, z, t, r1, r2, tilt = row
     if mode == _ROT:
         return None
     sums, dims = rnd.sums, rnd.residual.shape
-    boxes = draw_boxes(SHAPES[code], (x, y, z), geom, None if mode == _TRANS and uy else dims[1])
+    boxes = draw_boxes(SHAPES[code], (x, y, z), (t, r1, r2, tilt),
+                       None if mode == _TRANS and uy else dims[1])
     if boxes is None:
         return None
     total = 0
@@ -573,16 +604,17 @@ def _cover_bounds(rows, table) -> tuple:
 
     One pass takes every copy of every row: its box and the voxels it sets
     on an unbounded grid, exactly, from ``draw_extents``, the box moved by
-    k * step or to the anchor ``executor._copies`` rotates it to (a rotated
-    line spans its rotated end points). A row covers at most the sum over
-    its copies of min(voxels, residual in the clipped box). All of a copy's
-    voxels lie in its box, and at most (box volume - empty voxels in the
-    box) of them can fall outside the grid or on a non-empty voxel, so it
-    fills at least the rest with empty ones. A row fills at least the sum
-    of that over its copies where they are disjoint (a draw, or a
-    translation stepping at least the box's size on some axis), else its
-    largest. Box sums come from the round's summed-volume table; exact
-    counts subtract the consecutive copies' overlaps as ``_chain_sum`` does.
+    k * step or to the anchor that ``executor._rotate_points``, the array
+    form of ``executor._copies``' rule, turns it to (a rotated line spans
+    its turned end points). A row covers at most the sum over its copies
+    of min(voxels, residual in the clipped box). All of a copy's voxels lie
+    in its box, and at most (box volume - empty voxels in the box) of them
+    can fall outside the grid or on a non-empty voxel, so it fills at least
+    the rest with empty ones. A row fills at least the sum of that over its
+    copies where they are disjoint (a draw, or a translation stepping at
+    least the box's size on some axis), else its largest. Box sums come
+    from the round's summed-volume table; exact counts subtract the
+    consecutive copies' overlaps as ``_chain_sum`` does.
     """
     dims = tuple(n - 1 for n in table.shape)
     mode, times, shape = rows[:, _MODE], rows[:, _TIMES], rows[:, _SHAPE]
@@ -596,14 +628,16 @@ def _cover_bounds(rows, table) -> tuple:
     step = step[of]
     move = k[:, None] * step
     rot = np.flatnonzero(mode[of] == _ROT)
-    turned = [c for row in rows[mode == _ROT].tolist() for c in _row_copies(row, dims)]
-    anchors = np.array([v for _, pos, _, _ in turned for v in pos]).reshape(-1, 3)
+    on_line = shape[of[rot]] == _LINE
+    line, turn = rot[on_line], k[rot] * rows[of[rot], _STEP.start]
+    # every rotated copy's anchor, then every rotated line's end point
+    turned = _rotate_points(np.concatenate((rows[of[rot], _POS], rows[of[line], _GEOM:_GEOM + 3])),
+                            np.concatenate((turn, turn[on_line])), Axis.Y, dims)
+    anchors, ends = turned[:len(rot)], turned[len(rot):]
     move[rot] = anchors - rows[of[rot], _POS]
     lo, hi, voxels = lo[of] + move, hi[of] + move, voxels[of]
     # a rotated line spans its turned end points, not its box moved
-    on_line = shape[of[rot]] == _LINE
-    starts, line = anchors[on_line], rot[on_line]
-    ends = np.array([end for s, _, end, _ in turned if s is ShapeKind.LINE]).reshape(-1, 3)
+    starts = anchors[on_line]
     lo[line], hi[line] = np.minimum(starts, ends), np.maximum(starts, ends) + 1
     voxels[line] = abs(starts - ends).max(axis=1, initial=0) + 1
     # rows whose every copy is one box, an untilted Cub or Rect or a Sqr, are

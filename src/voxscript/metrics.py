@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsl.ast import _show
 from .dsl.tokens import TokenProgram
 from .errors import (
     AlignmentError,
@@ -40,7 +41,7 @@ class LossWeights:
         for name in ("w0", "w1", "wp", "wa"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < math.inf:
-                raise InputError(f"{name} must be a finite number >= 0, got {v!r}")
+                raise InputError(f"{name} must be a finite number >= 0, got {_show(v)}")
         if self.w0 == 0 and self.w1 == 0:
             raise InputError("w0 and w1 must not both be zero")
 
@@ -84,11 +85,11 @@ def surface_points(g, n: int = 512, rng=None) -> np.ndarray:
     except TypeError:
         ok = False
     if not ok:
-        raise InputError(f"n must be an int >= 0, got {n!r}")
+        raise InputError(f"n must be an int >= 0, got {_show(n)}")
     try:
         rng = np.random.default_rng(rng)
     except (TypeError, ValueError):
-        raise InputError(f"rng must be a numpy Generator or a seed, got {rng!r}") from None
+        raise InputError(f"rng must be a numpy Generator or a seed, got {_show(rng)}") from None
     g = as_grid(g)
     surf = np.argwhere(surface_mask(g))
     if len(surf) == 0:

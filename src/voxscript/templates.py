@@ -24,6 +24,7 @@ from .dsl.ast import (
     Program,
     Semantics,
     ShapeKind,
+    _show,
     validate_program,
 )
 from .dsl.text import print_text
@@ -465,7 +466,8 @@ def sample(t: Template, rng) -> tuple:
         try:
             rng = np.random.default_rng(rng)
         except (TypeError, ValueError):
-            raise InputError(f"rng must be a numpy Generator or a seed, got {rng!r}") from None
+            raise InputError(f"rng must be a numpy Generator or a seed,"
+                             f" got {_show(rng)}") from None
     names = sorted(t.ranges)
     lows, highs = [t.ranges[name][0] for name in names], [t.ranges[name][1] for name in names]
     for _ in range(MAX_SAMPLE_ATTEMPTS):
@@ -496,11 +498,11 @@ def generate_dataset(out_dir, tables=0, chairs=0, seed=0, dims=DEFAULT_DIMS) -> 
     try:
         out = Path(out_dir)
     except TypeError:
-        raise InputError(f"out_dir must be a path, got {out_dir!r}") from None
+        raise InputError(f"out_dir must be a path, got {_show(out_dir)}") from None
     if (not all(isinstance(v, int) and not isinstance(v, bool) for v in (tables, chairs, seed))
             or min(tables, chairs) < 0):
         raise InputError(f"tables and chairs must be ints >= 0 and seed an int, got"
-                         f" tables={tables!r}, chairs={chairs!r}, seed={seed!r}")
+                         f" tables={_show(tables)}, chairs={_show(chairs)}, seed={_show(seed)}")
     check_dims(dims)
     all_templates = builtin_templates()
     families = {c: [t for t in all_templates if t.category is c] for c in Category}

@@ -17,8 +17,9 @@ from voxscript.dsl.tokens import VOCAB_SIZE, TokenProgram, TokenStep
 from voxscript.errors import BinvoxError, InputError, VoxScriptError
 from voxscript.executor import (MAX_GRID_VOXELS, empty_grid, execute_block, execute_program,
                                 unroll_for)
-from voxscript.inference import fit_program, propose_candidates
-from voxscript.metrics import chamfer, emd, generator_loss, surface_points, weighted_bce
+from voxscript.inference import SearchConfig, fit_program, propose_candidates
+from voxscript.metrics import (LossWeights, chamfer, emd, generator_loss, surface_points,
+                               weighted_bce)
 from voxscript.templates import builtin_templates, generate_dataset, sample
 
 GRID = np.ones((4, 4, 4), dtype=bool)
@@ -77,6 +78,27 @@ TURN = ForStmt.rotation(4, 90, Axis.Y, (DRAW,))
     lambda: execute_program(Program((BIG,))),
     lambda: print_text(Program(("x",))),
     lambda: unroll_for(DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (BIG, 0, 0), (1, 1, 1))),
+    # an int too long for str() in the value a message shows
+    lambda: SearchConfig(max_blocks=-BIG),
+    lambda: SearchConfig(min_gain=-BIG),
+    lambda: LossWeights(w0=-BIG),
+    lambda: surface_points(GRID, -BIG),
+    lambda: surface_points(GRID, 512, -BIG),
+    lambda: generate_dataset("never-written", tables=-BIG),
+    lambda: sample(builtin_templates()[0], -BIG),
+    lambda: stability_report(GRID, -BIG),
+    lambda: analyze_dataset(BIG),
+    lambda: format_analysis_json(BIG),
+    lambda: format_analysis_table(BIG),
+    lambda: point_in_hull((BIG, 0), HULL),
+    lambda: convex_hull_2d([(0, BIG)]),
+    lambda: write_binvox(GRID, translate=(BIG, 0, 0)),
+    lambda: write_binvox(GRID, scale=-BIG),
+    lambda: draw_token_id(-BIG, -BIG),
+    # a semantics, shape or rotation axis that is not an enum member
+    lambda: print_text(Program((DrawStmt("x", ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1)),))),
+    lambda: print_text(Program((DrawStmt(Semantics.LEG, "Cub", (0, 0, 0), (1, 1, 1)),))),
+    lambda: print_text(Program((ForStmt.rotation(2, 90, "Y", (DRAW,)),))),
 ], ids=["chamfer-strings", "surface-points-negative-n", "surface-points-float-n",
         "hull-of-1-tuples", "point-in-hull-1-tuple", "binvox-short-translate",
         "binvox-string-scale", "read-binvox-str", "sample-string-rng",
@@ -92,7 +114,14 @@ TURN = ForStmt.rotation(4, 90, Axis.Y, (DRAW,))
         "parse-text-none-limits", "tokenize-none-limits", "tokenize-dims-as-limits",
         "analysis-table-array", "tokenize-long-int-statement",
         "execute-program-long-int-statement", "print-text-non-statement",
-        "unroll-for-long-int-draw"])
+        "unroll-for-long-int-draw", "config-long-int-count", "config-long-int-gain",
+        "loss-weights-long-int", "surface-points-long-int-n", "surface-points-long-int-rng",
+        "generate-dataset-long-int-count", "sample-long-int-rng",
+        "stability-report-long-int-connectivity", "analyze-dataset-long-int",
+        "analysis-json-long-int", "analysis-table-long-int", "point-in-hull-long-int",
+        "hull-of-long-int", "binvox-long-int-translate", "binvox-long-int-scale",
+        "draw-token-id-long-ints", "print-text-str-semantics", "print-text-str-shape",
+        "print-text-str-axis"])
 def test_malformed_arguments_raise_typed_errors(call):
     with pytest.raises(VoxScriptError):
         call()

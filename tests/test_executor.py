@@ -13,7 +13,8 @@ from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, Program, Semantics,
 from voxscript import executor
 from voxscript.errors import BudgetError, InputError, InvalidProgramError
 from voxscript.executor import (_STENCIL_MAX_RADIUS, DEFAULT_DIMS, MAX_GRID_VOXELS, SHAPES,
-                                _extent, _fill_disk_column, _rotate_point, draw_boxes,
+                                _extent, _fill_disk_column, _rotate_point, _rotate_points,
+                                draw_boxes,
                                 draw_extents, empty_grid, execute_block, execute_program,
                                 unroll_for)
 
@@ -330,7 +331,10 @@ SEARCH_ANGLES = sorted({k * a for base in (180, 120, 90, 72)
 @pytest.mark.parametrize("dims", [(32, 32, 32), (31, 33, 29)])
 def test_rotate_point_matches_rint_reference(dims):
     """Snapping uses round(); the reference uses np.rint. Even dims put the
-    centre on a half-integer, odd dims on an integer."""
+    centre on a half-integer, odd dims on an integer. The array form
+    ``_rotate_points``, which the fit search bounds rotated copies with,
+    turns every point as ``_rotate_point`` does: anchors (y = 5) and line end
+    points (any y), all angles in one call."""
     xs = sorted({0, 1, (dims[0] - 1) // 2, dims[0] // 2, dims[0] - 1})
     zs = sorted({0, 2, (dims[2] - 1) // 2, dims[2] // 2, dims[2] - 1})
     for ang in SEARCH_ANGLES:
@@ -338,6 +342,14 @@ def test_rotate_point_matches_rint_reference(dims):
             for z in zs:
                 p = (x, 5, z)
                 assert _rotate_point(p, ang, Axis.Y, dims) == rotate_oracle(p, ang, Axis.Y, dims)
+    anchors = [(x, 5, z) for x in xs for z in zs]
+    ends = [(x, y, z) for x in xs for y in (0, dims[1] - 1) for z in zs]
+    for points in (anchors, ends):
+        turned = [(p, ang) for ang in SEARCH_ANGLES for p in points]
+        got = _rotate_points(np.array([p for p, _ in turned]), np.array([a for _, a in turned]),
+                             Axis.Y, dims)
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(_rotate_point(p, a, Axis.Y, dims)) for p, a in turned]
 
 
 def test_unroll_rotation_orbit():

@@ -1,5 +1,6 @@
 """Candidate proposal, candidate row scoring, refinement, and greedy fitting."""
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -779,6 +780,29 @@ def test_carried_round_state_equals_a_fresh_one(monkeypatch):
         r = fit_program(target)
         assert r.final_iou == iou(fit["current"], target)
     assert fit["carried"] >= 3 * len(targets)
+
+
+def test_carry_equals_a_fresh_round_state_on_a_non_cubic_grid():
+    """``_carry`` alone, on a 31x40x35 grid, with boxes that start at 0, stop
+    at the grid's end, or both, on each axis, so that some of the table
+    regions past the box are empty: after every carry, the table, packed
+    grid, residual and counts are those ``_round_state`` builds afresh."""
+    dims = (31, 40, 35)
+    rng = np.random.default_rng(27)
+    target = rng.random(dims) < 0.4
+    current = target & (rng.random(dims) < 0.2)
+    rnd = _round_state(target, current)
+    spans = [[(0, n // 3), (n // 2, n), (0, n), (3, n - 4)] for n in dims]
+    for sx, sy, sz in itertools.product(*spans):
+        box = tuple(slice(a, b) for a, b in (sx, sy, sz))
+        window = rng.random(tuple(b - a for a, b in (sx, sy, sz))) < 0.5
+        rnd = inference._carry(rnd, box, window)
+        current[box] |= window
+        fresh = _round_state(target, current)
+        for field in ("residual", "packed", "table"):
+            got, want = getattr(rnd, field), getattr(fresh, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (field, box)
+        assert (rnd.i0, rnd.u0) == (fresh.i0, fresh.u0), box
 
 
 class NoCache(dict):

@@ -191,6 +191,21 @@ def test_print_refuses_a_non_statement_at_its_path(program, path):
     assert [v.path for v in validate_program(program).violations] == [path]
 
 
+@pytest.mark.parametrize("stmt", [
+    DrawStmt("x", ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1)),
+    DrawStmt(Semantics.LEG, "Cub", (0, 0, 0), (1, 1, 1)),
+    ForStmt.rotation(2, 90, "Y", (DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (1, 0, 0),
+                                           (1, 1, 1)),)),
+], ids=["semantics", "shape", "axis"])
+def test_print_refuses_a_non_enum_field_at_its_path(stmt):
+    """print_text reports a semantics, shape or rotation axis that is not an
+    enum member at the path, and in the words, that validate_program does."""
+    with pytest.raises(DslSemanticError) as exc:
+        print_text(Program((stmt,)))
+    [fault] = validate_program(Program((stmt,))).violations
+    assert (exc.value.path, str(exc.value)) == ("stmt[0]", f"stmt[0]: {fault.message}")
+
+
 def test_validate_flag_skips_semantics():
     p = parse_text("draw(Top, Cub, P=(99,0,0), G=(2,2,2))", validate=False)
     assert p.statements[0].position == (99, 0, 0)
