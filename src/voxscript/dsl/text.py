@@ -221,11 +221,43 @@ def _print_stmt(s, depth, out):
     out.append(f"{pad}}}")
 
 
+def _writes(v) -> bool:
+    """Whether ``format_number`` writes ``v``."""
+    try:
+        format_number(v)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _draw_fault(d):
+    """The fault of the first number of draw ``d``, position then geometry,
+    that ``format_number`` refuses, or None."""
+    p, g = d.position, d.geometry
+    for i, v in enumerate(p):
+        if not _writes(v):
+            if len(p) != 3:
+                return f"position must have 3 components, got {len(p)}"
+            return f"position[{i}] must be an integer, got {_show(v)}"
+    lo, hi = GEOMETRY_ARITY[d.shape]
+    for i, v in enumerate(g):
+        if not _writes(v):
+            if not lo <= len(g) <= hi:
+                want = str(lo) if lo == hi else f"{lo} or {hi}"
+                return f"{d.shape.value} takes {want} geometry entries, got {len(g)}"
+            names = (("endpoint[0]", "endpoint[1]", "endpoint[2]") if d.shape is ShapeKind.LINE
+                     else ("t", "r") if hi == 2 else ("t", "r1", "r2", "ang"))
+            kind = "a number" if names[i] == "ang" else "an integer"
+            return f"{names[i]} must be {kind}, got {_show(v)}"
+    return None
+
+
 def _unprintable(statements, where=()):
     """The path and fault of the first statement, in print order, that is
     not a statement, names a semantics, shape or rotation axis that is not
-    one, or holds an int too long for ``str()``; or None. Faults read as
-    ``validate_program`` words them."""
+    one, holds an int too long for ``str()``, is a translation loop without
+    a step, or holds a number ``format_number`` refuses; or None. Faults
+    read as ``validate_program`` words them."""
     for j, s in enumerate(statements):
         at = (*where, j)
         path = f"stmt[{at[0]}]" + "".join(f".body[{k}]" for k in at[1:])
@@ -236,6 +268,8 @@ def _unprintable(statements, where=()):
                 return path, f"unknown shape kind {_show(s.shape)}"
             values = (*s.position, *s.geometry)
         elif isinstance(s, ForStmt):
+            if s.step is None and s.mode is LoopMode.TRANSLATION:
+                return path, "translation loop missing step u"
             if s.step is None and not isinstance(s.axis, Axis):
                 return path, f"rotation loop needs an axis, got {_show(s.axis)}"
             values = (s.times, *(s.step or ()), s.angle)
@@ -246,7 +280,15 @@ def _unprintable(statements, where=()):
                 str(v)
             except ValueError:
                 return path, "an int has more digits than str() writes"
-        if isinstance(s, ForStmt):
+        if isinstance(s, DrawStmt):
+            fault = _draw_fault(s)
+            if fault is not None:
+                return path, fault
+        elif s.step is None and not _writes(s.angle):
+            return path, f"rotation loop needs a numeric angle, got {_show(s.angle)}"
+        elif s.step is not None and not all(map(_writes, s.step)):
+            return path, f"step u must be an integer triple, got {_show(s.step)}"
+        else:
             fault = _unprintable(s.body, at)
             if fault is not None:
                 return fault
@@ -255,16 +297,17 @@ def _unprintable(statements, where=()):
 
 def print_text(p: Program) -> str:
     """Canonical text form; empty program prints as empty text. A non-statement,
-    a semantics, shape or rotation axis that is not one, or an int too long
-    for ``str()`` raises DslSemanticError at its statement's path, and a
-    ``p`` that is not a Program at ``program``."""
+    a semantics, shape or rotation axis that is not one, an int too long for
+    ``str()``, a translation loop without a step, or a value where a number
+    belongs raises DslSemanticError at its statement's path, and a ``p``
+    that is not a Program at ``program``."""
     if not isinstance(p, Program):
         raise DslSemanticError("program", _not_a("Program", p))
     out: list[str] = []
     try:
         for s in p.statements:
             _print_stmt(s, 0, out)
-    except (AttributeError, ValueError):  # a non-statement or non-enum, or an int str() refuses
+    except (AttributeError, TypeError, ValueError):  # a non-statement, non-enum or non-number
         fault = _unprintable(p.statements)
         if fault is None:
             raise

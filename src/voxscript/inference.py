@@ -61,6 +61,14 @@ grid dims and ``Limits.for_dims``. Neighbours are scored through one cache
 per round, keyed by the row, which holds no part label: the residual and
 counts are fixed within a round, so a neighbour that two beam entries
 reach is scored once.
+
+Refinement is branch and bound too. No row scores above the round's
+ceiling, the score of covering every residual voxel and no empty one. A
+walk ends at the ceiling, and once a beam entry reaches it, no entry of
+larger index is refined, since at best it ties and the index breaks ties.
+From an untilted ``Cub``, a tilt neighbour whose rows all shift by 0
+draws the row's own voxels, so it ends the walk unscored. Neither prune
+changes a fit while the budget lasts; each only scores fewer candidates.
 """
 from __future__ import annotations
 
@@ -75,8 +83,8 @@ import numpy as np
 from .dsl.ast import (GEOMETRY_ARITY, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
                       Semantics, ShapeKind, _show, validate_program)
 from .errors import InputError, InvalidProgramError, ShapeMismatchError
-from .executor import (_IS_BOX, SHAPES, _copies, _rotate_points, _window, as_grid, draw_boxes,
-                       draw_extents)
+from .executor import (_IS_BOX, SHAPES, _copies, _last_shift, _rotate_points, _window, as_grid,
+                       draw_boxes, draw_extents)
 
 _WRAP_TIMES = (2, 3, 4, 5)
 # A pattern repeated twice overlaps itself by exactly half its mass when
@@ -96,6 +104,7 @@ _DRAW, _TRANS, _ROT = 0, 1, 2
 _LOOP_MODES = (None, LoopMode.TRANSLATION, LoopMode.ROTATION)  # per row mode
 _CUBOID, _CYLINDER, _LINE = (SHAPES.index(k) for k in
                              (ShapeKind.CUBOID, ShapeKind.CYLINDER, ShapeKind.LINE))
+_TILT = _GEOM + 3  # a Cub's tilt column
 
 
 @dataclass(frozen=True)
@@ -124,8 +133,10 @@ class FitResult:
     program: Program
     score_trace: tuple  # (accepted block, iou after accepting it)
     final_iou: float
-    # candidates scored while ranking or refining; candidates whose bounds
-    # cannot reach the beam, and cache hits, are not counted
+    # candidates scored while ranking or refining; not counted: candidates
+    # whose bounds cannot reach the beam, cache hits, the walks of rows at
+    # the round's gain ceiling and of beam entries that can no longer win,
+    # and tilt neighbours that draw the row's own voxels
     executor_calls: int
     budget_exhausted: bool
     # why the search stopped: "max_blocks", "min_gain", "budget" or "residual_empty"
@@ -430,15 +441,24 @@ _LOW_BITS = (1 << 32) - 1
 class _Round(NamedTuple):
     """What a round scores against: the target voxels still missing
     (``residual``), the intersection and union counts so far, the residual
-    and the empty voxels packed into one int64 grid (``packed``), and its
+    and the empty voxels packed into one int64 grid (``packed``), its
     summed-volume table (``table``, with ``sums`` a memoryview of it for
-    scalar lookups). Every count of a candidate row is read from these."""
+    scalar lookups), and the target's voxel count (``size``). Every count
+    of a candidate row is read from these."""
     residual: np.ndarray
     i0: int
     u0: int
     packed: np.ndarray
     table: np.ndarray
     sums: memoryview
+    size: int
+
+    @property
+    def top(self) -> float:
+        """The score of covering every residual voxel, ``size - i0`` of
+        them, and no empty one, which no candidate row passes (see
+        ``_refine``)."""
+        return _score_from_counts(self.size - self.i0, 0, self.i0, self.u0)
 
 
 def _round_state(target, current) -> _Round:
@@ -455,7 +475,8 @@ def _round_state(target, current) -> _Round:
     for axis in range(3):
         np.cumsum(table, axis, out=table)
     return _Round(residual, int(np.count_nonzero(current & target)),
-                  int(np.count_nonzero(current | target)), packed, table, memoryview(table))
+                  int(np.count_nonzero(current | target)), packed, table, memoryview(table),
+                  int(np.count_nonzero(target)))
 
 
 def _carry(rnd: _Round, box, window) -> _Round:
@@ -642,7 +663,7 @@ def _cover_bounds(rows, table) -> tuple:
     voxels[line] = abs(starts - ends).max(axis=1, initial=0) + 1
     # rows whose every copy is one box, an untilted Cub or Rect or a Sqr, are
     # counted exactly: copies k and k + 1 overlap in copy k cut short by the step
-    box = _IS_BOX[shape] & (rows[:, _GEOM + 3] == 0) & (mode != _ROT)
+    box = _IS_BOX[shape] & (rows[:, _TILT] == 0) & (mode != _ROT)
     pair = np.flatnonzero(box[of] & (k + 1 < times[of]))
     sums = _table_sums(table, dims, np.concatenate((lo, lo[pair] + np.maximum(step[pair], 0))),
                        np.concatenate((hi, hi[pair] + np.minimum(step[pair], 0))))
@@ -686,7 +707,7 @@ def _slots(row, dims, limits) -> list:
         # coarse steps jump plateaus where one degree moves no voxel,
         # fine steps land on the exact tilt
         tilt = limits.max_tilt
-        out += [(_GEOM + hi - 1, 5, -tilt, tilt), (_GEOM + hi - 1, 1, -tilt, tilt)]
+        out += [(_TILT, 5, -tilt, tilt), (_TILT, 1, -tilt, tilt)]
     return out
 
 
@@ -694,19 +715,34 @@ def _refine(row, score, rnd: _Round, budget, cache) -> tuple:
     """Coordinate descent over a candidate row (a tuple); returns (row,
     score). Never scores worse.
 
+    A neighbour replaces the row only when it scores higher, so the walk
+    ends at the round's ceiling ``rnd.top``: no row covers more than the
+    residual's voxels or fills fewer than no empty ones, and, as in
+    ``_ranked_beam``, IEEE division and subtraction keep the score monotone
+    in both counts, so no neighbour beats a row that scores ``top``. A row
+    there spends no budget.
+
+    From an untilted Cub, a tilt neighbour whose last row shifts by 0
+    (``executor._last_shift``) shifts every row by 0, since shifts are
+    monotone from 0 at row 0. It draws the row's own voxels and scores the
+    same, so it ends the walk unscored and is not cached.
+
     ``cache`` maps rows to their scores in this round; a hit neither
     scores nor spends budget.
     """
-    dims, i0, u0 = rnd.residual.shape, rnd.i0, rnd.u0
+    dims, i0, u0, top = rnd.residual.shape, rnd.i0, rnd.u0, rnd.top
     slots = _slots(row, dims, Limits.for_dims(dims))
     for _ in range(_REFINE_SWEEPS):
         improved = False
         for c, delta, lo, hi in slots:
+            tilts = c == _TILT
             for direction in (delta, -delta):
-                while True:
+                while score < top:
                     v = row[c] + direction
                     if not lo <= v <= hi:
                         break
+                    if tilts and not row[c] and not _last_shift(v, row[_GEOM]):
+                        break  # the row's own voxels
                     nb = row[:c] + (v,) + row[c + 1:]
                     s = cache.get(nb)
                     if s is None:
@@ -721,6 +757,28 @@ def _refine(row, score, rnd: _Round, budget, cache) -> tuple:
         if not improved:
             break
     return row, score
+
+
+def _best_refined(beam, rnd: _Round, budget) -> tuple:
+    """The (score, row) that wins once each entry of the beam, (score,
+    index, row) in (-score, index) order, is refined: the highest score,
+    ties to the least index.
+
+    Entries share one score cache. An entry is refined only while it can
+    still win: once an entry of index i scores the ceiling ``rnd.top``, an
+    entry of larger index can at best tie it and lose on the index, so it
+    is left as it is; entries of smaller index can still tie and win.
+    """
+    top, cache, refined = rnd.top, {}, []
+    win = math.inf  # the least index of an entry at the ceiling
+    for s, idx, row in beam:
+        if idx < win:
+            row, s = _refine(row, s, rnd, budget, cache)
+            if s == top:
+                win = idx
+        refined.append((-s, idx, row))
+    s, _, row = min(refined)
+    return -s, row
 
 
 def _ranked_beam(rows, rnd: _Round, config, budget) -> list:
@@ -782,13 +840,7 @@ def fit_program(target, config: SearchConfig = SearchConfig()) -> FitResult:
         if not beam:  # the budget ran out before one candidate was scored
             stop = "budget"
             break
-        refined = []
-        cache: dict = {}  # candidate row -> score, shared by this round's refinements
-        for s0, idx, row in beam:
-            row, rs = _refine(row, s0, rnd, budget, cache)
-            refined.append((rs, idx, row))
-        refined.sort(key=lambda t: (-t[0], t[1]))
-        best_score, _, best_row = refined[0]
+        best_score, best_row = _best_refined(beam, rnd, budget)
         if best_score < config.min_gain:
             stop = "min_gain"
             break

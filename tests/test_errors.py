@@ -9,12 +9,12 @@ from voxscript.analysis import (analyze_dataset, connected_components, convex_hu
                                 format_analysis_json, format_analysis_table, point_in_hull,
                                 stability_report)
 from voxscript.binvox import check_dims, read_binvox, write_binvox
-from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, Program, Semantics, ShapeKind,
-                           detokenize, draw_token_id, format_token_lines, parse_text,
+from voxscript.dsl import (Axis, DrawStmt, ForStmt, Limits, LoopMode, Program, Semantics,
+                           ShapeKind, detokenize, draw_token_id, format_token_lines, parse_text,
                            parse_token_lines, print_text, token_program_to_json, tokenize,
                            validate_program)
 from voxscript.dsl.tokens import VOCAB_SIZE, TokenProgram, TokenStep
-from voxscript.errors import BinvoxError, InputError, VoxScriptError
+from voxscript.errors import BinvoxError, DslSemanticError, InputError, VoxScriptError
 from voxscript.executor import (MAX_GRID_VOXELS, empty_grid, execute_block, execute_program,
                                 unroll_for)
 from voxscript.inference import SearchConfig, fit_program, propose_candidates
@@ -28,6 +28,9 @@ END = TokenProgram((TokenStep(VOCAB_SIZE - 1, (0,) * 7),))  # the end token alon
 BIG = 10 ** 5000  # more digits than str() writes by default
 DRAW = DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1))
 TURN = ForStmt.rotation(4, 90, Axis.Y, (DRAW,))
+NO_STEP = ForStmt(LoopMode.TRANSLATION, 2, (DRAW,))
+NO_ANGLE = ForStmt(LoopMode.ROTATION, 2, (DRAW,), axis=Axis.Y)
+STR_POSITION = DrawStmt(Semantics.LEG, ShapeKind.CUBOID, ("a", 0, 0), (1, 1, 1))
 
 
 @pytest.mark.parametrize("call", [
@@ -99,6 +102,10 @@ TURN = ForStmt.rotation(4, 90, Axis.Y, (DRAW,))
     lambda: print_text(Program((DrawStmt("x", ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1)),))),
     lambda: print_text(Program((DrawStmt(Semantics.LEG, "Cub", (0, 0, 0), (1, 1, 1)),))),
     lambda: print_text(Program((ForStmt.rotation(2, 90, "Y", (DRAW,)),))),
+    # a value missing or not a number where the printer writes a number
+    lambda: print_text(Program((NO_STEP,))),
+    lambda: print_text(Program((NO_ANGLE,))),
+    lambda: print_text(Program((STR_POSITION,))),
 ], ids=["chamfer-strings", "surface-points-negative-n", "surface-points-float-n",
         "hull-of-1-tuples", "point-in-hull-1-tuple", "binvox-short-translate",
         "binvox-string-scale", "read-binvox-str", "sample-string-rng",
@@ -121,10 +128,33 @@ TURN = ForStmt.rotation(4, 90, Axis.Y, (DRAW,))
         "analysis-json-long-int", "analysis-table-long-int", "point-in-hull-long-int",
         "hull-of-long-int", "binvox-long-int-translate", "binvox-long-int-scale",
         "draw-token-id-long-ints", "print-text-str-semantics", "print-text-str-shape",
-        "print-text-str-axis"])
+        "print-text-str-axis", "print-text-no-step", "print-text-no-angle",
+        "print-text-str-position"])
 def test_malformed_arguments_raise_typed_errors(call):
     with pytest.raises(VoxScriptError):
         call()
+
+
+@pytest.mark.parametrize("stmt", [
+    NO_STEP, NO_ANGLE, STR_POSITION,
+    ForStmt.rotation(2, "q", Axis.Y, (DRAW,)),
+    ForStmt.translation(2, (1, "a", 0), (DRAW,)),
+    DrawStmt(Semantics.LEG, ShapeKind.CUBOID, ("a",), (1, 1, 1)),
+    DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1, "x")),
+    DrawStmt(Semantics.LEG, ShapeKind.RECTANGLE, (0, 0, 0), (1, "q", 1)),
+    DrawStmt(Semantics.LEG, ShapeKind.SQUARE, (0, 0, 0), (1, None)),
+    DrawStmt(Semantics.LEG, ShapeKind.SQUARE, (0, 0, 0), (1, 1, None)),
+    DrawStmt(Semantics.LEG, ShapeKind.LINE, (0, 0, 0), (1, None, 1)),
+], ids=["no-step", "no-angle", "str-position", "str-angle", "str-step", "short-position",
+        "str-tilt", "str-extent", "none-radius", "extra-geometry", "none-endpoint"])
+def test_print_text_reports_what_validate_program_reports(stmt):
+    """A statement the printer cannot write raises DslSemanticError at its
+    path and in the words of ``validate_program``'s report, nested or not."""
+    for program in (Program((stmt,)), Program((DRAW, ForStmt.translation(2, (1, 0, 0), (stmt,))))):
+        (violation,) = validate_program(program).violations
+        with pytest.raises(DslSemanticError) as caught:
+            print_text(program)
+        assert str(caught.value) == f"{violation.path}: {violation.message}"
 
 
 def test_analyze_dataset_refuses_a_bad_connectivity_before_any_grid():
