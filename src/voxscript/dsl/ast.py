@@ -100,12 +100,19 @@ def canon_numbers(values) -> tuple:
     return tuple(canon_number(v) for v in values)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def format_number(v) -> str:
     """Render a numeric argument: integers bare, other floats positionally
-    with the digits of their shortest repr (1e-05 prints as 0.00001)."""
-    v = canon_number(v)
-    if isinstance(v, int):
-        return str(v)
+    with the digits of their shortest repr (1e-05 prints as 0.00001). The
+    inverse of ``parse_number``: anything but an int (not a bool) or a
+    finite float raises ValueError, as does an int too long for ``str()``."""
+    if v.__class__ is int or _is_int(v) or isinstance(v, float) and v.is_integer():
+        return str(int(v))
+    if not isinstance(v, float) or not math.isfinite(v):
+        raise ValueError(f"not an int or a finite float: {_show(v)}")
     text = repr(float(v))
     return format(Decimal(text), "f") if "e" in text else text
 
@@ -231,6 +238,15 @@ class Limits:
     max_extent: int = 32
     max_tilt: float = 45.0
 
+    def __post_init__(self):
+        for name in ("max_top_level", "max_expanded", "max_for_depth", "max_coord", "max_extent"):
+            v, lo = getattr(self, name), -1 if name == "max_coord" else 0  # -1: a grid axis of 0
+            if not _is_int(v) or v < lo:
+                raise InputError(f"{name} must be an int >= {lo}, got {_show(v)}")
+        v = self.max_tilt
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < math.inf:
+            raise InputError(f"max_tilt must be a finite number >= 0, got {_show(v)}")
+
     @classmethod
     def for_dims(cls, dims) -> "Limits":
         """Default limits with coordinates and extents spanning a grid of
@@ -288,16 +304,12 @@ def for_depth(stmt: Statement) -> int:
     return 1 + inner
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _int_faults(values, names, lo, hi, bad):
     for v, name in zip(values, names):
         if not (v.__class__ is int or _is_int(v)):  # a plain int skips the call
             bad.append(f"{name} must be an integer, got {_show(v)}")
         elif not lo <= v <= hi:
-            bad.append(f"{name} = {_show(v)} outside [{lo}, {hi}]")
+            bad.append(f"{name} = {_show(v)} outside [{lo}, {_show(hi)}]")
 
 
 _TRIPLE_NAMES = {what: tuple(f"{what}[{i}]" for i in range(3)) for what in ("position", "endpoint")}
@@ -331,7 +343,8 @@ def _draw_faults(d: DrawStmt, limits, bad):
             if not isinstance(ang, (int, float)) or isinstance(ang, bool):
                 bad.append(f"ang must be a number, got {_show(ang)}")
             elif not -limits.max_tilt <= ang <= limits.max_tilt:
-                bad.append(f"ang = {_show(ang)} outside [-{limits.max_tilt}, {limits.max_tilt}]")
+                tilt = _show(limits.max_tilt)
+                bad.append(f"ang = {_show(ang)} outside [-{tilt}, {tilt}]")
 
 
 def _copy_angles_finite(angle, times) -> bool:
@@ -372,7 +385,7 @@ def _loop_faults(f: ForStmt, depth, limits, bad):
         size = expanded_size(f)
         if size is not None and size > limits.max_expanded:
             bad.append(f"loop expands to {_show(size)} primitives"
-                       f" (budget {limits.max_expanded})")
+                       f" (budget {_show(limits.max_expanded)})")
 
 
 def _not_a(kind, value) -> str:
@@ -394,20 +407,31 @@ def _show(v) -> str:
         return f"over 10^{power}" if v > 0 else f"under -10^{power}"
 
 
+def _path(at) -> str:
+    """The path of the statement at index trail ``at``, as a report names it."""
+    return f"stmt[{at[0]}]" + "".join(f".body[{k}]" for k in at[1:])
+
+
+def _statement_faults(s, depth, limits) -> list:
+    """The faults of statement ``s`` itself, its body's aside, at loop
+    nesting ``depth`` under ``limits``."""
+    bad: list = []
+    if isinstance(s, DrawStmt):
+        _draw_faults(s, limits, bad)
+    elif isinstance(s, ForStmt):
+        _loop_faults(s, depth, limits, bad)
+    else:
+        bad.append(f"not a statement: {_show(s)}")
+    return bad
+
+
 def _check_body(statements, where, out, limits):
     """Record the faults of each statement, at its index trail, then of its body's."""
     for j, s in enumerate(statements):
         at = (*where, j)
-        bad: list = []
-        if isinstance(s, DrawStmt):
-            _draw_faults(s, limits, bad)
-        elif isinstance(s, ForStmt):
-            _loop_faults(s, len(at), limits, bad)
-        else:
-            bad.append(f"not a statement: {_show(s)}")
+        bad = _statement_faults(s, len(at), limits)
         if bad:  # only a statement with a fault formats its path
-            path = f"stmt[{at[0]}]" + "".join(f".body[{k}]" for k in at[1:])
-            out.extend(Violation(path, message) for message in bad)
+            out.extend(Violation(_path(at), message) for message in bad)
         if isinstance(s, ForStmt):
             _check_body(s.body, at, out, limits)
 

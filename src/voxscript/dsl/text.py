@@ -9,7 +9,10 @@ The surface syntax is one statement per line:
     for(Rot, i=4, theta=90, axis=Y) { ... }
 
 Whitespace and newlines are insignificant to the parser; the printer emits
-the canonical layout (2-space indent per nesting level).
+the canonical layout (2-space indent per nesting level). The printer writes
+exactly what ``parse_text(..., validate=False)`` reads back as the same
+program, and raises DslSemanticError at a statement's path for anything
+else, in the words of ``validate_program``'s checks.
 
 The lexer is one regex ``findall`` that yields the tokens as plain strings,
 and the parser walks that list by index, checking each fixed run of tokens
@@ -35,12 +38,17 @@ from .ast import (
     GEOMETRY_ARITY,
     Limits,
     LoopMode,
+    MAX_GRID_VOXELS,
     MAX_NESTING,
     Program,
     Semantics,
     ShapeKind,
+    _INT_TYPE,
+    _is_int,
     _not_a,
+    _path,
     _show,
+    _statement_faults,
     format_number,
     parse_number,
     validate_program,
@@ -54,6 +62,9 @@ from .ast import (
 # parse_number refuses, such as "-." or "5.", are lexical errors.
 _TOKEN = re.compile(r"(?:[0-9]|-(?=[0-9.]))[0-9]*(?:\.[0-9]*)?|[^\W\d]\w*|[^ \t\r\n]")
 _VALUE_NAMES = {int: "integer", float: "number"}
+# The limits of the widest grid any entry point accepts: a fault the printer
+# reports under them holds on every grid.
+_WIDEST_LIMITS = Limits.for_dims((MAX_GRID_VOXELS, 1, 1))
 
 
 def _value(text, kind):
@@ -203,113 +214,60 @@ def parse_text(src: str, *, validate: bool = True, limits: Limits = DEFAULT_LIMI
     return program
 
 
-def _print_stmt(s, depth, out):
-    pad = "  " * depth
-    if isinstance(s, DrawStmt):
-        pos = ",".join(map(format_number, s.position))
-        geom = ",".join(map(format_number, s.geometry))
-        out.append(f"{pad}draw({s.semantics.value}, {s.shape.value}, P=({pos}), G=({geom}))")
-        return
-    if s.step is not None:
-        u = ",".join(map(format_number, s.step))
-        head = f"{pad}for(Trans, i={s.times}, u=({u})) {{"
-    else:
-        head = f"{pad}for(Rot, i={s.times}, theta={format_number(s.angle)}, axis={s.axis.value}) {{"
-    out.append(head)
-    for child in s.body:
-        _print_stmt(child, depth + 1, out)
+def _triple(values) -> str:
+    """``values`` as the parser reads three ints back; anything else, None
+    too, raises ValueError."""
+    if values is None or len(values) != 3 or not (
+            _INT_TYPE.issuperset(map(type, values)) or all(map(_is_int, values))):
+        raise ValueError
+    return ",".join(map(format_number, values))
+
+
+def _print_stmt(s, at, out):
+    """Append the lines of statement ``s``, at index trail ``at``, to ``out``;
+    one the parser would not read back as ``s`` raises DslSemanticError (see
+    ``print_text``)."""
+    pad = "  " * (len(at) - 1)
+    try:
+        if isinstance(s, DrawStmt):
+            lo, hi = GEOMETRY_ARITY[s.shape] if isinstance(s.shape, ShapeKind) else (1, 0)
+            if not isinstance(s.semantics, Semantics) or not lo <= len(s.geometry) <= hi:
+                raise ValueError
+            geom = ",".join(map(format_number, s.geometry))
+            out.append(f"{pad}draw({s.semantics.value}, {s.shape.value},"
+                       f" P=({_triple(s.position)}), G=({geom}))")
+            return
+        if not isinstance(s, ForStmt) or not _is_int(s.times) or len(at) > MAX_NESTING:
+            raise ValueError
+        times = format_number(s.times)
+        if s.mode is LoopMode.TRANSLATION and s.angle is None and s.axis is None:
+            out.append(f"{pad}for(Trans, i={times}, u=({_triple(s.step)})) {{")
+        elif s.mode is LoopMode.ROTATION and s.step is None and isinstance(s.axis, Axis):
+            out.append(f"{pad}for(Rot, i={times}, theta={format_number(s.angle)},"
+                       f" axis={s.axis.value}) {{")
+        else:
+            raise ValueError
+    except ValueError:
+        faults = _statement_faults(s, len(at), _WIDEST_LIMITS)
+        message = "; ".join(faults) or "an int has more digits than str() writes"  # a step's
+        raise DslSemanticError(_path(at), message) from None
+    for j, child in enumerate(s.body):
+        _print_stmt(child, (*at, j), out)
     out.append(f"{pad}}}")
 
 
-def _writes(v) -> bool:
-    """Whether ``format_number`` writes ``v``."""
-    try:
-        format_number(v)
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
-def _draw_fault(d):
-    """The fault of the first number of draw ``d``, position then geometry,
-    that ``format_number`` refuses, or None."""
-    p, g = d.position, d.geometry
-    for i, v in enumerate(p):
-        if not _writes(v):
-            if len(p) != 3:
-                return f"position must have 3 components, got {len(p)}"
-            return f"position[{i}] must be an integer, got {_show(v)}"
-    lo, hi = GEOMETRY_ARITY[d.shape]
-    for i, v in enumerate(g):
-        if not _writes(v):
-            if not lo <= len(g) <= hi:
-                want = str(lo) if lo == hi else f"{lo} or {hi}"
-                return f"{d.shape.value} takes {want} geometry entries, got {len(g)}"
-            names = (("endpoint[0]", "endpoint[1]", "endpoint[2]") if d.shape is ShapeKind.LINE
-                     else ("t", "r") if hi == 2 else ("t", "r1", "r2", "ang"))
-            kind = "a number" if names[i] == "ang" else "an integer"
-            return f"{names[i]} must be {kind}, got {_show(v)}"
-    return None
-
-
-def _unprintable(statements, where=()):
-    """The path and fault of the first statement, in print order, that is
-    not a statement, names a semantics, shape or rotation axis that is not
-    one, holds an int too long for ``str()``, is a translation loop without
-    a step, or holds a number ``format_number`` refuses; or None. Faults
-    read as ``validate_program`` words them."""
-    for j, s in enumerate(statements):
-        at = (*where, j)
-        path = f"stmt[{at[0]}]" + "".join(f".body[{k}]" for k in at[1:])
-        if isinstance(s, DrawStmt):
-            if not isinstance(s.semantics, Semantics):
-                return path, f"unknown semantics {_show(s.semantics)}"
-            if not isinstance(s.shape, ShapeKind):
-                return path, f"unknown shape kind {_show(s.shape)}"
-            values = (*s.position, *s.geometry)
-        elif isinstance(s, ForStmt):
-            if s.step is None and s.mode is LoopMode.TRANSLATION:
-                return path, "translation loop missing step u"
-            if s.step is None and not isinstance(s.axis, Axis):
-                return path, f"rotation loop needs an axis, got {_show(s.axis)}"
-            values = (s.times, *(s.step or ()), s.angle)
-        else:
-            return path, f"not a statement: {_show(s)}"
-        for v in values:
-            try:
-                str(v)
-            except ValueError:
-                return path, "an int has more digits than str() writes"
-        if isinstance(s, DrawStmt):
-            fault = _draw_fault(s)
-            if fault is not None:
-                return path, fault
-        elif s.step is None and not _writes(s.angle):
-            return path, f"rotation loop needs a numeric angle, got {_show(s.angle)}"
-        elif s.step is not None and not all(map(_writes, s.step)):
-            return path, f"step u must be an integer triple, got {_show(s.step)}"
-        else:
-            fault = _unprintable(s.body, at)
-            if fault is not None:
-                return fault
-    return None
-
-
 def print_text(p: Program) -> str:
-    """Canonical text form; empty program prints as empty text. A non-statement,
-    a semantics, shape or rotation axis that is not one, an int too long for
-    ``str()``, a translation loop without a step, or a value where a number
-    belongs raises DslSemanticError at its statement's path, and a ``p``
-    that is not a Program at ``program``."""
+    """Canonical text form; an empty program prints as empty text.
+
+    The text is exactly what ``parse_text(..., validate=False)`` reads back
+    as ``p``. A statement it could not write so raises DslSemanticError at
+    its path, with the faults ``validate_program`` reports there under the
+    limits of the widest grid, so that each holds on every grid; a step int
+    too long for ``str()``, which no limit bounds, is named as such. A ``p``
+    that is not a Program raises it at ``program``."""
     if not isinstance(p, Program):
         raise DslSemanticError("program", _not_a("Program", p))
     out: list[str] = []
-    try:
-        for s in p.statements:
-            _print_stmt(s, 0, out)
-    except (AttributeError, TypeError, ValueError):  # a non-statement, non-enum or non-number
-        fault = _unprintable(p.statements)
-        if fault is None:
-            raise
-        raise DslSemanticError(*fault) from None
+    for j, s in enumerate(p.statements):
+        _print_stmt(s, (j,), out)
     return "".join(line + "\n" for line in out)

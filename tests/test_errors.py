@@ -1,4 +1,5 @@
 """Public entry points refuse malformed arguments with a typed VoxScriptError."""
+import dataclasses
 import sys
 
 import numpy as np
@@ -31,6 +32,8 @@ TURN = ForStmt.rotation(4, 90, Axis.Y, (DRAW,))
 NO_STEP = ForStmt(LoopMode.TRANSLATION, 2, (DRAW,))
 NO_ANGLE = ForStmt(LoopMode.ROTATION, 2, (DRAW,), axis=Axis.Y)
 STR_POSITION = DrawStmt(Semantics.LEG, ShapeKind.CUBOID, ("a", 0, 0), (1, 1, 1))
+SLIDE = ForStmt.translation(2, (1, 0, 0), (DRAW,))
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("call", [
@@ -106,6 +109,18 @@ STR_POSITION = DrawStmt(Semantics.LEG, ShapeKind.CUBOID, ("a", 0, 0), (1, 1, 1))
     lambda: print_text(Program((NO_STEP,))),
     lambda: print_text(Program((NO_ANGLE,))),
     lambda: print_text(Program((STR_POSITION,))),
+    # a limit of the wrong type, or out of its range
+    lambda: validate_program(Program((DRAW,)), Limits(max_coord="x")),
+    lambda: parse_text("draw(Base, Sqr, P=(1,2,3), G=(1,2))", limits=Limits(max_extent=None)),
+    lambda: Limits(max_tilt=NAN),
+    lambda: Limits(max_tilt=INF),
+    lambda: Limits(max_tilt=-1.0),
+    lambda: Limits(max_tilt="45"),
+    lambda: Limits(max_for_depth=True),
+    lambda: Limits(max_expanded=2.5),
+    lambda: Limits(max_top_level=-1),
+    lambda: Limits(max_coord=-2),
+    lambda: Limits(max_extent=-BIG),
 ], ids=["chamfer-strings", "surface-points-negative-n", "surface-points-float-n",
         "hull-of-1-tuples", "point-in-hull-1-tuple", "binvox-short-translate",
         "binvox-string-scale", "read-binvox-str", "sample-string-rng",
@@ -129,7 +144,10 @@ STR_POSITION = DrawStmt(Semantics.LEG, ShapeKind.CUBOID, ("a", 0, 0), (1, 1, 1))
         "hull-of-long-int", "binvox-long-int-translate", "binvox-long-int-scale",
         "draw-token-id-long-ints", "print-text-str-semantics", "print-text-str-shape",
         "print-text-str-axis", "print-text-no-step", "print-text-no-angle",
-        "print-text-str-position"])
+        "print-text-str-position", "validate-str-limit", "parse-none-limit", "limits-nan-tilt",
+        "limits-inf-tilt", "limits-negative-tilt", "limits-str-tilt", "limits-bool-count",
+        "limits-float-count", "limits-negative-count", "limits-coord-below-minus-1",
+        "limits-long-int-count"])
 def test_malformed_arguments_raise_typed_errors(call):
     with pytest.raises(VoxScriptError):
         call()
@@ -145,8 +163,31 @@ def test_malformed_arguments_raise_typed_errors(call):
     DrawStmt(Semantics.LEG, ShapeKind.SQUARE, (0, 0, 0), (1, None)),
     DrawStmt(Semantics.LEG, ShapeKind.SQUARE, (0, 0, 0), (1, 1, None)),
     DrawStmt(Semantics.LEG, ShapeKind.LINE, (0, 0, 0), (1, None, 1)),
+    # statements the printer once wrote as text that parses to another
+    # program, or that does not parse
+    dataclasses.replace(TURN, step=(1, 0, 0)),
+    dataclasses.replace(SLIDE, angle=90),
+    dataclasses.replace(SLIDE, axis=Axis.Y),
+    dataclasses.replace(SLIDE, mode="Trans"),
+    ForStmt.translation(2.5, (1, 0, 0), (DRAW,)),
+    ForStmt.translation(2.0, (1, 0, 0), (DRAW,)),
+    ForStmt.translation(True, (1, 0, 0), (DRAW,)),
+    DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (1.5, 0, 0), (1, 1, 1)),
+    DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (1, 0), (1, 1, 1)),
+    DrawStmt(Semantics.LEG, ShapeKind.CYLINDER, (0, 0, 0), (1, 1, 1)),
+    ForStmt.translation(2, (1.5, 0, 0), (DRAW,)),
+    ForStmt.translation(2, (1, 0), (DRAW,)),
+    ForStmt.rotation(2, NAN, Axis.Y, (DRAW,)),
+    ForStmt.rotation(2, INF, Axis.Y, (DRAW,)),
+    DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1, NAN)),
+    DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (0, 0, 0), (1, INF, 1)),
+    DrawStmt(LoopMode.TRANSLATION, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1)),
 ], ids=["no-step", "no-angle", "str-position", "str-angle", "str-step", "short-position",
-        "str-tilt", "str-extent", "none-radius", "extra-geometry", "none-endpoint"])
+        "str-tilt", "str-extent", "none-radius", "extra-geometry", "none-endpoint",
+        "rotation-with-step", "translation-with-angle", "translation-with-axis", "str-mode",
+        "float-times", "integral-float-times", "bool-times", "float-position", "pair-position",
+        "three-entry-cyl", "float-step", "pair-step", "nan-angle", "inf-angle", "nan-tilt",
+        "inf-extent", "loop-mode-semantics"])
 def test_print_text_reports_what_validate_program_reports(stmt):
     """A statement the printer cannot write raises DslSemanticError at its
     path and in the words of ``validate_program``'s report, nested or not."""
@@ -198,6 +239,17 @@ def test_validate_program_reports_ints_too_long_to_write(stmt):
     report = validate_program(Program((stmt,)))
     assert [v.path for v in report.violations] == ["stmt[0]"]
     assert "10^4999" in report.violations[0].message
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="str() writes ints of any length")
+def test_validate_program_reports_under_limits_too_long_to_write():
+    """A limit past the digits str() writes shows in a report by its size."""
+    huge = 10 * BIG
+    draw = DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (huge, 0, 0), (huge, 1, 1, huge))
+    limits = Limits(max_expanded=BIG, max_coord=BIG, max_extent=BIG, max_tilt=BIG)
+    report = validate_program(Program((ForStmt.translation(huge, (1, 0, 0), (draw,)),)), limits)
+    assert len(report.violations) == 4
+    assert all("10^4999" in v.message for v in report.violations)
 
 
 def _dims_text(dims) -> str:

@@ -6,13 +6,13 @@ applied, so both the lexers and the checks past them are reached.
 import dataclasses
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from voxscript.binvox import read_binvox, write_binvox
 from voxscript.dsl import (VACANT_ID, Axis, DrawStmt, ForStmt, Limits, LoopMode, Program,
                            Semantics, ShapeKind, TokenProgram, detokenize, format_token_lines,
                            parse_text, parse_token_lines, print_text, tokenize, validate_program)
-from voxscript.errors import InputError, TokenError
+from voxscript.errors import DslSemanticError, InputError, TokenError
 
 from randprog import random_program
 from reference_text import reference_parse_text
@@ -235,6 +235,76 @@ def test_validate_program_matches_reference(p):
         else:
             shared = tuple(v for v in report.violations if v.message != ANGLE_FAULT)
             assert shared == expect.violations
+
+
+BIG = 10 ** 5000  # more digits than str() writes by default
+NAN, INF = float("nan"), float("inf")
+# Values for one field of a statement: malformed ones, and well-formed ones
+# that are malformed next to some other field (a step in a rotation loop).
+MALFORMED = {
+    DrawStmt: {
+        "semantics": (LoopMode.TRANSLATION, ShapeKind.CUBOID, "Leg", None),
+        "shape": (Semantics.LEG, LoopMode.ROTATION, "Cub", None, ShapeKind.LINE),
+        "position": ((1.5, 0, 0), (2.0, 0, 0), (1, 0), (0, 0, 0, 0), (True, 0, 0), ("a", 0, 0),
+                     (NAN, 0, 0), (-1, 0, 0), (BIG, 0, 0)),
+        "geometry": ((), (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, INF, 1), (1, 1, 1, NAN),
+                     (1, 1, 1, -INF), (1.5, 1, 1), (1, 1, 1, 2.5), (1, 1, 1, True), (1, None, 1),
+                     (1, 1, 1, "x"), (1, 1, 1, BIG)),
+    },
+    ForStmt: {
+        "mode": ("Trans", "Rot", None, LoopMode.TRANSLATION, LoopMode.ROTATION, Axis.X),
+        "times": (2.5, 2.0, True, 0, -3, None, "2", NAN, 10 ** 6, BIG),
+        "step": (None, (1, 0), (1.5, 0, 0), (2.0, 0, 0), (True, 0, 0), ("a", 0, 0),
+                 (0, 0, 0, 0), (1, 0, 0), (BIG, 0, 0)),
+        "angle": (None, 90, 2.5, NAN, INF, True, "x", 1e300, BIG),
+        "axis": (None, Axis.X, "Y", LoopMode.ROTATION),
+        "body": ((), ("x",), (None,)),
+    },
+}
+
+
+def statements_at(statements, where=()):
+    """(index trail, statement) of each of ``statements`` and of their
+    bodies', in print order."""
+    for j, s in enumerate(statements):
+        yield (*where, j), s
+        if isinstance(s, ForStmt):
+            yield from statements_at(s.body, (*where, j))
+
+
+def replaced(statements, at, stmt) -> tuple:
+    """``statements`` with the one at index trail ``at`` replaced by ``stmt``."""
+    j = at[0]
+    if len(at) > 1:
+        stmt = dataclasses.replace(statements[j], body=replaced(statements[j].body, at[1:], stmt))
+    return (*statements[:j], stmt, *statements[j + 1:])
+
+
+@st.composite
+def one_field_malformed(draw):
+    """A random program with one field of one statement, at any depth, set to
+    a value from MALFORMED; a value the statement's constructor refuses is
+    skipped."""
+    p = draw(programs)
+    at, s = draw(st.sampled_from(list(statements_at(p.statements))))
+    field, values = draw(st.sampled_from(list(MALFORMED[type(s)].items())))
+    try:
+        s = dataclasses.replace(s, **{field: draw(st.sampled_from(values))})
+    except (TypeError, ValueError):
+        reject()
+    return Program(replaced(p.statements, at, s))
+
+
+@settings(max_examples=500)
+@given(one_field_malformed())
+def test_print_text_writes_what_parse_text_reads_back(p):
+    """print_text raises DslSemanticError, or writes text that parses,
+    unvalidated, back to the same program."""
+    try:
+        text = print_text(p)
+    except DslSemanticError:
+        return
+    assert parse_text(text, validate=False) == p
 
 
 def token_outcome(parse, src):

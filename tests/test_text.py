@@ -6,6 +6,7 @@ import pytest
 
 from voxscript.dsl import (Axis, DrawStmt, ForStmt, Program, Semantics, ShapeKind,
                            parse_text, print_text, validate_program)
+from voxscript.dsl.ast import MAX_NESTING
 from voxscript.errors import DslSemanticError, DslSyntaxError
 
 from randprog import random_program
@@ -204,6 +205,18 @@ def test_print_refuses_a_non_enum_field_at_its_path(stmt):
         print_text(Program((stmt,)))
     [fault] = validate_program(Program((stmt,))).violations
     assert (exc.value.path, str(exc.value)) == ("stmt[0]", f"stmt[0]: {fault.message}")
+
+
+def test_print_refuses_loops_nested_deeper_than_the_parser_reads():
+    """Loops nested MAX_NESTING deep print and read back; a loop one deeper
+    is refused at its path."""
+    stmt = DrawStmt(Semantics.LEG, ShapeKind.CUBOID, (0, 0, 0), (1, 1, 1))
+    for _ in range(MAX_NESTING):
+        stmt = ForStmt.translation(2, (0, 0, 0), (stmt,))
+    assert parse_text(print_text(Program((stmt,))), validate=False) == Program((stmt,))
+    with pytest.raises(DslSemanticError, match="loop nesting deeper than 3") as exc:
+        print_text(Program((ForStmt.translation(2, (0, 0, 0), (stmt,)),)))
+    assert exc.value.path == "stmt[0]" + ".body[0]" * MAX_NESTING
 
 
 def test_validate_flag_skips_semantics():
